@@ -4,10 +4,121 @@ Everything here works with exact rational arithmetic (no floats, no
 tolerances): reduced row echelon form, rank, span membership, affine
 solution sets for linear systems, feasibility of linear inequality
 systems, and Lagrange interpolation.
+
+Every rank, nullspace, solve and infeasibility certificate goes through
+one elimination kernel, `_echelon`.  It clears the denominators of each
+row, keeps the row as a sparse ``{column: int}`` dict, and eliminates
+fraction-free: ``r <- a*r - b*p`` with ``a, b`` coprime, then divides the
+row by its content.  A rational appears again only when a result is
+written out, as an entry divided by its row's pivot.  The pivot of each
+column is the first remaining row, in swapped order, that is nonzero
+there (the Gauss-Jordan rule), and the reduced row echelon form is
+unique, so every result equals the one of a dense rational Gauss-Jordan
+reduction.
 """
+
+from math import gcd, lcm
 
 from .errors import DomainError
 from .rationals import QQ, ONE, ZERO, rat
+
+
+def _integer_row(row, extra=None):
+    """A sparse ``{column: int}`` row, a positive multiple of row.
+
+    extra is an optional ``(column, value)`` entry appended to the row
+    before clearing denominators (the identity column of a transform).
+    """
+    items = [(c, x) for c, x in enumerate(row) if x]
+    if extra is not None:
+        items.append(extra)
+    if not items:
+        return {}
+    scale = lcm(*(int(x.denominator) for _, x in items))
+    out = {c: int(x.numerator) * (scale // int(x.denominator)) for c, x in items}
+    return _divide_content(out)
+
+
+def _divide_content(row):
+    g = gcd(*row.values())
+    if g > 1:
+        for c in row:
+            row[c] //= g
+    return row
+
+
+def _eliminate(row, pivot_row, column):
+    """Clear row[column] with pivot_row, fraction-free and in place."""
+    p, x = pivot_row[column], row[column]
+    g = gcd(p, x)
+    a, b = p // g, x // g
+    if a != 1:
+        for c in row:
+            row[c] *= a
+    for c, v in pivot_row.items():
+        w = row.get(c, 0) - b * v
+        if w:
+            row[c] = w
+        else:
+            del row[c]
+    _divide_content(row)
+
+
+def _echelon(matrix, record=False, back_substitute=True):
+    """The elimination kernel: ``(rows, pivots, origin)`` for a QMatrix.
+
+    rows are sparse integer rows, each a multiple of the matching row of
+    the reduced row echelon form when back_substitute is set (otherwise
+    of a row echelon form with the same pivot rows and pivots); row i
+    started as row origin[i] of the matrix.  With record, column
+    ``n_cols + j`` of every row holds the multiple of matrix row j that
+    went into it; pivots are chosen among the matrix's own columns only.
+    """
+    n_cols, n = matrix.n_cols, matrix.n_rows
+    if record:
+        rows = [_integer_row(row, (n_cols + i, ONE)) for i, row in enumerate(matrix.rows)]
+    else:
+        rows = [_integer_row(row) for row in matrix.rows]
+    origin = list(range(n))
+    pivots = []
+    r = 0
+    for c in range(n_cols):
+        if r == n:
+            break
+        pivot = next((i for i in range(r, n) if c in rows[i]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        origin[r], origin[pivot] = origin[pivot], origin[r]
+        for i in range(r + 1, n):
+            if c in rows[i]:
+                _eliminate(rows[i], rows[r], c)
+        pivots.append(c)
+        r += 1
+    if back_substitute:
+        for k in range(len(pivots) - 1, 0, -1):
+            c = pivots[k]
+            for i in range(k):
+                if c in rows[i]:
+                    _eliminate(rows[i], rows[k], c)
+    return rows, pivots, origin
+
+
+def _kernel_basis(rows, pivots, n_cols):
+    """Nullspace basis read off reduced rows, one vector per free column."""
+    pivot_set = set(pivots)
+    basis = {}
+    for f in range(n_cols):
+        if f not in pivot_set:
+            vec = [ZERO] * n_cols
+            vec[f] = ONE
+            basis[f] = vec
+    for row, p in zip(rows, pivots):
+        lead = row[p]
+        for c, v in row.items():
+            if c in basis:
+                basis[c][p] = QQ(-v, lead)
+    return list(basis.values())
 
 
 class QMatrix:
@@ -67,7 +178,7 @@ class QMatrix:
             return QMatrix(cols, n_cols=self.n_cols + other.n_cols)
         if len(other) != self.n_rows:
             raise DomainError("vector length does not match row count")
-        cols = [list(row) + [rat(x)] for row, x in zip(self.rows, other)]
+        cols = [list(row) + [x] for row, x in zip(self.rows, other)]
         return QMatrix(cols, n_cols=self.n_cols + 1)
 
     def apply(self, vector):
@@ -94,52 +205,34 @@ class QMatrix:
         when ``record`` is set, where ``transform`` is an invertible matrix
         with ``transform * self == reduced``.
         """
-        work = [row[:] for row in self.rows]
-        trans = QMatrix.identity(self.n_rows).rows if record else None
-        pivots = []
-        r = 0
-        for c in range(self.n_cols):
-            pivot = next((i for i in range(r, self.n_rows) if work[i][c] != 0), None)
-            if pivot is None:
-                continue
-            work[r], work[pivot] = work[pivot], work[r]
-            if record:
-                trans[r], trans[pivot] = trans[pivot], trans[r]
-            inv = ONE / work[r][c]
-            work[r] = [x * inv for x in work[r]]
-            if record:
-                trans[r] = [x * inv for x in trans[r]]
-            for i in range(self.n_rows):
-                if i != r and work[i][c] != 0:
-                    factor = work[i][c]
-                    work[i] = [x - factor * y for x, y in zip(work[i], work[r])]
-                    if record:
-                        trans[i] = [x - factor * y for x, y in zip(trans[i], trans[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.n_rows:
-                break
-        reduced = QMatrix(work, n_cols=self.n_cols)
+        rows, pivots, origin = _echelon(self, record)
+        width = self.n_cols + self.n_rows if record else self.n_cols
+        dense = []
+        for i, row in enumerate(rows):
+            # Pivot rows are scaled to a leading 1; a zero row of the
+            # reduced matrix keeps coefficient 1 on its own original row
+            # in the transform.
+            if i < len(pivots):
+                lead = row[pivots[i]]
+            elif record:
+                lead = row[self.n_cols + origin[i]]
+            out = [ZERO] * width
+            for c, v in row.items():
+                out[c] = QQ(v, lead)
+            dense.append(out)
+        reduced = QMatrix([out[: self.n_cols] for out in dense], n_cols=self.n_cols)
         if record:
-            return reduced, pivots, QMatrix(trans, n_cols=self.n_rows)
+            trans = QMatrix([out[self.n_cols :] for out in dense], n_cols=self.n_rows)
+            return reduced, pivots, trans
         return reduced, pivots
 
     def rank(self):
-        return len(self.rref()[1])
+        return len(_echelon(self, back_substitute=False)[1])
 
     def nullspace(self):
         """Basis of the right kernel, one vector per free column."""
-        reduced, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.n_cols) if c not in pivot_set]
-        basis = []
-        for f in free:
-            vec = [ZERO] * self.n_cols
-            vec[f] = ONE
-            for i, p in enumerate(pivots):
-                vec[p] = -reduced.rows[i][f]
-            basis.append(vec)
-        return basis
+        rows, pivots, _ = _echelon(self)
+        return _kernel_basis(rows, pivots, self.n_cols)
 
     def solve(self, b):
         """One solution of ``self * x = b``, or None if inconsistent."""
@@ -175,29 +268,37 @@ class AffineSolutionSet:
 
 
 def solve_affine(matrix, b):
-    """Full solution set of ``matrix * x = b``, or None if inconsistent."""
-    aug = matrix.augment(b)
-    reduced, pivots = aug.rref()
-    if matrix.n_cols in pivots:
+    """Full solution set of ``matrix * x = b``, or None if inconsistent.
+
+    One reduction of the augmented matrix gives both the particular
+    solution and the kernel of matrix.
+    """
+    n = matrix.n_cols
+    rows, pivots, _ = _echelon(matrix.augment(b))
+    if n in pivots:
         return None
-    particular = [ZERO] * matrix.n_cols
-    for i, p in enumerate(pivots):
-        particular[p] = reduced.rows[i][matrix.n_cols]
-    return AffineSolutionSet(particular, matrix.nullspace())
+    particular = [ZERO] * n
+    for row, p in zip(rows, pivots):
+        if n in row:
+            particular[p] = QQ(row[n], row[p])
+    return AffineSolutionSet(particular, _kernel_basis(rows, pivots, n))
 
 
 def infeasibility_certificate(matrix, b):
     """A row combination proving ``matrix * x = b`` has no solution.
 
     Returns y with y^T * matrix = 0 and y^T * b != 0, or None when the
-    system is consistent.
+    system is consistent.  y is the transform row of the reduced row
+    with its pivot in the b column; that pivot is the last one, so back
+    substitution would not change its row.
     """
+    n = matrix.n_cols
     aug = matrix.augment(b)
-    reduced, pivots, trans = aug.rref(record=True)
-    if matrix.n_cols not in pivots:
+    rows, pivots, _ = _echelon(aug, record=True, back_substitute=False)
+    if n not in pivots:
         return None
-    row = pivots.index(matrix.n_cols)
-    return trans.rows[row]
+    row = rows[pivots.index(n)]
+    return [QQ(row.get(n + 1 + j, 0), row[n]) for j in range(matrix.n_rows)]
 
 
 def rank_of_rows(vectors, n_cols=None):

@@ -1,16 +1,18 @@
 """Exact rational scalars.
 
-Everything in this package computes over Q.  We use gmpy2's mpq when it is
-available (it is much faster on large pairing matrices) and fall back to the
-stdlib Fraction otherwise.  Both types interoperate: they compare equal,
-hash alike and print as "p/q".
+Everything in this package computes over Q with ``fractions.Fraction``,
+the path the test suite and the benchmark run.  When gmpy2 is importable
+its mpq is used instead; both types interoperate: they compare equal,
+hash alike, print as "p/q" and expose ``numerator`` and ``denominator``.
+The elimination kernel in ``exact_linalg`` does its work in Python
+integers with either type.
 """
 
 from __future__ import annotations
 
 try:
     from gmpy2 import mpq as QQ
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is optional; Fraction is the usual path
     from fractions import Fraction as QQ
 
 ZERO = QQ(0)
@@ -21,6 +23,8 @@ def rat(value, denom=None):
     """Build an exact rational from ints, strings like "p/q", or rationals."""
     if denom is not None:
         return QQ(value, denom)
+    if type(value) is QQ:
+        return value
     return QQ(value)
 
 

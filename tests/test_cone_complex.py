@@ -217,3 +217,71 @@ def test_explosion_chern_identity():
         explosion_chern_identity(3, 4)
     with pytest.raises(DomainError):
         explosion_chern_identity(6, 1)
+
+
+def _cycle_glued_orthant(sigma):
+    """R^r_{>=0} glued to itself by e_i -> e_sigma(i)."""
+    r = len(sigma)
+    basis = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+    image = [basis[sigma[i]] for i in range(r)]
+    return ConeComplex(r, [tuple(basis)], [(tuple(basis), tuple(image))])
+
+
+@pytest.mark.parametrize("d, dim", [(1, 7), (2, 43)])
+def test_pp_space_of_cycle_glued_barycentric_orthant_is_orbit_indicators(d, dim):
+    # Burnside for the 5-cycle: 31 rays give (31 + 4 * 1) / 5 = 7 orbits,
+    # 211 chains A <= B of nonempty subsets give (211 + 4 * 1) / 5 = 43.
+    sigma = (2, 4, 1, 0, 3)  # the 5-cycle 0 -> 2 -> 1 -> 4 -> 3 -> 0
+    fine, _ = barycentric(_cycle_glued_orthant(sigma))
+    # The rays of the subdivision are the nonzero 0/1 vectors, and rays
+    # share a cone exactly when their supports form a chain.
+    rays = sorted(bits for bits in itertools.product((0, 1), repeat=5) if any(bits))
+    assert rays == sorted(fine.rays())
+
+    def below(a, b):
+        return all(x <= y for x, y in zip(a, b))
+
+    multisets = [
+        ms
+        for ms in itertools.combinations_with_replacement(rays, d)
+        if all(below(a, b) or below(b, a) for a, b in itertools.combinations(ms, 2))
+    ]
+
+    def glue(ray):
+        image = [0] * 5
+        for i, x in enumerate(ray):
+            image[sigma[i]] = x
+        return tuple(image)
+
+    parent = {ms: ms for ms in multisets}
+
+    def find(ms):
+        while parent[ms] != ms:
+            parent[ms] = parent[parent[ms]]
+            ms = parent[ms]
+        return ms
+
+    for ms in multisets:
+        parent[find(ms)] = find(tuple(sorted(glue(ray) for ray in ms)))
+    components = {}
+    for ms in multisets:
+        components.setdefault(find(ms), set()).add(ms)
+    assert len(components) == dim
+
+    def value(f, ms):
+        for poly, cone in zip(f.polys, f.complex.cones):
+            if set(ms) <= set(cone):
+                exps = [0] * len(cone)
+                for ray in ms:
+                    exps[cone.index(ray)] += 1
+                return poly.get(tuple(exps), 0)
+        raise AssertionError("multiset %r lies in no cone" % (ms,))
+
+    basis = pp_space(fine, d)
+    assert len(basis) == dim
+    supports = []
+    for f in basis:
+        values = {ms: value(f, ms) for ms in multisets}
+        assert set(values.values()) <= {0, 1}
+        supports.append(frozenset(ms for ms, v in values.items() if v == 1))
+    assert sorted(map(sorted, supports)) == sorted(map(sorted, components.values()))

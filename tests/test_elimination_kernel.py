@@ -1,0 +1,128 @@
+"""The fraction-free elimination kernel against the dense rational oracle.
+
+The reduced row echelon form is unique and the kernel keeps the
+Gauss-Jordan pivot-row rule, so every result must be identical to the
+dense reduction's, transform and certificate included.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from dense_rref import (
+    dense_infeasibility_certificate,
+    dense_nullspace,
+    dense_rref,
+    dense_solve_affine,
+)
+from tautring.exact_linalg import QMatrix, infeasibility_certificate, solve_affine
+from tautring.rationals import QQ
+
+entries = st.one_of(
+    st.just(QQ(0)),
+    st.builds(QQ, st.integers(min_value=-3, max_value=3)),
+    st.builds(
+        QQ,
+        st.integers(min_value=-(10**6), max_value=10**6),
+        st.integers(min_value=1, max_value=10**6),
+    ),
+)
+
+
+@st.composite
+def general_rows(draw, n_rows, n_cols):
+    """Arbitrary entries, with some rows and columns forced to zero."""
+    rows = [[draw(entries) for _ in range(n_cols)] for _ in range(n_rows)]
+    for i in draw(st.sets(st.integers(0, max(n_rows - 1, 0)), max_size=2)):
+        if i < n_rows:
+            rows[i] = [QQ(0)] * n_cols
+    for j in draw(st.sets(st.integers(0, max(n_cols - 1, 0)), max_size=2)):
+        for row in rows:
+            if j < n_cols:
+                row[j] = QQ(0)
+    return rows
+
+
+@st.composite
+def dependent_rows(draw, n_rows, n_cols):
+    """Small integer combinations of a few base rows: rank below the size."""
+    base = [[draw(entries) for _ in range(n_cols)] for _ in range(draw(st.integers(1, 3)))]
+    rows = []
+    for _ in range(n_rows):
+        coeffs = [draw(st.integers(-2, 2)) for _ in base]
+        rows.append([sum((c * v[j] for c, v in zip(coeffs, base)), QQ(0)) for j in range(n_cols)])
+    return rows
+
+
+@st.composite
+def incidence_rows(draw, n_rows, n_cols):
+    """Rows with a +-1 in each of two distinct columns, as gluing relations."""
+    if n_cols < 2:
+        return [[QQ(0)] * n_cols for _ in range(n_rows)]
+    rows = []
+    for _ in range(n_rows):
+        a, b = draw(st.lists(st.integers(0, n_cols - 1), min_size=2, max_size=2, unique=True))
+        row = [QQ(0)] * n_cols
+        row[a] = QQ(draw(st.sampled_from((1, -1))))
+        row[b] = QQ(draw(st.sampled_from((1, -1))))
+        rows.append(row)
+    return rows
+
+
+@st.composite
+def matrices(draw, max_rows=6, max_cols=7):
+    n_rows = draw(st.integers(0, max_rows))
+    n_cols = draw(st.integers(0, max_cols))
+    kind = draw(st.sampled_from((general_rows, dependent_rows, incidence_rows)))
+    return QMatrix(draw(kind(n_rows, n_cols)), n_cols=n_cols)
+
+
+def vectors(length):
+    return st.lists(entries, min_size=length, max_size=length)
+
+
+@given(matrices())
+@settings(max_examples=300, deadline=None)
+def test_rref_rank_nullspace_match_oracle(mat):
+    reduced, pivots = mat.rref()
+    assert (reduced, pivots) == dense_rref(mat)
+    assert mat.rank() == len(pivots)
+    assert mat.nullspace() == dense_nullspace(mat)
+
+
+@given(matrices())
+@settings(max_examples=300, deadline=None)
+def test_recorded_transform_matches_oracle(mat):
+    reduced, pivots, trans = mat.rref(record=True)
+    _, oracle_pivots, oracle_trans = dense_rref(mat, record=True)
+    assert pivots == oracle_pivots
+    # trans * mat == reduced, column by column
+    for j in range(mat.n_cols):
+        column = [row[j] for row in mat.rows]
+        assert trans.apply(column) == [row[j] for row in reduced.rows]
+    assert trans.rows[: len(pivots)] == oracle_trans.rows[: len(pivots)]
+    assert trans == oracle_trans
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_solve_affine_and_certificate_match_oracle(data):
+    mat = data.draw(matrices())
+    if data.draw(st.booleans()):
+        b = mat.apply(data.draw(vectors(mat.n_cols)))
+    else:
+        b = data.draw(vectors(mat.n_rows))
+    sol = solve_affine(mat, b)
+    oracle = dense_solve_affine(mat, b)
+    if oracle is None:
+        assert sol is None
+    else:
+        assert (sol.particular, sol.basis) == oracle
+    assert infeasibility_certificate(mat, b) == dense_infeasibility_certificate(mat, b)
+
+
+def test_empty_shapes():
+    for rows, n_cols in (([], 0), ([], 3), ([[], []], 0)):
+        mat = QMatrix(rows, n_cols=n_cols)
+        assert mat.rref() == dense_rref(mat)
+        assert mat.rref(record=True) == dense_rref(mat, record=True)
+        assert mat.rank() == 0
+        assert mat.nullspace() == dense_nullspace(mat)

@@ -39,6 +39,13 @@ def _parse_weights(text):
         raise DomainError("weights must be a comma-separated integer list")
 
 
+def _parse_int(text, what):
+    try:
+        return int(text)
+    except ValueError:
+        raise DomainError("%s must be an integer, got %r" % (what, text))
+
+
 def _cmd_graphs(args):
     graphs = enumerate_stable_graphs(args.g, args.n)
     _emit(
@@ -220,7 +227,7 @@ def _cmd_cone(args):
         if len(rest) != 1:
             raise DomainError("star needs a cone id")
         faces = complex.all_faces()
-        index = int(rest[0])
+        index = _parse_int(rest[0], "cone id")
         if not 0 <= index < len(faces):
             raise DomainError("cone id out of range (0..%d)" % (len(faces) - 1))
         fine, _ = cc.star_subdivision(complex, faces[index])
@@ -236,7 +243,7 @@ def _cmd_cone(args):
     elif name == "pp":
         if len(rest) != 1:
             raise DomainError("pp needs a degree")
-        degree = int(rest[0])
+        degree = _parse_int(rest[0], "degree")
         basis = cc.pp_space(complex, degree)
         _emit(
             {
@@ -250,7 +257,7 @@ def _cmd_cone(args):
     elif name == "gen1":
         if len(rest) != 1:
             raise DomainError("gen1 needs a degree")
-        degree = int(rest[0])
+        degree = _parse_int(rest[0], "degree")
         _emit(
             {
                 "command": "cone",
@@ -262,7 +269,7 @@ def _cmd_cone(args):
     elif name == "explosion":
         if len(rest) != 2:
             raise DomainError("explosion needs s and k")
-        s, k = int(rest[0]), int(rest[1])
+        s, k = _parse_int(rest[0], "s"), _parse_int(rest[1], "k")
         _emit(
             {
                 "command": "cone",

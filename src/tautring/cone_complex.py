@@ -109,7 +109,9 @@ class ConeComplex:
                 if matrix.rank() != len(rays):
                     raise DomainError("gluing face rays are dependent")
                 for ray in rays:
-                    if not any(_in_cone(cone, ray) for cone in self.cones):
+                    if not any(ray in cone for cone in self.cones) and not any(
+                        _in_cone(cone, ray) for cone in self.cones
+                    ):
                         raise DomainError(
                             "gluing references %r outside the support" % (ray,)
                         )
@@ -258,14 +260,19 @@ def triangle_z3_complex():
 
 
 class SubdivisionMap:
-    """Records which coarse cone each fine maximal cone lands in."""
+    """Records which coarse cone each fine maximal cone lands in.
 
-    __slots__ = ("source", "target", "cone_targets")
+    ray_coords[i][r] holds the coordinates of ray r of fine cone i in the
+    rays of its coarse cone cone_targets[i].
+    """
 
-    def __init__(self, source, target, cone_targets):
+    __slots__ = ("source", "target", "cone_targets", "ray_coords")
+
+    def __init__(self, source, target, cone_targets, ray_coords):
         self.source = source
         self.target = target
         self.cone_targets = tuple(cone_targets)
+        self.ray_coords = tuple(ray_coords)
 
     def __repr__(self):
         return "SubdivisionMap(%d -> %d maximal cones)" % (
@@ -275,15 +282,27 @@ class SubdivisionMap:
 
 
 def _subdivision_map(fine, coarse):
-    targets = []
+    coords_in = {}  # (coarse cone index, ray) -> coordinates or None
+
+    def coords(j, ray):
+        key = (j, ray)
+        if key not in coords_in:
+            found = _cone_coords(coarse.cones[j], ray)
+            if found is not None and any(c < 0 for c in found):
+                found = None
+            coords_in[key] = found
+        return coords_in[key]
+
+    targets, ray_coords = [], []
     for cone in fine.cones:
-        for j, old in enumerate(coarse.cones):
-            if all(_in_cone(old, ray) for ray in cone):
+        for j in range(len(coarse.cones)):
+            if all(coords(j, ray) is not None for ray in cone):
                 targets.append(j)
+                ray_coords.append(tuple(coords(j, ray) for ray in cone))
                 break
         else:
             raise DomainError("subdivision does not refine the complex")
-    return SubdivisionMap(fine, coarse, targets)
+    return SubdivisionMap(fine, coarse, targets, ray_coords)
 
 
 def _gluing_orbit(complex, face):
@@ -714,13 +733,14 @@ def pullback_pp(sub_map, f):
     if f.complex != sub_map.target:
         raise DomainError("function does not live on the coarse complex")
     polys = []
-    for cone, j in zip(sub_map.source.cones, sub_map.cone_targets):
+    for cone, j, ray_coords in zip(
+        sub_map.source.cones, sub_map.cone_targets, sub_map.ray_coords
+    ):
         coarse = sub_map.target.cones[j]
         m = len(cone)
         # coarse coordinate k restricts to sum_i coords_i(ray_i)[k] * y_i
         forms = [{} for _ in coarse]
-        for i, ray in enumerate(cone):
-            coords = _cone_coords(coarse, ray)
+        for i, coords in enumerate(ray_coords):
             exps = tuple(1 if t == i else 0 for t in range(m))
             for k, c in enumerate(coords):
                 if c:

@@ -1,10 +1,15 @@
 """Integration of tautological classes against the fundamental class.
 
-psi integrals are computed by the Witten-Kontsevich / DVV recursion over
-exact rationals.  kappa decorations are converted to psi insertions on
-auxiliary markings; two independent conversion routes are provided (a
-one-at-a-time recursion used by `integrate`, and the set-partition formula
-behind `kappa_to_psi`) so that they can check each other.
+psi integrals are computed over exact rationals, each correlator by the
+cheapest rule that applies: the base cases <tau_0^3>_0 = 1 and
+<tau_1>_1 = 1/24, then the string equation (some exponent is 0), then
+the dilaton equation (some exponent is 1), and only when every exponent
+is at least 2 the Witten-Kontsevich / DVV recursion, whose separating
+terms read the genus of each part off the dimension constraint.  kappa
+decorations are converted to psi insertions on auxiliary markings; two
+independent conversion routes are provided (a one-at-a-time recursion
+used by `integrate`, and the set-partition formula behind
+`kappa_to_psi`) so that they can check each other.
 
 In the pushforward convention a term (graph, dec, c) integrates to
 c times the product over vertices of the vertex integrals; no automorphism
@@ -13,10 +18,8 @@ factor appears.
 
 from __future__ import annotations
 
-import os
-
 from .errors import DomainError
-from .rationals import QQ, ZERO, ONE, double_factorial, format_rat, parse_rat
+from .rationals import QQ, ZERO, ONE, double_factorial
 from .stable_graphs import StableGraph
 from .taut_classes import (
     PSI_HE,
@@ -27,52 +30,16 @@ from .taut_classes import (
     vertex_degrees,
 )
 
+# (g, sorted exponent tuple) -> <tau_{d_1} ... tau_{d_n}>_g, for stable,
+# dimension-correct keys only.
 _CORRELATORS: dict[tuple, object] = {}
-_CACHE_FILE_LOADED = False
-
-
-def _cache_path():
-    root = os.environ.get("TAUTRING_CACHE_DIR")
-    if not root:
-        return None
-    return os.path.join(root, "correlators.txt")
-
-
-def _load_cache_file():
-    global _CACHE_FILE_LOADED
-    _CACHE_FILE_LOADED = True
-    path = _cache_path()
-    if not path or not os.path.exists(path):
-        return
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            gpart, dpart, value = line.split(";")
-            exps = tuple(int(x) for x in dpart.split(",") if x != "")
-            _CORRELATORS[(int(gpart), exps)] = parse_rat(value)
-
-
-def save_correlator_cache() -> int:
-    """Persist the psi-integral memo table; returns the number of records."""
-    path = _cache_path()
-    if not path:
-        return 0
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    lines = []
-    for (g, exps), value in sorted(_CORRELATORS.items()):
-        lines.append(f"{g};{','.join(str(x) for x in exps)};{format_rat(value)}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + ("\n" if lines else ""))
-    return len(lines)
 
 
 def psi_integral(g: int, exponents) -> object:
     """<tau_{d_1} ... tau_{d_n}>_g, zero unless sum(d_i) = 3g - 3 + n.
 
-    Computed by the DVV recursion with base cases <tau_0^3>_0 = 1 and
-    <tau_1>_1 = 1/24.
+    Computed from the base cases <tau_0^3>_0 = 1 and <tau_1>_1 = 1/24 by
+    the string and dilaton equations and the DVV recursion.
     """
     exponents = tuple(sorted(int(d) for d in exponents))
     n = len(exponents)
@@ -82,12 +49,11 @@ def psi_integral(g: int, exponents) -> object:
         return ZERO
     if sum(exponents) != dim_moduli(g, n):
         return ZERO
-    if not _CACHE_FILE_LOADED:
-        _load_cache_file()
-    return _dvv(g, exponents)
+    return _correlator(g, exponents)
 
 
-def _dvv(g: int, exps: tuple) -> object:
+def _correlator(g: int, exps: tuple) -> object:
+    """A stable, dimension-correct correlator; exps is sorted."""
     key = (g, exps)
     cached = _CORRELATORS.get(key)
     if cached is not None:
@@ -97,55 +63,79 @@ def _dvv(g: int, exps: tuple) -> object:
         value = ONE  # <tau_0^3>_0, the only dimension-correct case
     elif g == 1 and n == 1:
         value = QQ(1, 24)  # <tau_1>_1
+    elif exps[0] == 0:
+        value = _string(g, exps[1:])
+    elif exps[0] == 1:
+        # dilaton: <tau_1 X>_g = (2g - 2 + |X|) <X>_g with |X| = n - 1
+        value = (2 * g - 3 + n) * _correlator(g, exps[1:])
     else:
-        # Recurse on the largest exponent, which is >= 1 away from the
-        # base cases.
-        rest = list(exps[:-1])
-        d1 = exps[-1]
-        total = ZERO
-        # string/join terms
-        for j, dj in enumerate(rest):
-            reduced = rest[:j] + rest[j + 1:] + [d1 + dj - 1]
-            coeff = QQ(
-                double_factorial(2 * (d1 + dj) - 1),
-                double_factorial(2 * dj - 1),
-            )
-            sub = _integral_checked(g, reduced)
-            if sub:
-                total += coeff * sub
-        # genus and separating reductions
-        for a in range(d1 - 1):
-            b = d1 - 2 - a
-            weight = QQ(
-                double_factorial(2 * a + 1) * double_factorial(2 * b + 1), 2
-            )
-            sub = _integral_checked(g - 1, rest + [a, b])
-            if sub:
-                total += weight * sub
-            for g1 in range(g + 1):
-                g2 = g - g1
-                for mask in range(1 << len(rest)):
-                    part1 = [rest[i] for i in range(len(rest)) if mask >> i & 1]
-                    part2 = [rest[i] for i in range(len(rest)) if not mask >> i & 1]
-                    s1 = _integral_checked(g1, part1 + [a])
-                    if not s1:
-                        continue
-                    s2 = _integral_checked(g2, part2 + [b])
-                    if s2:
-                        total += weight * s1 * s2
-        value = total / double_factorial(2 * d1 + 1)
+        value = _dvv(g, exps)
     _CORRELATORS[key] = value
     return value
 
 
-def _integral_checked(g: int, exps: list) -> object:
-    exps_t = tuple(sorted(exps))
-    n = len(exps_t)
-    if g < 0 or 2 * g - 2 + n <= 0:
-        return ZERO
-    if sum(exps_t) != dim_moduli(g, n):
-        return ZERO
-    return _dvv(g, exps_t)
+def _string(g: int, rest: tuple) -> object:
+    """<tau_0 prod tau_{k_i}>_g = sum_j <... tau_{k_j - 1} ...>_g.
+
+    Equal exponents give equal terms, so each distinct k > 0 is lowered
+    once, at its first position (which keeps the tuple sorted), and
+    counted with its multiplicity.
+    """
+    total = ZERO
+    previous = 0
+    for j, k in enumerate(rest):
+        if k != previous:
+            previous = k
+            lowered = rest[:j] + (k - 1,) + rest[j + 1:]
+            total += rest.count(k) * _correlator(g, lowered)
+    return total
+
+
+def _dvv(g: int, exps: tuple) -> object:
+    """The DVV recursion on the largest exponent d; every exponent is >= 2.
+
+    (2d + 1)!! <tau_d prod tau_{k_i}>_g =
+        sum_j (2d + 2k_j - 1)!! / (2k_j - 1)!! <tau_{d + k_j - 1} ...>_g
+      + sum_{a + b = d - 2} (2a + 1)!! (2b + 1)!! / 2 *
+          ( <tau_a tau_b prod tau_{k_i}>_{g-1}
+            + sum_{I} <tau_a prod_I tau_{k_i}>_{g1} <tau_b prod_{I^c} tau_{k_i}>_{g-g1} )
+
+    where the genus g1 of the part I is fixed by its dimension.
+    """
+    rest = exps[:-1]
+    d = exps[-1]
+    total = ZERO
+    previous = None
+    for j, k in enumerate(rest):
+        if k != previous:
+            previous = k
+            joined = tuple(sorted(rest[:j] + rest[j + 1:] + (d + k - 1,)))
+            coeff = QQ(
+                rest.count(k) * double_factorial(2 * (d + k) - 1),
+                double_factorial(2 * k - 1),
+            )
+            total += coeff * _correlator(g, joined)
+    splits = []
+    for mask in range(1 << len(rest)):
+        part1 = tuple(k for i, k in enumerate(rest) if mask >> i & 1)
+        part2 = tuple(k for i, k in enumerate(rest) if not mask >> i & 1)
+        splits.append((part1, part2, sum(part1) - len(part1) + 2))
+    for a in range(d - 1):
+        b = d - 2 - a
+        weight = QQ(double_factorial(2 * a + 1) * double_factorial(2 * b + 1), 2)
+        term = _correlator(g - 1, tuple(sorted(rest + (a, b))))
+        for part1, part2, shift in splits:
+            # part1 + tau_a on Mbar_{g1, |part1| + 1} needs
+            # sum(part1) + a = 3 g1 - 2 + |part1|
+            g1, r = divmod(shift + a, 3)
+            g2 = g - g1
+            if r or g2 < 0 or 2 * g1 + len(part1) < 2 or 2 * g2 + len(part2) < 2:
+                continue
+            term += _correlator(g1, tuple(sorted(part1 + (a,)))) * _correlator(
+                g2, tuple(sorted(part2 + (b,)))
+            )
+        total += weight * term
+    return total / double_factorial(2 * d + 1)
 
 
 # ---------------------------------------------------------------------------

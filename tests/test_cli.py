@@ -147,6 +147,11 @@ def test_cone_accepts_a_file(capsys, tmp_path):
         ["cone", "nosuchfixture"],
         ["cone", "simplex2", "star", "99"],
         ["cone", "simplex2", "pp"],  # missing degree
+        ["cone", "simplex3", "pp", "x"],  # non-integer operands
+        ["cone", "simplex3", "star", "x"],
+        ["cone", "simplex3", "gen1", "x"],
+        ["cone", "simplex3", "explosion", "a", "b"],
+        ["cone", "simplex3", "explosion", "3", "1.5"],
         ["--threads", "0", "graphs", "2", "0"],
     ],
 )

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import random
 from math import comb, factorial
 
 import pytest
@@ -191,6 +192,49 @@ def test_pullback_along_barycentric():
     assert pullback_pp(mapping, f * f) == pullback_pp(mapping, f) * pullback_pp(mapping, f)
     # and injective on the degree-one space
     assert not pullback_pp(mapping, f).is_zero()
+
+
+def _subdivisions(coarse):
+    yield barycentric(coarse)[1]
+    for face in coarse.all_faces():
+        yield star_subdivision(coarse, face)[1]
+
+
+@pytest.mark.parametrize(
+    "fixture",
+    [
+        lambda: simplex_cone_complex(1),
+        lambda: simplex_cone_complex(2),
+        lambda: simplex_cone_complex(3),
+        triangle_z3_complex,
+    ],
+    ids=["simplex1", "simplex2", "simplex3", "triangle-z3"],
+)
+def test_pullback_agrees_at_random_lattice_points(fixture, monkeypatch):
+    """pullback_pp(m, f)(p) == f(p) for random f and random lattice points p
+    of the support, along barycentric and every star subdivision; the
+    pullback itself solves for no coordinates."""
+    import tautring.cone_complex as cc
+
+    rng = random.Random(11)
+    coarse = fixture()
+    for sub_map in _subdivisions(coarse):
+        for d in (1, 2):
+            basis = pp_space(coarse, d)
+            f = PPFunction(coarse, d, [{} for _ in coarse.cones])
+            for g in basis:
+                f = f + rng.randint(-3, 3) * g
+            with monkeypatch.context() as patch:
+                patch.setattr(cc, "_cone_coords", None)
+                pulled = pullback_pp(sub_map, f)
+            for _ in range(8):
+                cone = rng.choice(coarse.cones)
+                weights = [rng.randint(0, 5) for _ in cone]
+                p = tuple(
+                    sum(w * r[j] for w, r in zip(weights, cone))
+                    for j in range(coarse.lattice_rank)
+                )
+                assert pulled.evaluate(p) == f.evaluate(p)
 
 
 def test_generated_by_degree_one_progression():

@@ -8,6 +8,8 @@ from math import factorial
 
 import pytest
 
+import tautring
+from dvv_oracle import oracle_psi_integral
 from tautring.errors import DomainError
 from tautring.integration import (
     integrate,
@@ -71,7 +73,7 @@ def test_dvv_anchors(g, exps, value):
 
 def test_genus0_closed_form():
     """<tau_{k_1}...tau_{k_n}>_0 = (n-3)! / prod(k_i!) when sum(k_i)=n-3."""
-    for n in range(3, 8):
+    for n in range(3, 10):
         for exps in _compositions(n - 3, n):
             expected = QQ(factorial(n - 3))
             for k in exps:
@@ -186,37 +188,57 @@ def test_integrate_checks_degree():
         integrate(fundamental_class(1, 1))
 
 
-def test_correlator_cache_round_trip(tmp_path):
-    """The memo table persists through TAUTRING_CACHE_DIR and reloads."""
-    env = dict(os.environ, TAUTRING_CACHE_DIR=str(tmp_path))
-    write = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "from tautring.integration import psi_integral, save_correlator_cache\n"
-            "psi_integral(2, (4,))\n"
-            "count = save_correlator_cache()\n"
-            "assert count > 0\n",
-        ],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
-    assert write.returncode == 0, write.stderr
-    cache_file = tmp_path / "correlators.txt"
-    assert cache_file.exists()
-    assert ";1/1152" in cache_file.read_text()
-    read = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "from tautring.integration import psi_integral, _CORRELATORS\n"
-            "value = psi_integral(2, (4,))\n"
-            "assert str(value) == '1/1152', value\n"
-            "assert (2, (4,)) in _CORRELATORS\n",
-        ],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
-    assert read.returncode == 0, read.stderr
+def test_correlator_cache_files_are_ignored(tmp_path):
+    """A correlators.txt under TAUTRING_CACHE_DIR changes nothing: neither a
+    poisoned record nor a malformed line is read."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tautring.__file__)))
+    probe = [
+        sys.executable,
+        "-c",
+        "import sys\n"
+        "from tautring.cli import main\n"
+        "from tautring.integration import psi_integral\n"
+        "code = main(['theta-genus2', '--json'])\n"
+        "print(psi_integral(2, (4,)))\n"
+        "sys.exit(code)\n",
+    ]
+
+    def run(cache_dir):
+        env = {k: v for k, v in os.environ.items() if k != "TAUTRING_CACHE_DIR"}
+        env["PYTHONPATH"] = src
+        if cache_dir is not None:
+            env["TAUTRING_CACHE_DIR"] = str(cache_dir)
+        return subprocess.run(probe, env=env, capture_output=True, text=True)
+
+    clean = run(None)
+    assert clean.returncode == 0, clean.stderr
+    assert clean.stdout.splitlines()[-1] == "1/1152"
+    for name, record in (("poisoned", "1;1;1/2\n2;4;1/2\n"), ("malformed", "1;1\n")):
+        cache_dir = tmp_path / name
+        cache_dir.mkdir()
+        (cache_dir / "correlators.txt").write_text(record)
+        result = run(cache_dir)
+        assert (result.returncode, result.stdout) == (0, clean.stdout), result.stderr
+
+
+def test_matches_the_full_dvv_oracle():
+    """Every correlator with g <= 4, n <= 5 equals the plain DVV recursion."""
+    for g in range(5):
+        for n in range(6):
+            if 2 * g - 2 + n <= 0:
+                continue
+            for exps in _compositions(dim_moduli(g, n), n) if n else [()]:
+                if list(exps) == sorted(exps):
+                    assert psi_integral(g, exps) == oracle_psi_integral(g, exps)
+
+
+@pytest.mark.parametrize("g", range(1, 9))
+def test_one_point_closed_form(g):
+    """<tau_{3g-2}>_g = 1/(24^g g!)."""
+    assert psi_integral(g, (3 * g - 2,)) == QQ(1, 24**g * factorial(g))
+
+
+def test_genus1_dilaton_closed_form():
+    """<tau_1^n>_1 = (n-1)!/24."""
+    for n in range(1, 9):
+        assert psi_integral(1, (1,) * n) == QQ(factorial(n - 1), 24)

@@ -15,7 +15,6 @@ from .stable_graphs import (
     automorphism_count,
     automorphisms,
     canonical_form,
-    common_degenerations,
     contract_edges,
     enumerate_stable_graphs,
     has_separating_edge,
@@ -110,7 +109,6 @@ __all__ = [
     "barycentric",
     "canonical_form",
     "class_of_graph",
-    "common_degenerations",
     "contract_edges",
     "decoration",
     "dim_moduli",

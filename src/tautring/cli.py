@@ -63,12 +63,10 @@ def _cmd_dr(args):
     weights = _parse_weights(args.weights)
     degree = args.degree
     if degree is None:
-        cls = dr_cycle(args.g, weights, threads=args.threads)
+        cls = dr_cycle(args.g, weights)
         degree = args.g
     else:
-        cls = QQ(1, 2**args.g) * pixton_class(
-            args.g, weights, degree, threads=args.threads
-        )
+        cls = QQ(1, 2**args.g) * pixton_class(args.g, weights, degree)
     _emit(
         {
             "command": "dr",
@@ -81,7 +79,7 @@ def _cmd_dr(args):
 
 
 def _cmd_lambda(args):
-    cls = lambda_top(args.g, args.n, threads=args.threads)
+    cls = lambda_top(args.g, args.n)
     payload = {
         "command": "lambda",
         "g": args.g,
@@ -117,7 +115,7 @@ def _cmd_div_membership(args):
             "perfect pairing is only known here for g <= 3; "
             "pass --unverified-extended for lower-bound analysis"
         )
-    cls = lambda_top(args.g, args.n, threads=args.threads)
+    cls = lambda_top(args.g, args.n)
     report = div_membership(
         cls,
         max_gen_degree=args.max_gen_degree,
@@ -291,8 +289,8 @@ def build_parser():
     parser.add_argument(
         "--threads",
         type=int,
-        default=max(os.cpu_count() or 1, 1),
-        help="worker threads for independent samples; never changes results",
+        default=1,
+        help="accepted for compatibility and ignored: everything runs on one thread",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

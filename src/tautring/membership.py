@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .exact_linalg import AffineSolutionSet, QMatrix, feasible, solve_affine
-from .integration import integrate
-from .product import multiply
+from .product import multiply, product_integral
 from .rationals import QQ, ZERO
 from .stable_graphs import StableGraph
 from .taut_classes import TautClass, class_of_graph, dim_moduli, generators
@@ -27,26 +26,25 @@ _PAIR_CACHE: dict = {}
 def pair_integral(a: TautClass, b: TautClass):
     """Integral of a*b over the moduli space (degrees must be complementary).
 
-    Cached per pair of decorated strata, so repeated pairings against a
-    generating set stay cheap.
+    Each pair of decorated strata is integrated by the excess-intersection
+    kernel without building the product class, and cached, so repeated
+    pairings against a generating set stay cheap.
     """
+    if a.virtual or b.virtual:
+        raise DomainError("virtual psi classes only support integration")
     if (a.g, a.n) != (b.g, b.n):
         raise DomainError("classes live on different moduli spaces")
     if a.d + b.d != dim_moduli(a.g, a.n):
         raise DomainError("degrees do not pair to the top")
     total = ZERO
-    for (ga, da), ca in a.terms.items():
-        for (gb, db), cb in b.terms.items():
-            key = (ga, da, gb, db)
+    for term_a, ca in a.terms.items():
+        for term_b, cb in b.terms.items():
+            key = term_a + term_b
             value = _PAIR_CACHE.get(key)
             if value is None:
-                ta = TautClass(a.g, a.n, a.d)
-                ta.terms[(ga, da)] = QQ(1)
-                tb = TautClass(b.g, b.n, b.d)
-                tb.terms[(gb, db)] = QQ(1)
-                value = integrate(multiply(ta, tb))
+                value = product_integral(term_a, term_b)
                 _PAIR_CACHE[key] = value
-                _PAIR_CACHE[(gb, db, ga, da)] = value
+                _PAIR_CACHE[term_b + term_a] = value
             total += ca * cb * value
     return total
 

@@ -14,7 +14,6 @@ and raises ConsistencyError on disagreement.
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import ConsistencyError, DomainError
 from .exact_linalg import QPolynomial, lagrange_interpolate
@@ -239,9 +238,9 @@ def pixton_r_polynomial(
     Samples 2d+2 consecutive values of r beginning at `start` (by default
     just past d and every |a_i|), fits each stratum coefficient exactly,
     and verifies the fit against one further sample; disagreement raises
-    ConsistencyError.  The samples are independent, so `threads` may farm
-    them out to a pool; results are collected in sample order and the
-    answer never depends on the thread count.
+    ConsistencyError.  `threads` is accepted for compatibility and has no
+    effect: the samples run one after another, which measured faster than
+    a thread pool because the work holds the interpreter lock.
     """
     a = tuple(int(x) for x in a)
     if sum(a) != 0:
@@ -252,11 +251,7 @@ def pixton_r_polynomial(
         start = 2
     n_samples = 2 * d + 2
     rs = list(range(start, start + n_samples))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            samples = list(pool.map(lambda r: pixton_class_at_r(g, a, d, r), rs))
-    else:
-        samples = [pixton_class_at_r(g, a, d, r) for r in rs]
+    samples = [pixton_class_at_r(g, a, d, r) for r in rs]
 
     keys = set()
     for cls in samples:

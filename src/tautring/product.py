@@ -5,13 +5,19 @@ every common degeneration contributes the pullbacks of the two factor
 decorations times an excess class, one factor -psi_h - psi_h' for each
 edge that survives in both contractions, and the contribution is
 weighted by 1/|Aut| of the degeneration.
+
+One kernel, `_excess_terms`, produces these contributions with integer
+multiplicities per degeneration graph.  `multiply` inserts them into a
+canonicalized class; `product_integral` integrates them as they come,
+which is all the top pairing needs.
 """
 
 import itertools
 
 from . import stable_graphs as sg
 from .errors import DomainError
-from .rationals import ONE, QQ
+from .integration import term_integral
+from .rationals import ZERO
 from .taut_classes import (
     PSI_HE,
     Decoration,
@@ -83,10 +89,13 @@ def _pullback_monomials(graph, vmap, he_inv, dec):
 
 
 def _excess_monomials(graph, shared):
-    """Expansion of prod over shared edges of (-psi_h - psi_h')."""
+    """Expansion of prod over shared edges of (-psi_h - psi_h').
+
+    Returns (Decoration, sign) pairs with integer signs.
+    """
     if not shared:
-        return [(Decoration((), ((),) * graph.n_vertices), ONE)]
-    sign = ONE if len(shared) % 2 == 0 else -ONE
+        return [(Decoration((), ((),) * graph.n_vertices), 1)]
+    sign = -1 if len(shared) % 2 else 1
     out = []
     for picks in itertools.product(*[graph.edges[i] for i in shared]):
         exps: dict = {}
@@ -97,6 +106,46 @@ def _excess_monomials(graph, shared):
             (Decoration(tuple(sorted(exps.items())), ((),) * graph.n_vertices), sign)
         )
     return out
+
+
+def _pulled_orbit(graph, vmap, he_inv, orbit):
+    """Pullbacks of every transport in an Aut-orbit sum, merged."""
+    out: dict = {}
+    for dec, mult in orbit.items():
+        for mono, m in _pullback_monomials(graph, vmap, he_inv, dec):
+            out[mono] = out.get(mono, 0) + mult * m
+    return out
+
+
+def _excess_terms(term_a, term_b):
+    """The excess-intersection product of two decorated strata, by graph.
+
+    term_a and term_b are (graph, decoration) pairs on the same (g, n).
+    Yields (graph, aut, counts), one per common degeneration graph, where
+    counts maps decorations of `graph` to integer multiplicities: the
+    product xi_*(dec_a) * xi_*(dec_b) is the sum over the yielded graphs
+    of sum(count * xi_*(dec)) / aut.  Decorations are neither
+    canonicalized nor filtered, so some may exceed a vertex dimension and
+    push forward to zero.
+    """
+    (ga, da), (gb, db) = term_a, term_b
+    orbit_a = _aut_orbit_sum(ga, da)
+    orbit_b = _aut_orbit_sum(gb, db)
+    records = sg.degeneration_base_pairs(ga, gb)
+    for graph, group in itertools.groupby(records, key=lambda r: r[0]):
+        counts: dict = {}
+        for _, va, ia, vb, ib, shared in group:
+            pulled_a = _pulled_orbit(graph, va, ia, orbit_a)
+            pulled_b = _pulled_orbit(graph, vb, ib, orbit_b)
+            excess = _excess_monomials(graph, shared)
+            for ma, ka in pulled_a.items():
+                for mb, kb in pulled_b.items():
+                    mab = decoration_mul(ma, mb)
+                    k = ka * kb
+                    for me, sign in excess:
+                        dec = decoration_mul(mab, me)
+                        counts[dec] = counts.get(dec, 0) + sign * k
+        yield graph, sg.automorphism_count(graph), counts
 
 
 def multiply(a: TautClass, b: TautClass) -> TautClass:
@@ -111,29 +160,59 @@ def multiply(a: TautClass, b: TautClass) -> TautClass:
             "product degree %d exceeds the dimension %d" % (d, dim_moduli(a.g, a.n))
         )
     out = TautClass(a.g, a.n, d)
-    for (ga, da), ca in a.terms.items():
-        orbit_a = _aut_orbit_sum(ga, da)
-        for (gb, db), cb in b.terms.items():
-            orbit_b = _aut_orbit_sum(gb, db)
+    for term_a, ca in a.terms.items():
+        for term_b, cb in b.terms.items():
             scale = ca * cb
-            for graph, va, ia, vb, ib, shared in sg.degeneration_base_pairs(ga, gb):
-                weight = scale / sg.automorphism_count(graph)
-                pulled_a: dict = {}
-                for dec, mult in orbit_a.items():
-                    for mono, m in _pullback_monomials(graph, va, ia, dec):
-                        pulled_a[mono] = pulled_a.get(mono, 0) + mult * m
-                pulled_b: dict = {}
-                for dec, mult in orbit_b.items():
-                    for mono, m in _pullback_monomials(graph, vb, ib, dec):
-                        pulled_b[mono] = pulled_b.get(mono, 0) + mult * m
-                excess = _excess_monomials(graph, shared)
-                for ma, ka in pulled_a.items():
-                    for mb, kb in pulled_b.items():
-                        mab = decoration_mul(ma, mb)
-                        coeff = weight * ka * kb
-                        for me, sign in excess:
-                            out._insert(graph, decoration_mul(mab, me), coeff * sign)
+            for graph, aut, counts in _excess_terms(term_a, term_b):
+                weight = scale / aut
+                for dec, count in counts.items():
+                    out._insert(graph, dec, weight * count)
     return out
+
+
+_VERTEX_SHAPE_CACHE: dict = {}
+
+
+def _vertex_shape(graph):
+    """(vertex of each marking, dimension of each vertex's moduli space)."""
+    cached = _VERTEX_SHAPE_CACHE.get(graph)
+    if cached is not None:
+        return cached
+    home = {m: v for v, legs in enumerate(graph.legs) for m in legs}
+    valence = [len(legs) for legs in graph.legs]
+    for (v1, _), (v2, _) in graph.edges:
+        valence[v1] += 1
+        valence[v2] += 1
+    dims = [dim_moduli(gv, nv) for gv, nv in zip(graph.genera, valence)]
+    result = (home, dims)
+    _VERTEX_SHAPE_CACHE[graph] = result
+    return result
+
+
+def product_integral(term_a, term_b):
+    """Integral of xi_*(dec_a) * xi_*(dec_b) for complementary degrees.
+
+    Sums the excess terms' integrals as they are produced: an integral
+    does not depend on the representative of a decorated stratum, so no
+    term is canonicalized.  A term integrates to zero unless each vertex
+    carries exactly its dimension, so terms that do not are skipped
+    before the (cached) `term_integral`: most raw terms never enter its
+    cache.
+    """
+    total = ZERO
+    for graph, aut, counts in _excess_terms(term_a, term_b):
+        home, dims = _vertex_shape(graph)
+        subtotal = ZERO
+        for dec, count in counts.items():
+            if not count:
+                continue
+            degrees = [sum(ks) for ks in dec.kappa]
+            for key, e in dec.psi:
+                degrees[key[1] if key[0] == PSI_HE else home[key[1]]] += e
+            if degrees == dims:
+                subtotal += count * term_integral(graph, dec)
+        total += subtotal / aut
+    return total
 
 
 def power(a: TautClass, k: int) -> TautClass:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DomainError
 
@@ -393,12 +393,18 @@ def automorphisms(graph: StableGraph) -> tuple:
     return result
 
 
+_AUTOMORPHISM_COUNT_CACHE: dict[StableGraph, int] = {}
+
+
 def automorphism_count(graph: StableGraph) -> int:
     """|Aut| via the orbit formula: vertex symmetries times edge symmetries.
 
     For each admissible vertex permutation the half-edge extensions count
     m! per parallel bundle and l! * 2^l per loop bundle.
     """
+    cached = _AUTOMORPHISM_COUNT_CACHE.get(graph)
+    if cached is not None:
+        return cached
     bundles, loops = _edge_bundles(graph)
     total = 0
     for vmap in _vertex_automorphism_maps(graph):
@@ -413,6 +419,7 @@ def automorphism_count(graph: StableGraph) -> int:
                 count *= i
             count *= 2 ** l
         total += count
+    _AUTOMORPHISM_COUNT_CACHE[graph] = total
     return total
 
 
@@ -643,50 +650,41 @@ def enumerate_stable_graphs(g: int, n: int) -> tuple[StableGraph, ...]:
 # common degenerations
 
 
-@dataclass(frozen=True)
-class ContractionPair:
-    """A common degeneration of two stable graphs.
+# (g, n, E) -> canonical contraction target -> graph -> contractions, over
+# the stable graphs of type (g, n) with E edges.
+_DEGENERATION_INDEX: dict[tuple[int, int, int], dict] = {}
 
-    `graph` contracts onto each factor; `vmap_a[v]` is the factor-A vertex a
-    vertex of `graph` lands on, `he_to_a` maps each half-edge of A to the
-    half-edge of `graph` sitting over it (likewise for B).  `shared_edges`
-    lists the edge indices of `graph` lying over an edge of both factors;
-    these carry the excess factor in products.
+
+def _degeneration_index(g: int, n: int, E: int) -> dict:
+    """Contractions of the E-edge graphs of (g, n), inverted by target.
+
+    Maps every canonical contracted graph to {graph: [(bits, vmap, he_inv)]}
+    with graphs in enumeration order and subsets in increasing order: bits
+    marks the contracted edges, vmap sends each graph vertex to the target
+    vertex it lands on, and he_inv names, for every target half-edge, the
+    graph half-edge sitting over it.
     """
-    graph: StableGraph
-    vmap_a: tuple[int, ...]
-    he_to_a: tuple
-    vmap_b: tuple[int, ...]
-    he_to_b: tuple
-    shared_edges: tuple[int, ...]
+    key = (g, n, E)
+    index = _DEGENERATION_INDEX.get(key)
+    if index is not None:
+        return index
+    index = {}
+    for graph in enumerate_stable_graphs(g, n):
+        if graph.n_edges != E:
+            continue
+        for bits in range(1 << E):
+            subset = [i for i in range(E) if bits >> i & 1]
+            contracted, vmap, hemap = contract_edges(graph, subset)
+            canon, cvmap, chemap = canonical_form_with_map(contracted)
+            total_v = tuple(cvmap[vmap[v]] for v in range(graph.n_vertices))
+            he_inv = {chemap[m]: h for h, m in hemap.items()}
+            over = index.setdefault(canon, {})
+            over.setdefault(graph, []).append((bits, total_v, he_inv))
+    _DEGENERATION_INDEX[key] = index
+    return index
 
 
-_CONTRACTION_TABLE_CACHE: dict[StableGraph, dict] = {}
 _DEGENERATION_CACHE: dict[tuple[StableGraph, StableGraph], tuple] = {}
-
-
-def _contraction_table(graph: StableGraph) -> dict:
-    """canonical contraction -> list of (edge subset, vmap, he_corr).
-
-    For every subset S of edges, contract S, canonicalize, and record the
-    composed maps from `graph` onto the canonical contracted graph:
-    vmap (graph vertex -> canon vertex) and for every KEPT half-edge its
-    canonical name.
-    """
-    cached = _CONTRACTION_TABLE_CACHE.get(graph)
-    if cached is not None:
-        return cached
-    table: dict[StableGraph, list] = {}
-    E = graph.n_edges
-    for bits in range(1 << E):
-        subset = frozenset(i for i in range(E) if bits >> i & 1)
-        contracted, vmap, hemap = contract_edges(graph, subset)
-        canon, cvmap, chemap = canonical_form_with_map(contracted)
-        total_v = tuple(cvmap[vmap[v]] for v in range(graph.n_vertices))
-        total_he = {h: chemap[m] for h, m in hemap.items()}
-        table.setdefault(canon, []).append((subset, total_v, total_he))
-    _CONTRACTION_TABLE_CACHE[graph] = table
-    return table
 
 
 def degeneration_base_pairs(a: StableGraph, b: StableGraph) -> tuple:
@@ -697,7 +695,11 @@ def degeneration_base_pairs(a: StableGraph, b: StableGraph) -> tuple:
     `graph` over it, and shared_edges are the edge indices of `graph` kept
     by both contractions.  Records do not include compositions with
     automorphisms of a and b; callers that need all pairs (f_a, f_b) expand
-    each record by Aut(a) x Aut(b).
+    each record by Aut(a) x Aut(b).  Records of one graph are consecutive.
+
+    A common degeneration contracts disjoint edge sets onto a and b, so it
+    has between max(|E(a)|, |E(b)|) and |E(a)| + |E(b)| edges; each edge
+    count is looked up in its inverted contraction index.
     """
     a = canonical_form(a)
     b = canonical_form(b)
@@ -708,54 +710,25 @@ def degeneration_base_pairs(a: StableGraph, b: StableGraph) -> tuple:
     g, n = a.genus(), a.n_markings
     if (g, n) != (b.genus(), b.n_markings):
         raise DomainError("graphs live on different moduli spaces")
-    max_edges = a.n_edges + b.n_edges
     results = []
-    for graph in enumerate_stable_graphs(g, n):
-        if graph.n_edges > max_edges or graph.n_edges < max(a.n_edges, b.n_edges):
+    top = min(a.n_edges + b.n_edges, 3 * g - 3 + n)
+    for E in range(max(a.n_edges, b.n_edges), top + 1):
+        index = _degeneration_index(g, n, E)
+        over_a = index.get(a)
+        over_b = index.get(b)
+        if not over_a or not over_b:
             continue
-        table = _contraction_table(graph)
-        into_a = table.get(a, ())
-        into_b = table.get(b, ())
-        if not into_a or not into_b:
-            continue
-        for (sa, va, ha) in into_a:
-            inv_a = {m: h for h, m in ha.items()}
-            for (sb, vb, hb) in into_b:
-                if sa & sb:
-                    continue
-                shared = tuple(
-                    i for i in range(graph.n_edges) if i not in sa and i not in sb
-                )
-                inv_b = {m: h for h, m in hb.items()}
-                results.append((graph, va, inv_a, vb, inv_b, shared))
+        for graph, into_a in over_a.items():
+            into_b = over_b.get(graph)
+            if into_b is None:
+                continue
+            for (sa, va, ia) in into_a:
+                for (sb, vb, ib) in into_b:
+                    if sa & sb:
+                        continue
+                    both = sa | sb
+                    shared = tuple(i for i in range(E) if not both >> i & 1)
+                    results.append((graph, va, ia, vb, ib, shared))
     result = tuple(results)
     _DEGENERATION_CACHE[key] = result
     return result
-
-
-def common_degenerations(a: StableGraph, b: StableGraph) -> tuple[ContractionPair, ...]:
-    """Generic degenerations of a pair of stable graphs.
-
-    Returns all triples (graph, f_a, f_b) where graph is a stable graph of
-    the same type, f_a and f_b contract it onto (the canonical forms of) a
-    and b, and every edge of graph survives in at least one factor.  The
-    list enumerates actual contraction pairs, i.e. base records composed
-    with all automorphisms of the factors; in the excess intersection
-    product each entry is weighted by 1/|Aut(graph)|.
-    """
-    a = canonical_form(a)
-    b = canonical_form(b)
-    auts_a = automorphisms(a)
-    auts_b = automorphisms(b)
-    results = []
-    for (graph, va, ia, vb, ib, shared) in degeneration_base_pairs(a, b):
-        for aut_v_a, aut_he_a in auts_a:
-            fa_v = tuple(aut_v_a[va[v]] for v in range(graph.n_vertices))
-            inv_a = tuple(sorted((aut_he_a[m], h) for m, h in ia.items()))
-            for aut_v_b, aut_he_b in auts_b:
-                fb_v = tuple(aut_v_b[vb[v]] for v in range(graph.n_vertices))
-                inv_b = tuple(sorted((aut_he_b[m], h) for m, h in ib.items()))
-                results.append(
-                    ContractionPair(graph, fa_v, inv_a, fb_v, inv_b, shared)
-                )
-    return tuple(results)

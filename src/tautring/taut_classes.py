@@ -123,13 +123,23 @@ def trivial_decoration(graph: StableGraph) -> Decoration:
 
 def decoration_mul(d1: Decoration, d2: Decoration) -> Decoration:
     """Product of two monomials on the same graph."""
-    exps = {}
-    for key, e in itertools.chain(d1.psi, d2.psi):
-        exps[key] = exps.get(key, 0) + e
-    psi = tuple(sorted(exps.items()))
-    kappa = tuple(
-        tuple(sorted(k1 + k2)) for k1, k2 in zip(d1.kappa, d2.kappa)
-    )
+    if not d2.psi:
+        psi = d1.psi
+    elif not d1.psi:
+        psi = d2.psi
+    else:
+        exps = dict(d1.psi)
+        for key, e in d2.psi:
+            exps[key] = exps.get(key, 0) + e
+        psi = tuple(sorted(exps.items()))
+    if not any(d2.kappa):
+        kappa = d1.kappa
+    elif not any(d1.kappa):
+        kappa = d2.kappa
+    else:
+        kappa = tuple(
+            tuple(sorted(k1 + k2)) for k1, k2 in zip(d1.kappa, d2.kappa)
+        )
     return Decoration(psi, kappa)
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from tautring.errors import DomainError
-from tautring.integration import integrate
+from tautring.integration import integrate, kappa_to_psi
 from tautring.membership import (
     MembershipReport,
     div_membership,
@@ -28,6 +28,10 @@ def test_pair_integral_matches_direct_product():
         pair_integral(a, psi_class(1, 1, 1))  # different space
     with pytest.raises(DomainError):
         pair_integral(a, kappa_class(1, 2, 2))  # degrees do not pair
+    with pytest.raises(DomainError):
+        pair_integral(kappa_to_psi(a), b)  # virtual classes only integrate
+    with pytest.raises(DomainError):
+        pair_integral(b, kappa_to_psi(a))
 
 
 def test_pairing_vector_default_basis():

@@ -1,0 +1,62 @@
+"""The excess-intersection kernel against the reference product.
+
+`tests/product_oracle.py` keeps the product as it was before the kernel:
+every excess term inserted into a canonicalized class one at a time, and
+common degenerations found by scanning every stable graph.  On every pair
+of generators of complementary degree of a few small spaces, the kernel
+must give the same product class term for term, the same integral
+without building the class, and the same degeneration records.
+"""
+
+import itertools
+from collections import Counter
+
+import pytest
+
+from product_oracle import oracle_degeneration_base_pairs, oracle_multiply
+from tautring.integration import integrate
+from tautring.membership import pair_integral
+from tautring.product import multiply, product_integral
+from tautring.stable_graphs import degeneration_base_pairs
+from tautring.taut_classes import dim_moduli, generators
+
+SPACES = [(0, 5), (1, 2), (1, 3), (2, 0), (2, 1)]
+
+
+def _complementary_pairs(g, n):
+    top = dim_moduli(g, n)
+    for d in range(top + 1):
+        yield from itertools.product(generators(g, n, d), generators(g, n, top - d))
+
+
+def _records(records):
+    """Degeneration records in a hashable form, counted."""
+    return Counter(
+        (graph, va, frozenset(ia.items()), vb, frozenset(ib.items()), shared)
+        for graph, va, ia, vb, ib, shared in records
+    )
+
+
+@pytest.mark.parametrize("g, n", SPACES)
+def test_kernel_matches_the_reference_product(g, n):
+    for a, b in _complementary_pairs(g, n):
+        [(term_a, _)] = a.terms.items()
+        [(term_b, _)] = b.terms.items()
+        reference = oracle_multiply(a, b)
+        assert multiply(a, b) == reference
+        value = product_integral(term_a, term_b)
+        assert value == integrate(reference)
+        assert value == product_integral(term_b, term_a)
+        assert pair_integral(a, b) == value
+        assert _records(degeneration_base_pairs(term_a[0], term_b[0])) == _records(
+            oracle_degeneration_base_pairs(term_a[0], term_b[0])
+        )
+
+
+@pytest.mark.parametrize("g, n", [(1, 3), (2, 0), (2, 1)])
+def test_products_below_the_top_match_the_reference(g, n):
+    top = dim_moduli(g, n)
+    for d1 in range(1, top):
+        for d2 in range(d1, top - d1):
+            for a, b in itertools.product(generators(g, n, d1), generators(g, n, d2)):
+                assert multiply(a, b) == oracle_multiply(a, b)

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from dataclasses import dataclass
 
 import pytest
 
@@ -11,7 +12,7 @@ from tautring.stable_graphs import (
     automorphism_count,
     automorphisms,
     canonical_form,
-    common_degenerations,
+    degeneration_base_pairs,
     contract_edges,
     enumerate_stable_graphs,
     has_separating_edge,
@@ -184,6 +185,46 @@ def test_separating_edges():
     assert not has_separating_edge(smooth_graph(2, 1))
 
 
+@dataclass(frozen=True)
+class ContractionPair:
+    """A common degeneration of two stable graphs.
+
+    `graph` contracts onto each factor; `vmap_a[v]` is the factor-A vertex a
+    vertex of `graph` lands on, `he_to_a` pairs each half-edge of A with the
+    half-edge of `graph` sitting over it (likewise for B).  `shared_edges`
+    lists the edge indices of `graph` lying over an edge of both factors;
+    these carry the excess factor in products.
+    """
+    graph: StableGraph
+    vmap_a: tuple[int, ...]
+    he_to_a: tuple
+    vmap_b: tuple[int, ...]
+    he_to_b: tuple
+    shared_edges: tuple[int, ...]
+
+
+def common_degenerations(a, b):
+    """Every contraction pair (graph, f_a, f_b) onto canonical a and b.
+
+    The base records of `degeneration_base_pairs` composed with all
+    automorphisms of the two factors.
+    """
+    auts_a = automorphisms(canonical_form(a))
+    auts_b = automorphisms(canonical_form(b))
+    results = []
+    for (graph, va, ia, vb, ib, shared) in degeneration_base_pairs(a, b):
+        for aut_v_a, aut_he_a in auts_a:
+            fa_v = tuple(aut_v_a[va[v]] for v in range(graph.n_vertices))
+            inv_a = tuple(sorted((aut_he_a[m], h) for m, h in ia.items()))
+            for aut_v_b, aut_he_b in auts_b:
+                fb_v = tuple(aut_v_b[vb[v]] for v in range(graph.n_vertices))
+                inv_b = tuple(sorted((aut_he_b[m], h) for m, h in ib.items()))
+                results.append(
+                    ContractionPair(graph, fa_v, inv_a, fb_v, inv_b, shared)
+                )
+    return tuple(results)
+
+
 def test_common_degenerations_shapes():
     pairs = common_degenerations(LOOP_G1, BRIDGE_G1_G1)
     assert pairs
@@ -193,6 +234,32 @@ def test_common_degenerations_shapes():
         assert set(pair.shared_edges) <= set(range(pair.graph.n_edges))
         assert len(pair.vmap_a) == pair.graph.n_vertices
         assert len(pair.vmap_b) == pair.graph.n_vertices
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (LOOP_G1, BRIDGE_G1_G1),
+        (LOOP_G1, LOOP_G1),
+        (THETA, LOOP_G1),
+        (DUMBBELL, BRIDGE_G1_G1),
+        (LOOP_11, LOOP_11),
+    ],
+)
+def test_degeneration_records_contract_onto_both_factors(a, b):
+    """Contracting the edges a record does not keep over a factor gives
+    that factor, with every factor half-edge over a kept one."""
+    records = degeneration_base_pairs(a, b)
+    assert records
+    for graph, va, ia, vb, ib, shared in records:
+        kept_a = {i for i, e in enumerate(graph.edges) if e[0] in ia.values()}
+        kept_b = {i for i, e in enumerate(graph.edges) if e[0] in ib.values()}
+        assert kept_a | kept_b == set(range(graph.n_edges))
+        assert tuple(sorted(kept_a & kept_b)) == shared
+        for factor, kept, he_inv in ((a, kept_a, ia), (b, kept_b, ib)):
+            drop = set(range(graph.n_edges)) - kept
+            assert canonical_form(contract_edges(graph, drop)[0]) == canonical_form(factor)
+            assert set(he_inv) == set(canonical_form(factor).half_edges())
 
 
 def test_json_round_trip():

@@ -17,7 +17,13 @@ from .exact_linalg import AffineSolutionSet, QMatrix, feasible, solve_affine
 from .product import multiply, product_integral
 from .rationals import QQ, ZERO
 from .stable_graphs import StableGraph
-from .taut_classes import TautClass, class_of_graph, dim_moduli, generators
+from .taut_classes import (
+    TautClass,
+    _partitions,
+    class_of_graph,
+    dim_moduli,
+    generators,
+)
 from .pixton import lambda_top
 
 _PAIR_CACHE: dict = {}
@@ -68,23 +74,12 @@ def pairing_rank(g: int, n: int, d: int) -> int:
     return QMatrix(matrix, n_cols=len(cols)).rank()
 
 
-def _partitions_with_max(total, max_part):
-    """Partitions of total into parts <= max_part, as descending tuples."""
-    if total == 0:
-        return [()]
-    out = []
-    for part in range(min(total, max_part), 0, -1):
-        for rest in _partitions_with_max(total - part, part):
-            out.append((part,) + rest)
-    return out
-
-
 def _degree_monomials(g: int, n: int, d: int, k: int):
     """Products of generators of degree <= k filling total degree d."""
     if k < 1:
         raise DomainError("generator degree bound must be positive")
     out = []
-    for partition in _partitions_with_max(d, min(k, d)):
+    for partition in _partitions(d, k):
         choices = []
         for part in sorted(set(partition)):
             gens = generators(g, n, part)

@@ -19,7 +19,14 @@ from .errors import ConsistencyError, DomainError
 from .exact_linalg import QPolynomial, lagrange_interpolate
 from .rationals import QQ, ZERO, ONE
 from .stable_graphs import StableGraph, automorphism_count, enumerate_stable_graphs
-from .taut_classes import PSI_HE, PSI_LEG, Decoration, TautClass, dim_moduli
+from .taut_classes import (
+    PSI_HE,
+    PSI_LEG,
+    Decoration,
+    TautClass,
+    _compositions,
+    dim_moduli,
+)
 
 
 def weightings_mod_r(graph: StableGraph, a, r: int):
@@ -104,16 +111,6 @@ def _multi_indices(n_edges: int, max_total: int):
             rec(prefix + [m], remaining - m)
 
     rec([], max_total)
-    return out
-
-
-def _compositions(total: int, parts: int):
-    if parts == 0:
-        return [()] if total == 0 else []
-    out = []
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            out.append((head,) + tail)
     return out
 
 

@@ -1,19 +1,14 @@
 """Exact rational scalars.
 
 Everything in this package computes over Q with ``fractions.Fraction``,
-the path the test suite and the benchmark run.  When gmpy2 is importable
-its mpq is used instead; both types interoperate: they compare equal,
-hash alike, print as "p/q" and expose ``numerator`` and ``denominator``.
+whatever else is installed, so no optional module can change an answer.
 The elimination kernel in ``exact_linalg`` does its work in Python
-integers with either type.
+integers.
 """
 
 from __future__ import annotations
 
-try:
-    from gmpy2 import mpq as QQ
-except ImportError:  # gmpy2 is optional; Fraction is the usual path
-    from fractions import Fraction as QQ
+from fractions import Fraction as QQ
 
 ZERO = QQ(0)
 ONE = QQ(1)

@@ -362,21 +362,28 @@ def kappa_class(g: int, n: int, a: int) -> TautClass:
 # generators
 
 
-def _partitions(k: int):
-    """Partitions of k into parts >= 1, as sorted tuples."""
+def _compositions(total: int, parts: int):
+    """Tuples of `parts` nonnegative ints summing to total, in
+    lexicographic order."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _partitions(k: int, max_part: int | None = None):
+    """Partitions of k into parts between 1 and max_part (default k), as
+    descending tuples in reverse lexicographic order."""
     if k == 0:
         yield ()
         return
-
-    def rec(remaining, max_part):
-        if remaining == 0:
-            yield ()
-            return
-        for part in range(min(remaining, max_part), 0, -1):
-            for rest in rec(remaining - part, part):
-                yield (part,) + rest
-
-    yield from rec(k, k)
+    top = k if max_part is None else min(k, max_part)
+    for part in range(top, 0, -1):
+        for rest in _partitions(k - part, part):
+            yield (part,) + rest
 
 
 def _decorations_of_degree(graph: StableGraph, m: int):
@@ -385,17 +392,7 @@ def _decorations_of_degree(graph: StableGraph, m: int):
     psi_keys += [(PSI_HE, v, s) for (v, s) in sorted(graph.half_edges())]
     V = graph.n_vertices
     slots = len(psi_keys) + V
-
-    def compositions(total, parts):
-        if parts == 0:
-            if total == 0:
-                yield ()
-            return
-        for first in range(total + 1):
-            for rest in compositions(total - first, parts - 1):
-                yield (first,) + rest
-
-    for combo in compositions(m, slots):
+    for combo in _compositions(m, slots):
         psi_part = combo[: len(psi_keys)]
         kappa_budget = combo[len(psi_keys):]
         psi = tuple(

@@ -6,8 +6,10 @@ from dataclasses import dataclass
 
 import pytest
 
+from enum_oracle import oracle_stable_graphs
 from tautring.errors import DomainError
 from tautring.stable_graphs import (
+    _splits,
     StableGraph,
     automorphism_count,
     automorphisms,
@@ -89,7 +91,7 @@ def test_basic_invariants():
 
 @pytest.mark.parametrize(
     "g, n, count",
-    [(0, 3, 1), (0, 4, 4), (1, 1, 2), (1, 2, 5), (2, 0, 7), (3, 0, 42)],
+    [(0, 3, 1), (0, 4, 4), (1, 1, 2), (1, 2, 5), (2, 0, 7), (3, 0, 42), (4, 0, 379)],
 )
 def test_enumeration_counts(g, n, count):
     graphs = enumerate_stable_graphs(g, n)
@@ -100,6 +102,26 @@ def test_enumeration_counts(g, n, count):
         assert graph.genus() == g
         assert graph.n_markings == n
         assert canonical_form(graph) == graph
+
+
+SMALL_TYPES = [
+    (g, n) for g in range(4) for n in range(7) if 0 < 2 * g - 2 + n <= 4
+]
+
+
+@pytest.mark.parametrize("g, n", SMALL_TYPES)
+def test_enumeration_matches_brute_force(g, n):
+    assert enumerate_stable_graphs(g, n) == oracle_stable_graphs(g, n)
+
+
+@pytest.mark.parametrize("g, n", [(2, 0), (1, 2), (0, 5), (2, 1), (1, 3)])
+def test_contracting_the_new_edge_undoes_a_split(g, n):
+    for source in enumerate_stable_graphs(g, n):
+        for split, new in _splits(source):
+            split.validate()
+            assert split.n_edges == source.n_edges + 1
+            contracted, _, _ = contract_edges(split, {split.edges.index(new)})
+            assert canonical_form(contracted) == source
 
 
 def test_genus2_graphs_by_hand():

@@ -1,10 +1,12 @@
-"""Golden CLI outputs of the pairing, enumeration and DR commands.
+"""Golden CLI outputs of the pairing, enumeration, DR and cone commands.
 
 The sha256 digests of stdout were captured before the rewrites they guard:
 the pairing commands before the excess-intersection kernel replaced the
 product-then-integrate pairing, the `graphs` and `dr` commands before
 generation by vertex splitting replaced the brute-force stable-graph
-enumerator.  Any change in the bytes these commands print shows up here.
+enumerator, the `cone` commands before `pp_space` replaced its nullspace by
+union-find components and `pullback_pp` moved to integer arithmetic.  Any
+change in the bytes these commands print shows up here.
 """
 
 import hashlib
@@ -12,6 +14,7 @@ import hashlib
 import pytest
 
 from tautring import cli
+from tautring.cone_complex import ConeComplex, barycentric
 
 GOLDEN = {
     "div-membership 2 2 2": "24b8e3ba0e77bac2a8c0ce73e8af0439607b2d52ce01c70062581a5abf25fc8d",
@@ -29,6 +32,55 @@ GOLDEN = {
     "graphs 3 2": "b7d67f382f1486b0a9a2eef69cb1df244d892cf335bfa01b0aaa97fb11ddc7fd",
     "dr 2 --weights=1,2,-3": "e274b043d41374bef6e254872a6054dc21d339c33bd78e7beff3e5a8b3775d6c",
     "dr 1 --weights=1,-1,1,-1 --degree 1": "94f40c34706f6dd987528c1e281a03bcffdb99b1b40be65dc6a25bbabf815fc2",
+    "cone simplex3 barycentric": "a3d8c2461f4d06cd85b42aceedfd92d990037b96a9ad382335342dad6c0e1dd2",
+    "cone simplex3 star 3": "d5afdd2d53aa1890f65a66c575fcfac4e99e2a699494bbbb3172491c1730f633",
+    "cone triangle-z3 pp 1": "7bcf8c22dfd718806198c4b3868f4af5b771b13ec77ce033ba458baaf944b7fa",
+    "cone triangle-z3 pp 2": "6e5596f6e7a16bfc72182f609de3f1bcb994a66fb5c44418527c19a9f0850abf",
+    "cone triangle-z3 gen1 2": "863a7cea9fd843a5a1cd71ac908473d8ea72b09f3921a9343dc64f66ef109813",
+    "cone simplex3 explosion 3 2": "f8a18e1eb515d635be27658ab4935ce98c2d7b6c338db6cda3377bd06f918cfd",
+}
+
+
+def _cycle5_orthant():
+    """R^5_{>=0} glued to itself by the 5-cycle e_i -> e_sigma(i)."""
+    sigma = (2, 4, 1, 0, 3)
+    basis = [tuple(int(i == j) for j in range(5)) for i in range(5)]
+    image = [basis[sigma[i]] for i in range(5)]
+    return ConeComplex(5, [tuple(basis)], [(tuple(basis), tuple(image))])
+
+
+def _three_parts():
+    """Four connected pieces, two of them joined by a gluing.
+
+    The pieces are cones {0, 2} (sharing a ray), {1, 4} (glued, 4 onto 1)
+    and {3}, so ordering the degree-0 basis by the least, the largest or the
+    union-find root cone of each part gives three different orders.
+    """
+    cones = [
+        ((0, 0, 0, 1), (0, 0, 1, 1)),
+        ((0, 0, 1, 0),),
+        ((0, 0, 1, 1), (1, 1, 0, 0)),
+        ((0, 1, 0, 0),),
+        ((1, 0, 0, 0),),
+    ]
+    return ConeComplex(4, cones, [(((1, 0, 0, 0),), ((0, 0, 1, 0),))])
+
+
+CONE_FILES = {
+    "cycle5": _cycle5_orthant,
+    "cycle5_bary": lambda: barycentric(_cycle5_orthant())[0],
+    "three_parts": _three_parts,
+}
+
+FILE_GOLDEN = {
+    "cone {cycle5} pp 1": "70f18145ba6def36eb5829b59b5a7ea63186eb5794bfbdcdfbd94ee516a018a7",
+    "cone {cycle5} pp 2": "91613f998ad77e9b04cd1d1dd665158989a04a634fdced8c09a8879c6280d504",
+    "cone {cycle5} pp 3": "6dbbe3f4ab456cc6e0c8f4a415a8b3b346f789464b89950de80be55bd076e5b9",
+    "cone {cycle5_bary} pp 1": "7d6d8abaf221d8513df5ddc0e5838c60d7910c0a71a605685035e2a9cadc2116",
+    "cone {cycle5_bary} pp 2": "58647d2aa5adb52eab4fd1ce0ad1797a5be5e15db6bab64884f8c4a2254ddd1b",
+    "cone {cycle5_bary} pp 3": "f74d6b56b364de19b50531a125adb523a49f5b25efb01c9acfc875d2c1d81477",
+    "cone {three_parts} pp 0": "8784004402a45784ce7ff3fc5494cb1d491f5b1751d4898c4dfe12cdadca426a",
+    "cone {three_parts} pp 1": "6170867251abdf1533e571ea1457d4b0cc9f3986896d2925a7affdab0d6de300",
 }
 
 
@@ -37,3 +89,14 @@ def test_stdout_matches_the_golden_digest(capsys, command):
     assert cli.main(command.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command]
+
+
+@pytest.mark.parametrize("command", sorted(FILE_GOLDEN))
+def test_cone_file_stdout_matches_the_golden_digest(capsys, tmp_path, command):
+    paths = {}
+    for name, build in CONE_FILES.items():
+        paths[name] = tmp_path / (name + ".json")
+        paths[name].write_text(build().to_json())
+    assert cli.main(command.format(**paths).split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == FILE_GOLDEN[command]

@@ -12,12 +12,14 @@ correspondence keeps identifying the subdivided faces.
 
 Piecewise polynomials are per-maximal-cone polynomials in that cone's
 ray coordinates, agreeing on shared faces and invariant under all
-gluings.  Spaces of them are computed by exact linear algebra.
+gluings.  The space of them in each degree has a basis of indicator
+functions of the classes of ray multisets that the gluings identify.
 """
 
 import itertools
 import json
 import math
+import operator
 
 from .errors import DomainError
 from .exact_linalg import QMatrix
@@ -212,11 +214,15 @@ class ConeComplex:
 
     @staticmethod
     def from_json_dict(data):
+        def ray(entry):
+            if not all(type(x) is int for x in entry):
+                raise DomainError("ray entries must be integers, not %r" % (entry,))
+            return tuple(entry)
+
         rank = data["lattice_rank"]
-        all_cones = [
-            tuple(tuple(int(x) for x in ray) for ray in entry["rays"])
-            for entry in data["cones"]
-        ]
+        if type(rank) is not int:
+            raise DomainError("lattice_rank must be an integer, not %r" % (rank,))
+        all_cones = [tuple(ray(r) for r in entry["rays"]) for entry in data["cones"]]
         raysets = [set(c) for c in all_cones]
         maximal = [
             cone
@@ -224,17 +230,18 @@ class ConeComplex:
             if not any(i != j and raysets[i] < raysets[j] for j in range(len(all_cones)))
         ]
         gluings = [
-            (
-                tuple(tuple(int(x) for x in r) for r in entry["source"]),
-                tuple(tuple(int(x) for x in r) for r in entry["target"]),
-            )
+            (tuple(ray(r) for r in entry["source"]), tuple(ray(r) for r in entry["target"]))
             for entry in data.get("gluings", [])
         ]
         return ConeComplex(rank, maximal, gluings)
 
     @staticmethod
     def from_json(text):
-        return ConeComplex.from_json_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise DomainError("invalid JSON: %s" % exc) from None
+        return ConeComplex.from_json_dict(data)
 
 
 def simplex_cone_complex(n):
@@ -402,8 +409,8 @@ def _poly_mul(p, q):
     out = {}
     for e1, c1 in p.items():
         for e2, c2 in q.items():
-            exps = tuple(a + b for a, b in zip(e1, e2))
-            c = out.get(exps, ZERO) + c1 * c2
+            exps = tuple(map(operator.add, e1, e2))
+            c = out.get(exps, 0) + c1 * c2
             if c:
                 out[exps] = c
             else:
@@ -421,16 +428,39 @@ def _poly_eval(p, values):
     return total
 
 
-def _poly_substitute(p, forms, n_new):
-    """Substitute a linear form (dict over new variables) per old variable."""
+def _substitute(poly, forms):
+    """Replace variable k of poly by the linear form forms[k].
+
+    forms[k] lists one coefficient per new variable.  The work is done in
+    integers: the denominators of the forms and of the coefficients are
+    cleared once, each power of each form is expanded once, and each
+    output coefficient becomes one rational at the end.
+    """
+    n_new = len(forms[0])
+    scale = math.lcm(1, *(c.denominator for form in forms for c in form))
+    units = [tuple(int(t == i) for t in range(n_new)) for i in range(n_new)]
+    linear = [
+        {units[i]: c.numerator * (scale // c.denominator) for i, c in enumerate(form) if c}
+        for form in forms
+    ]
+    one = {(0,) * n_new: 1}
+    powers = [[one] for _ in forms]
+    common = math.lcm(1, *(c.denominator for c in poly.values()))
+    top = max(map(sum, poly), default=0)
     out = {}
-    for exps, c in p.items():
-        term = {(0,) * n_new: c}
-        for form, e in zip(forms, exps):
-            for _ in range(e):
-                term = _poly_mul(term, form)
-        out = _poly_add(out, term)
-    return out
+    for exps, c in poly.items():
+        # c * prod (form_k / scale)^e_k over the denominator common * scale^top
+        factor = c.numerator * (common // c.denominator) * scale ** (top - sum(exps))
+        term = one
+        for table, form, e in zip(powers, linear, exps):
+            if e:
+                while len(table) <= e:
+                    table.append(_poly_mul(table[-1], form))
+                term = table[e] if term is one else _poly_mul(term, table[e])
+        for key, value in term.items():
+            out[key] = out.get(key, 0) + factor * value
+    denominator = common * scale**top
+    return {exps: QQ(num, denominator) for exps, num in out.items() if num}
 
 
 def _cone_monomials(m, d):
@@ -494,19 +524,11 @@ class PPFunction:
         On a cone with rays r_1..r_m the lattice coordinate x_j restricts
         to sum_i r_i[j] * y_i.
         """
-        out = []
-        for cone in complex.cones:
-            m = len(cone)
-            forms = []
-            for j in range(complex.lattice_rank):
-                form = {}
-                for i, ray in enumerate(cone):
-                    if ray[j]:
-                        exps = tuple(1 if t == i else 0 for t in range(m))
-                        form[exps] = QQ(ray[j])
-                forms.append(form)
-            out.append(_poly_substitute(poly, forms, m))
-        return cls(complex, degree, out)
+        return cls(
+            complex,
+            degree,
+            [_substitute(poly, list(zip(*cone))) for cone in complex.cones],
+        )
 
     def __add__(self, other):
         self._check_other(other)
@@ -636,8 +658,12 @@ def _ray_multisets(complex, d):
     return sorted(out)
 
 
-def _connected_components(complex):
-    n = len(complex.cones)
+def _union_find(n, pairs):
+    """Root of each of 0..n-1 after joining every pair (a, b).
+
+    Joining hangs the root of a under the root of b, so the roots, and
+    the degree-0 basis order that follows them, depend on the pair order.
+    """
     parent = list(range(n))
 
     def find(a):
@@ -646,122 +672,91 @@ def _connected_components(complex):
             a = parent[a]
         return a
 
-    def union(a, b):
+    for a, b in pairs:
         parent[find(a)] = find(b)
+    return [find(a) for a in range(n)]
 
-    for i, j in itertools.combinations(range(n), 2):
-        if set(complex.cones[i]) & set(complex.cones[j]):
-            union(i, j)
+
+def _touching_cones(complex):
+    """Pairs of maximal cones that share a ray or that a gluing meets."""
+    cones = complex.cones
+    for i, j in itertools.combinations(range(len(cones)), 2):
+        if set(cones[i]) & set(cones[j]):
+            yield i, j
     for src, dst in complex.gluings:
         ray_map = complex._ray_image_map(src, dst)
-        for i, cone in enumerate(complex.cones):
-            image = [ray_map[r] for r in cone if r in ray_map]
-            if not image:
-                continue
-            for j, other in enumerate(complex.cones):
-                if set(image) <= set(other):
-                    union(i, j)
+        for i, cone in enumerate(cones):
+            image = {ray_map[r] for r in cone if r in ray_map}
+            for j, other in enumerate(cones):
+                if image and image <= set(other):
+                    yield i, j
                     break
-    return [find(i) for i in range(n)]
-
-
-def _multiset_to_function(complex, d, coefficients, multisets):
-    index = {m: k for k, m in enumerate(multisets)}
-    polys = []
-    for cone in complex.cones:
-        poly = {}
-        for combo in itertools.combinations_with_replacement(sorted(cone), d):
-            c = coefficients[index[combo]]
-            if not c:
-                continue
-            exps = [0] * len(cone)
-            for ray in combo:
-                exps[cone.index(ray)] += 1
-            poly[tuple(exps)] = c
-        polys.append(poly)
-    return PPFunction(complex, d, polys)
 
 
 def pp_space(complex, d):
-    """Basis of the degree-d piecewise polynomials, by exact nullspace.
+    """Basis of the degree-d piecewise polynomials, one per component.
 
     Face agreement makes the coefficient of a monomial depend only on
-    the multiset of rays it involves, so those multisets are the
-    unknowns; gluing invariance contributes the linear conditions.
+    the multiset of rays it involves, and each gluing condition equates
+    the coefficients of a multiset and of its image.  So the solutions
+    are the functions constant on the classes of multisets that gluings
+    join (found by union-find), and the basis has one function per
+    class, coefficient one on its members.  The classes are ordered by
+    their largest member in the sorted list of multisets, the free
+    column of the reduced gluing system, so the basis is the one its
+    exact nullspace gives.  In degree 0 the classes are the connected
+    components of the complex, ordered by their union-find roots.
     """
     if d < 0:
         raise DomainError("degree must be nonnegative")
+    cones = complex.cones
     if d == 0:
-        labels = _connected_components(complex)
-        out = []
-        for root in sorted(set(labels)):
-            polys = [
-                {(0,) * len(cone): ONE if labels[i] == root else ZERO}
-                for i, cone in enumerate(complex.cones)
-            ]
-            out.append(PPFunction(complex, 0, polys))
-        return out
-    multisets = _ray_multisets(complex, d)
-    index = {m: k for k, m in enumerate(multisets)}
-    rows = []
-    for src, dst in complex.gluings:
-        ray_map = complex._ray_image_map(src, dst)
-        for multiset in multisets:
-            if not all(r in ray_map for r in multiset):
-                continue
-            image = tuple(sorted(ray_map[r] for r in multiset))
-            if image not in index:
-                raise DomainError("gluing image of a monomial is missing")
-            if image == multiset:
-                continue
-            row = [ZERO] * len(multisets)
-            row[index[multiset]] = ONE
-            row[index[image]] = -ONE
-            rows.append(row)
-    if rows:
-        kernel = QMatrix(rows, n_cols=len(multisets)).nullspace()
+        labels = _union_find(len(cones), _touching_cones(complex))
+        roots = sorted(set(labels))
     else:
-        kernel = [
-            [ONE if i == k else ZERO for i in range(len(multisets))]
-            for k in range(len(multisets))
-        ]
-    return [_multiset_to_function(complex, d, vec, multisets) for vec in kernel]
+        multisets = _ray_multisets(complex, d)
+        index = {m: k for k, m in enumerate(multisets)}
+        pairs = []
+        for src, dst in complex.gluings:
+            ray_map = complex._ray_image_map(src, dst)
+            for multiset in multisets:
+                if all(r in ray_map for r in multiset):
+                    image = tuple(sorted(ray_map[r] for r in multiset))
+                    if image not in index:
+                        raise DomainError("gluing image of a monomial is missing")
+                    pairs.append((index[multiset], index[image]))
+        labels = _union_find(len(multisets), pairs)
+        largest = {root: k for k, root in enumerate(labels)}
+        roots = sorted(largest, key=largest.get)
+    position = {root: p for p, root in enumerate(roots)}
+    polys = [[{} for _ in cones] for _ in roots]
+    for i, cone in enumerate(cones):
+        rays = itertools.combinations_with_replacement(cone, d)
+        for multiset, exps in zip(rays, _cone_monomials(len(cone), d)):
+            polys[position[labels[index[multiset] if d else i]]][i][exps] = ONE
+    return [PPFunction(complex, d, p) for p in polys]
 
 
 def pullback_pp(sub_map, f):
     """Restrict a piecewise polynomial along a subdivision map."""
     if f.complex != sub_map.target:
         raise DomainError("function does not live on the coarse complex")
-    polys = []
-    for cone, j, ray_coords in zip(
-        sub_map.source.cones, sub_map.cone_targets, sub_map.ray_coords
-    ):
-        coarse = sub_map.target.cones[j]
-        m = len(cone)
-        # coarse coordinate k restricts to sum_i coords_i(ray_i)[k] * y_i
-        forms = [{} for _ in coarse]
-        for i, coords in enumerate(ray_coords):
-            exps = tuple(1 if t == i else 0 for t in range(m))
-            for k, c in enumerate(coords):
-                if c:
-                    forms[k][exps] = c
-        polys.append(_poly_substitute(f.polys[j], forms, m))
+    # coarse coordinate k restricts to sum_i ray_coords[i][k] * y_i
+    polys = [
+        _substitute(f.polys[j], list(zip(*ray_coords)))
+        for j, ray_coords in zip(sub_map.cone_targets, sub_map.ray_coords)
+    ]
     return PPFunction(sub_map.source, f.degree, polys)
 
 
 def _multiset_vector(f):
     """Coefficients of f indexed by ray multisets (assumes compatibility)."""
-    multisets = _ray_multisets(f.complex, f.degree)
-    out = []
-    for multiset in multisets:
-        for i, cone in enumerate(f.complex.cones):
-            if set(multiset) <= set(cone):
-                exps = [0] * len(cone)
-                for ray in multiset:
-                    exps[cone.index(ray)] += 1
-                out.append(f.polys[i].get(tuple(exps), ZERO))
-                break
-    return out
+    values = {}
+    for cone, poly in zip(f.complex.cones, f.polys):
+        rays = itertools.combinations_with_replacement(cone, f.degree)
+        for multiset, exps in zip(rays, _cone_monomials(len(cone), f.degree)):
+            values.setdefault(multiset, poly.get(exps, ZERO))
+    return [values[m] for m in _ray_multisets(f.complex, f.degree)]
 
 
 def generated_by_degree_one(complex, d):

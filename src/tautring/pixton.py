@@ -69,6 +69,12 @@ def weightings_mod_r(graph: StableGraph, a, r: int):
                 queue.append(u)
     tree_idxs = {idx for idx, _, _ in tree_edge.values()}
     free_idxs = [i for i in range(graph.n_edges) if i not in tree_idxs]
+    # Per vertex, the half-edges that fix the weight of its tree edge.
+    others = {
+        u: [(u, s) for s in graph.edge_ends(u) if (u, s) != tree_edge[u][1]]
+        for u in order[1:]
+    }
+    root_ends = [(0, s) for s in graph.edge_ends(0)]
 
     results = []
     for assign in itertools.product(range(r), repeat=len(free_idxs)):
@@ -83,12 +89,11 @@ def weightings_mod_r(graph: StableGraph, a, r: int):
                 continue
             _, h_at_u, h_at_parent = tree_edge[u]
             total = leg_sum[u]
-            for s in graph.edge_ends(u):
-                if (u, s) != h_at_u:
-                    total += w[(u, s)]
+            for h in others[u]:
+                total += w[h]
             w[h_at_u] = (-total) % r
             w[h_at_parent] = total % r
-        root_sum = leg_sum[0] + sum(w[(0, s)] for s in graph.edge_ends(0))
+        root_sum = leg_sum[0] + sum(w[h] for h in root_ends)
         if root_sum % r != 0:
             raise ConsistencyError("root vertex condition failed")
         results.append(w)

@@ -153,9 +153,18 @@ def test_cone_accepts_a_file(capsys, tmp_path):
         ["cone", "simplex3", "explosion", "a", "b"],
         ["cone", "simplex3", "explosion", "3", "1.5"],
         ["--threads", "0", "graphs", "2", "0"],
+        # "file:TEXT" stands for a file holding TEXT
+        ["cone", 'file:{"lattice_rank": 2, "cones": [{"rays": [[0, 1.5]]}]}', "pp", "1"],
+        ["cone", 'file:{"lattice_rank": 2, "cones": [{"rays": [[0, true]]}]}', "pp", "1"],
+        ["cone", 'file:{"lattice_rank": 2, "cones": [', "pp", "1"],  # invalid JSON
     ],
 )
-def test_domain_errors_exit_2(capsys, argv):
+def test_domain_errors_exit_2(capsys, tmp_path, argv):
+    for k, arg in enumerate(argv):
+        if arg.startswith("file:"):
+            path = tmp_path / ("input%d.json" % k)
+            path.write_text(arg[len("file:"):])
+            argv = argv[:k] + [str(path)] + argv[k + 1:]
     code, out, err = _run(capsys, argv)
     assert code == 2
     assert err.startswith("error:")

@@ -65,6 +65,16 @@ def test_validation_rejects_bad_input():
     with pytest.raises(DomainError):
         # gluing between faces of different dimension
         ConeComplex(2, {((1, 0), (0, 1))}, ((((1, 0), (0, 1)), ((1, 0),)),))
+    # JSON input: integers only, never a float, bool or string
+    for rank, ray in [(2.0, [0, 1]), ("2", [0, 1]), (True, [1]), (2, [0, 1.0]),
+                      (2, [0, True]), (2, ["0", 1]), (1, [False])]:
+        with pytest.raises(DomainError):
+            ConeComplex.from_json_dict({"lattice_rank": rank, "cones": [{"rays": [ray]}]})
+    with pytest.raises(DomainError):
+        ConeComplex.from_json_dict(
+            {"lattice_rank": 1, "cones": [{"rays": [[1]]}],
+             "gluings": [{"source": [[1.0]], "target": [[1]]}]}
+        )
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

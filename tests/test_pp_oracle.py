@@ -1,0 +1,198 @@
+"""`pp_space`, `pullback_pp` and `PPFunction.from_global` against the oracle.
+
+`tests/pp_oracle.py` keeps the nullspace `pp_space` and the rational
+substitution that the union-find basis and the integer substitution
+replace.  The library must give the same functions in the same order, and
+the same pullbacks and restrictions, coefficient for coefficient.
+"""
+
+import itertools
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import pp_oracle
+from tautring.cone_complex import (
+    ConeComplex,
+    PPFunction,
+    barycentric,
+    pp_space,
+    pullback_pp,
+    simplex_cone_complex,
+    star_subdivision,
+    triangle_z3_complex,
+)
+from tautring.errors import DomainError
+from tautring.rationals import QQ
+
+
+def _glued_orthant(sigma):
+    """R^r_{>=0} glued to itself by e_i -> e_sigma(i)."""
+    r = len(sigma)
+    basis = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+    image = [basis[sigma[i]] for i in range(r)]
+    return ConeComplex(r, [tuple(basis)], [(tuple(basis), tuple(image))])
+
+
+def _three_parts():
+    """Four connected pieces, two of them joined by a gluing (4 onto 1)."""
+    cones = [
+        ((0, 0, 0, 1), (0, 0, 1, 1)),
+        ((0, 0, 1, 0),),
+        ((0, 0, 1, 1), (1, 1, 0, 0)),
+        ((0, 1, 0, 0),),
+        ((1, 0, 0, 0),),
+    ]
+    return ConeComplex(4, cones, [(((1, 0, 0, 0),), ((0, 0, 1, 0),))])
+
+
+FIXTURES = {
+    "simplex1": lambda: simplex_cone_complex(1),
+    "simplex2": lambda: simplex_cone_complex(2),
+    "simplex3": lambda: simplex_cone_complex(3),
+    "simplex4": lambda: simplex_cone_complex(4),
+    "simplex5": lambda: simplex_cone_complex(5),
+    "triangle-z3": triangle_z3_complex,
+    "cycle3": lambda: _glued_orthant((1, 2, 0)),
+    "cycle4": lambda: _glued_orthant((1, 2, 3, 0)),
+    "cycle5": lambda: _glued_orthant((2, 4, 1, 0, 3)),
+    "transposition4": lambda: _glued_orthant((1, 0, 2, 3)),
+    "three-parts": _three_parts,
+}
+
+# Non-unimodular cones: the barycenter (1, 0) of (1, -1), (1, 1) has
+# coordinates 1/2, 1/2, and (3, 3, 3) / 3 in the second cone gives 1/3.
+NON_UNIMODULAR = {
+    "wide2": lambda: ConeComplex(2, [((1, -1), (1, 1))]),
+    "wide3": lambda: ConeComplex(3, [((1, 0, 0), (0, 1, 0), (2, 2, 3))]),
+}
+
+
+def _subdivisions(coarse):
+    yield barycentric(coarse)
+    for face in coarse.all_faces():
+        try:
+            yield star_subdivision(coarse, face)
+        except DomainError:  # the face is identified with a nested face
+            pass
+
+
+def _outcome(function, *args):
+    """The result, or the message of the DomainError raised instead."""
+    try:
+        return function(*args)
+    except DomainError as exc:
+        return "DomainError: %s" % exc
+
+
+def _assert_same_space(complex, d):
+    want = _outcome(pp_oracle.pp_space, complex, d)
+    got = _outcome(pp_space, complex, d)
+    assert got == want
+    return want
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_pp_space_matches_the_oracle(name, d):
+    coarse = FIXTURES[name]()
+    _assert_same_space(coarse, d)
+    for fine, _ in _subdivisions(coarse):
+        _assert_same_space(fine, d)
+
+
+def _random_rational(rng):
+    return QQ(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 7)))
+
+
+def _random_function(rng, complex, d):
+    """Any per-cone polynomials: pullback does not need compatibility."""
+    polys = []
+    for cone in complex.cones:
+        monomials = itertools.combinations_with_replacement(range(len(cone)), d)
+        polys.append(
+            {
+                tuple(combo.count(t) for t in range(len(cone))): _random_rational(rng)
+                for combo in monomials
+                if rng.random() < 0.7
+            }
+        )
+    return PPFunction(complex, d, polys)
+
+
+def _random_global(rng, rank, d):
+    return {
+        tuple(combo.count(t) for t in range(rank)): _random_rational(rng)
+        for combo in itertools.combinations_with_replacement(range(rank), d)
+        if rng.random() < 0.7
+    }
+
+
+PULLBACK_CASES = dict(NON_UNIMODULAR)
+for _name in ("simplex1", "simplex2", "simplex3", "triangle-z3", "cycle3"):
+    PULLBACK_CASES[_name] = FIXTURES[_name]
+
+
+@pytest.mark.parametrize("name", sorted(PULLBACK_CASES))
+def test_pullback_and_from_global_match_the_oracle(name):
+    rng = random.Random(name)
+    coarse = PULLBACK_CASES[name]()
+    for fine, sub_map in _subdivisions(coarse):
+        for d in range(4):
+            f = _random_function(rng, coarse, d)
+            assert pullback_pp(sub_map, f) == pp_oracle.pullback_pp(sub_map, f)
+            for g in pp_oracle.pp_space(coarse, d):
+                assert pullback_pp(sub_map, g) == pp_oracle.pullback_pp(sub_map, g)
+            poly = _random_global(rng, coarse.lattice_rank, d)
+            for complex in (coarse, fine):
+                assert PPFunction.from_global(complex, poly, d) == pp_oracle.from_global(
+                    complex, poly, d
+                )
+
+
+def test_fractional_ray_coordinates_are_pulled_back_exactly():
+    coarse = NON_UNIMODULAR["wide2"]()
+    fine, sub_map = barycentric(coarse)
+    assert (1, 0) in fine.rays()
+    assert [QQ(1, 2), QQ(1, 2)] in [list(c) for coords in sub_map.ray_coords for c in coords]
+    # x * y on the coarse cone, in its ray coordinates
+    f = PPFunction(coarse, 2, [{(1, 1): QQ(1)}])
+    pulled = pullback_pp(sub_map, f)
+    assert pulled == pp_oracle.pullback_pp(sub_map, f)
+    assert any(c.denominator == 4 for poly in pulled.polys for c in poly.values())
+    for point in ((1, 0), (3, 1), (2, -1), (5, 5)):
+        assert pulled.evaluate(point) == f.evaluate(point)
+
+
+@st.composite
+def _permutation_gluings(draw):
+    """A simplex of rank <= 4 with one or two gluings of faces by bijections."""
+    rank = draw(st.integers(1, 4))
+    basis = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    gluings = []
+    for _ in range(draw(st.integers(1, 2))):
+        size = draw(st.integers(1, rank))
+        src = draw(st.permutations(range(rank)))[:size]
+        dst = draw(st.permutations(range(rank)))[:size]
+        gluings.append(
+            (tuple(basis[i] for i in src), tuple(basis[i] for i in dst))
+        )
+    coarse = ConeComplex(rank, [tuple(basis)], gluings)
+    return coarse, draw(st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_permutation_gluings(), st.randoms(use_true_random=False))
+def test_pp_space_matches_the_oracle_on_random_gluings(case, rng):
+    coarse, subdivide = case
+    complex, sub_map = barycentric(coarse) if subdivide else (coarse, None)
+    for d in range(4):
+        basis = _assert_same_space(complex, d)
+        if sub_map is not None and not isinstance(basis, str):
+            coarse_basis = pp_oracle.pp_space(coarse, d)
+            f = PPFunction(coarse, d, [{} for _ in coarse.cones])
+            for g in coarse_basis:
+                f = f + _random_rational(rng) * g
+            assert pullback_pp(sub_map, f) == pp_oracle.pullback_pp(sub_map, f)

@@ -733,7 +733,8 @@ def pp_space(complex, d):
     for i, cone in enumerate(cones):
         rays = itertools.combinations_with_replacement(cone, d)
         for multiset, exps in zip(rays, _cone_monomials(len(cone), d)):
-            polys[position[labels[index[multiset] if d else i]]][i][exps] = ONE
+            label = labels[index[multiset]] if d else labels[i]
+            polys[position[label]][i][exps] = ONE
     return [PPFunction(complex, d, p) for p in polys]
 
 

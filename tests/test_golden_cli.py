@@ -2,11 +2,13 @@
 
 The sha256 digests of stdout were captured before the rewrites they guard:
 the pairing commands before the excess-intersection kernel replaced the
-product-then-integrate pairing, the `graphs` and `dr` commands before
-generation by vertex splitting replaced the brute-force stable-graph
-enumerator, the `cone` commands before `pp_space` replaced its nullspace by
-union-find components and `pullback_pp` moved to integer arithmetic.  Any
-change in the bytes these commands print shows up here.
+product-then-integrate pairing (`div-membership 3 0 3 --max-gen-degree 2`
+and `2 1 2` before the block pairing kernel replaced `product_integral`),
+the `graphs` and `dr` commands before generation by vertex splitting
+replaced the brute-force stable-graph enumerator, the `cone` commands
+before `pp_space` replaced its nullspace by union-find components and
+`pullback_pp` moved to integer arithmetic.  Any change in the bytes these
+commands print shows up here.
 """
 
 import hashlib
@@ -22,6 +24,8 @@ GOLDEN = {
     "div-membership 3 0 3": "49ec72431406628156f812da5008a975aad5fa4b950f8807711d62c9de4741ef",
     "div-membership 1 1 1": "da6c6921ce72ce8f9448e1947ef258121c943342521d330a5ec8f05f17442d10",
     "div-membership 2 0 2": "ccbe339184373e0e7b84efda781ca104994ba2720b5f051af83d0fbaa59f4546",
+    "div-membership 3 0 3 --max-gen-degree 2": "4799f7d17bdd8c668d6d83e1193b0fd5338d8b657539e501d684af4cabd6c271",
+    "div-membership 2 1 2": "2309c9e878ff64b5c988c61d990b67ce0032ef4830b05baac1efd6e1a168958f",
     "lambda 3 0 --pair": "7f805b1aa1066cfcdea23b1ee4c8be319c233c1f2b8e302961f06b84a6d0a749",
     "theta-genus2 --json": "d366ef0ca2d227c6eef91f801aba4d10d76f8574bed8bed013a67eb6484c0b76",
     "graphs 2 0": "d0174d2bfee6aeca35995ff9fcd216f8bc98b630dea70ce8fe507edb395f77c3",

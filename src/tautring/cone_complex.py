@@ -214,15 +214,33 @@ class ConeComplex:
 
     @staticmethod
     def from_json_dict(data):
-        def ray(entry):
-            if not all(type(x) is int for x in entry):
-                raise DomainError("ray entries must be integers, not %r" % (entry,))
-            return tuple(entry)
+        """Read a complex, raising DomainError for any key or type out of place.
 
-        rank = data["lattice_rank"]
-        if type(rank) is not int:
-            raise DomainError("lattice_rank must be an integer, not %r" % (rank,))
-        all_cones = [tuple(ray(r) for r in entry["rays"]) for entry in data["cones"]]
+        An integer is an `int` only, never a bool, float or string.
+        """
+
+        def field(obj, key, kind, default=None):
+            if type(obj) is not dict:
+                raise DomainError("expected an object with %r, not %r" % (key, obj))
+            value = obj.get(key, default)
+            if type(value) is not kind:
+                raise DomainError("expected %s %r, not %r" % (kind.__name__, key, value))
+            return value
+
+        def rays(obj, key):
+            out = []
+            for entry in field(obj, key, list):
+                if type(entry) is not list or len(entry) != rank or not all(
+                    type(x) is int for x in entry
+                ):
+                    raise DomainError(
+                        "a ray must be a list of %d integers, not %r" % (rank, entry)
+                    )
+                out.append(tuple(entry))
+            return tuple(out)
+
+        rank = field(data, "lattice_rank", int)
+        all_cones = [rays(entry, "rays") for entry in field(data, "cones", list)]
         raysets = [set(c) for c in all_cones]
         maximal = [
             cone
@@ -230,8 +248,8 @@ class ConeComplex:
             if not any(i != j and raysets[i] < raysets[j] for j in range(len(all_cones)))
         ]
         gluings = [
-            (tuple(ray(r) for r in entry["source"]), tuple(ray(r) for r in entry["target"]))
-            for entry in data.get("gluings", [])
+            (rays(entry, "source"), rays(entry, "target"))
+            for entry in field(data, "gluings", list, [])
         ]
         return ConeComplex(rank, maximal, gluings)
 

@@ -157,6 +157,20 @@ def test_cone_accepts_a_file(capsys, tmp_path):
         ["cone", 'file:{"lattice_rank": 2, "cones": [{"rays": [[0, 1.5]]}]}', "pp", "1"],
         ["cone", 'file:{"lattice_rank": 2, "cones": [{"rays": [[0, true]]}]}', "pp", "1"],
         ["cone", 'file:{"lattice_rank": 2, "cones": [', "pp", "1"],  # invalid JSON
+        # keys and containers out of place
+        ["cone", "file:{}", "pp", "1"],
+        ["cone", "file:[]", "pp", "1"],
+        ["cone", 'file:{"lattice_rank": 2}', "pp", "1"],
+        ["cone", 'file:{"lattice_rank": 2, "cones": {"rays": [[1, 0]]}}', "pp", "1"],
+        ["cone", 'file:{"lattice_rank": 2, "cones": [{"rays": [[1, 0]]}], "gluings": {}}', "pp", "1"],
+        ["cone", 'file:{"lattice_rank": 2, "cones": [[[1, 0], [0, 1]]]}', "pp", "1"],
+        ["cone", 'file:{"lattice_rank": 2, "cones": [{"rays": [7]}]}', "pp", "1"],
+        ["cone", 'file:{"lattice_rank": 2, "cones": [{"rays": [[1, 0], [0, 1]]}], '
+         '"gluings": [{"source": [[1, 0]], "target": [[0, 1, 0]]}]}', "pp", "1"],
+        ["cone", 'file:{"lattice_rank": 2, "cones": [{"rays": [[1, 0], [0, 1]]}], '
+         '"gluings": [[[[1, 0]], [[0, 1]]]]}', "pp", "1"],
+        ["cone", 'file:{"lattice_rank": 2, "cones": [{"rays": [[1, 0]]}], '
+         '"gluings": [{"source": [[1, 0]]}]}', "pp", "1"],
     ],
 )
 def test_domain_errors_exit_2(capsys, tmp_path, argv):

@@ -214,30 +214,23 @@ class ConeComplex:
 
     @staticmethod
     def from_json_dict(data):
-        """Read a complex, raising DomainError for any key or type out of place.
-
-        An integer is an `int` only, never a bool, float or string.
-        """
+        """Read a complex; a key or type out of place raises DomainError
+        (an integer is an `int`, never a bool, float or string)."""
 
         def field(obj, key, kind, default=None):
             if type(obj) is not dict:
                 raise DomainError("expected an object with %r, not %r" % (key, obj))
             value = obj.get(key, default)
             if type(value) is not kind:
-                raise DomainError("expected %s %r, not %r" % (kind.__name__, key, value))
+                raise DomainError("%r must be %s, not %r" % (key, kind.__name__, value))
             return value
 
         def rays(obj, key):
-            out = []
-            for entry in field(obj, key, list):
-                if type(entry) is not list or len(entry) != rank or not all(
-                    type(x) is int for x in entry
-                ):
-                    raise DomainError(
-                        "a ray must be a list of %d integers, not %r" % (rank, entry)
-                    )
-                out.append(tuple(entry))
-            return tuple(out)
+            entries = field(obj, key, list)
+            for ray in entries:
+                if type(ray) is not list or [type(x) for x in ray] != [int] * rank:
+                    raise DomainError("a ray must be %d integers, not %r" % (rank, ray))
+            return tuple(map(tuple, entries))
 
         rank = field(data, "lattice_rank", int)
         all_cones = [rays(entry, "rays") for entry in field(data, "cones", list)]
@@ -609,14 +602,6 @@ class PPFunction:
             if coords is not None and all(c >= 0 for c in coords):
                 return _poly_eval(poly, coords)
         raise DomainError("point %r lies outside the support" % (point,))
-
-    def coefficient_vector(self):
-        """All per-cone monomial coefficients in one flat vector."""
-        out = []
-        for cone, poly in zip(self.complex.cones, self.polys):
-            for exps in _cone_monomials(len(cone), self.degree):
-                out.append(poly.get(exps, ZERO))
-        return out
 
     def is_compatible(self):
         try:

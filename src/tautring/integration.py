@@ -269,25 +269,12 @@ def kappa_to_psi(cls: TautClass) -> TautClass:
 
 def _term_vertex_data(graph: StableGraph, dec: Decoration):
     """Per-vertex (genus, psi exponent list, kappa list) for integration."""
-    V = graph.n_vertices
-    psi_at: list[list[int]] = [[] for _ in range(V)]
-    leg_home = {}
-    for v in range(V):
-        for m in graph.legs[v]:
-            leg_home[m] = v
-    exps = {}
-    for key, e in dec.psi:
-        exps[key] = e
-    for v in range(V):
-        for m in graph.legs[v]:
-            psi_at[v].append(exps.get((PSI_LEG, m), 0))
-    for (h1, h2) in graph.edges:
-        psi_at[h1[0]].append(exps.get((PSI_HE, h1[0], h1[1]), 0))
-        psi_at[h2[0]].append(exps.get((PSI_HE, h2[0], h2[1]), 0))
-    return [
-        (graph.genera[v], tuple(sorted(psi_at[v])), dec.kappa[v])
-        for v in range(V)
-    ]
+    exps = dict(dec.psi)
+    at = [[exps.get((PSI_LEG, m), 0) for m in legs] for legs in graph.legs]
+    for edge in graph.edges:
+        for v, s in edge:
+            at[v].append(exps.get((PSI_HE, v, s), 0))
+    return [(gv, tuple(sorted(e)), k) for gv, e, k in zip(graph.genera, at, dec.kappa)]
 
 
 _TERM_INTEGRAL_CACHE: dict = {}

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .exact_linalg import AffineSolutionSet, QMatrix, feasible, solve_affine
-from .product import multiply, product_integral
-from .rationals import QQ, ZERO
+from .product import multiply, pairing_row
+from .rationals import QQ
 from .stable_graphs import StableGraph
 from .taut_classes import (
     TautClass,
@@ -26,40 +26,21 @@ from .taut_classes import (
 )
 from .pixton import lambda_top
 
-_PAIR_CACHE: dict = {}
-
 
 def pair_integral(a: TautClass, b: TautClass):
-    """Integral of a*b over the moduli space (degrees must be complementary).
-
-    Each pair of decorated strata is integrated by the excess-intersection
-    kernel without building the product class, and cached, so repeated
-    pairings against a generating set stay cheap.
-    """
-    if a.virtual or b.virtual:
-        raise DomainError("virtual psi classes only support integration")
-    if (a.g, a.n) != (b.g, b.n):
-        raise DomainError("classes live on different moduli spaces")
-    if a.d + b.d != dim_moduli(a.g, a.n):
-        raise DomainError("degrees do not pair to the top")
-    total = ZERO
-    for term_a, ca in a.terms.items():
-        for term_b, cb in b.terms.items():
-            key = term_a + term_b
-            value = _PAIR_CACHE.get(key)
-            if value is None:
-                value = product_integral(term_a, term_b)
-                _PAIR_CACHE[key] = value
-                _PAIR_CACHE[term_b + term_a] = value
-            total += ca * cb * value
-    return total
+    """Integral of a*b over the moduli space (degrees must be complementary)."""
+    return pairing_row(a, (b,))[0]
 
 
 def pairing_vector(x: TautClass, basis=None):
-    """Pairing numbers of x against the complementary generating set."""
+    """Pairing numbers of x against the complementary generating set.
+
+    Computed by the block pairing kernel, which keeps the last basis with
+    the values of every row term paired against it.
+    """
     if basis is None:
         basis = generators(x.g, x.n, dim_moduli(x.g, x.n) - x.d)
-    return [pair_integral(x, b) for b in basis]
+    return pairing_row(x, basis)
 
 
 def pairing_rank(g: int, n: int, d: int) -> int:

@@ -228,9 +228,6 @@ class RPolynomialClass:
                 out.terms[(graph, dec)] = value
         return out
 
-    def max_degree(self) -> int:
-        return max((p.degree for p in self.coeffs.values()), default=-1)
-
 
 def pixton_r_polynomial(
     g: int, a, d: int, start: int = None, threads: int = 1

@@ -6,25 +6,29 @@ decorations times an excess class, one factor -psi_h - psi_h' for each
 edge that survives in both contractions, and the contribution is
 weighted by 1/|Aut| of the degeneration.
 
-One kernel, `_excess_terms`, produces these contributions with integer
-multiplicities per degeneration graph.  `multiply` inserts them into a
-canonicalized class; `product_integral` integrates them as they come,
-which is all the top pairing needs.
+One kernel serves `multiply` and the top pairing.  Pulled-back monomials
+are psi exponent vectors with per-vertex kappa tuples, grouped by degree
+at each vertex; a kappa preimage or excess factor goes only where its
+vertex has room below its dimension, since a term beyond it is zero.
+`pairing_row` integrates one (row term, column graph) block at a time,
+builds no `Decoration`, and sums integers over one denominator.
 """
 
-import itertools
+from math import gcd, lcm
+from operator import add, le, sub
 
 from . import stable_graphs as sg
 from .errors import DomainError
-from .integration import term_integral
-from .rationals import ZERO
+from .integration import vertex_integral
+from .rationals import ONE, QQ
 from .taut_classes import (
     PSI_HE,
+    PSI_LEG,
     Decoration,
     TautClass,
-    decoration_mul,
     dim_moduli,
     fundamental_class,
+    vertex_degrees,
 )
 
 _ORBIT_CACHE: dict = {}
@@ -49,170 +53,309 @@ def _aut_orbit_sum(graph, dec):
     return out
 
 
-def _pullback_monomials(graph, vmap, he_inv, dec):
-    """Pull a factor decoration back along a contraction of `graph`.
+_LAYOUT_CACHE: dict = {}
 
-    `vmap` sends each vertex of `graph` to the factor vertex it lands on
-    and `he_inv` names, for every factor half-edge, the half-edge of
-    `graph` sitting over it.  Psi classes transport along those maps; a
-    kappa class pulls back to the sum over preimage vertices, so the
-    result is a list of (Decoration, multiplicity) pairs.
+
+def _layout(graph):
+    """(slot, owner, dims, values): slot numbers the psi keys as positions
+    of an exponent vector, owner[i] is the vertex of position i, dims the
+    vertex dimensions; values memoizes term integrals over |Aut|."""
+    cached = _LAYOUT_CACHE.get(graph)
+    if cached is not None:
+        return cached
+    keys = [(v, (PSI_LEG, m)) for v, legs in enumerate(graph.legs) for m in legs]
+    keys += [(v, (PSI_HE, v, s)) for edge in graph.edges for v, s in edge]
+    slot = {key: i for i, (_, key) in enumerate(keys)}
+    owner = [v for v, _ in keys]
+    dims = tuple(dim_moduli(gv, owner.count(v)) for v, gv in enumerate(graph.genera))
+    result = _LAYOUT_CACHE[graph] = (slot, owner, dims, {})
+    return result
+
+
+def _pull(layout, vmap, he_inv, orbit):
+    """Pull (decoration, multiplicity) pairs back along a contraction.
+
+    `vmap` and `he_inv` are as in `degeneration_base_pairs`.  Returns
+    {degrees: {(psi, kappa): multiplicity}}, kappa None or per-vertex
+    sorted tuples.  A kappa class pulls back to the sum over the
+    preimages; a choice is dropped once a vertex exceeds its dimension.
     """
-    psi = []
-    for key, e in dec.psi:
-        if key[0] == PSI_HE:
-            nv, ns = he_inv[(key[1], key[2])]
-            psi.append(((PSI_HE, nv, ns), e))
-        else:
-            psi.append((key, e))
-    base_psi = tuple(sorted(psi))
-
-    preimages = [[] for _ in dec.kappa]
-    for v in range(graph.n_vertices):
-        preimages[vmap[v]].append(v)
-    factors = []
-    for w, ks in enumerate(dec.kappa):
-        for a in ks:
-            factors.append((a, preimages[w]))
-    if not factors:
-        empty = ((),) * graph.n_vertices
-        return [(Decoration(base_psi, empty), 1)]
-
+    slot, owner, dims, _ = layout
+    preimages: dict = {}
+    for v, w in enumerate(vmap):
+        preimages.setdefault(w, []).append(v)
     out: dict = {}
-    for choice in itertools.product(*(pre for _, pre in factors)):
-        kap = [[] for _ in range(graph.n_vertices)]
-        for (a, _), v in zip(factors, choice):
-            kap[v].append(a)
-        mono = Decoration(base_psi, tuple(tuple(sorted(k)) for k in kap))
-        out[mono] = out.get(mono, 0) + 1
-    return list(out.items())
+    for dec, mult in orbit:
+        psi = [0] * len(owner)
+        degrees = [0] * len(dims)
+        for key, e in dec.psi:
+            i = slot[key if key[0] == PSI_LEG else (PSI_HE, *he_inv[key[1:]])]
+            psi[i] += e
+            degrees[owner[i]] += e
+        psi = tuple(psi)
+        factors = [(a, preimages[w]) for w, ks in enumerate(dec.kappa) for a in ks]
+        kappa = [[] for _ in dims]
 
+        def place(i):
+            if i == len(factors):
+                key = (psi, tuple(map(tuple, map(sorted, kappa))) if factors else None)
+                monos = out.setdefault(tuple(degrees), {})
+                monos[key] = monos.get(key, 0) + mult
+                return
+            a, vertices = factors[i]
+            for v in vertices:
+                if degrees[v] + a <= dims[v]:
+                    degrees[v] += a
+                    kappa[v].append(a)
+                    place(i + 1)
+                    kappa[v].pop()
+                    degrees[v] -= a
 
-def _excess_monomials(graph, shared):
-    """Expansion of prod over shared edges of (-psi_h - psi_h').
-
-    Returns (Decoration, sign) pairs with integer signs.
-    """
-    if not shared:
-        return [(Decoration((), ((),) * graph.n_vertices), 1)]
-    sign = -1 if len(shared) % 2 else 1
-    out = []
-    for picks in itertools.product(*[graph.edges[i] for i in shared]):
-        exps: dict = {}
-        for v, s in picks:
-            key = (PSI_HE, v, s)
-            exps[key] = exps.get(key, 0) + 1
-        out.append(
-            (Decoration(tuple(sorted(exps.items())), ((),) * graph.n_vertices), sign)
-        )
+        if all(map(le, degrees, dims)):
+            place(0)
     return out
 
 
-def _pulled_orbit(graph, vmap, he_inv, orbit):
-    """Pullbacks of every transport in an Aut-orbit sum, merged."""
-    out: dict = {}
-    for dec, mult in orbit.items():
-        for mono, m in _pullback_monomials(graph, vmap, he_inv, dec):
-            out[mono] = out.get(mono, 0) + mult * m
+def _excess(ends, budget):
+    """(budget left, positions) of each way to place one psi per shared edge,
+    edge by edge where the vertex budget has room; ends holds each edge's
+    (position, vertex) ends.  These are the terms of prod (-psi_h - psi_h')
+    up to sign."""
+    out, picked = [], []
+
+    def walk(i):
+        if i == len(ends):
+            out.append((tuple(budget), tuple(picked)))
+            return
+        for pos, v in ends[i]:
+            if budget[v] > 0:
+                budget[v] -= 1
+                picked.append(pos)
+                walk(i + 1)
+                picked.pop()
+                budget[v] += 1
+
+    walk(0)
     return out
 
 
-def _excess_terms(term_a, term_b):
-    """The excess-intersection product of two decorated strata, by graph.
+def _ends(layout, graph, shared):
+    return [[(layout[0][(PSI_HE, *h)], h[0]) for h in graph.edges[i]] for i in shared]
 
-    term_a and term_b are (graph, decoration) pairs on the same (g, n).
-    Yields (graph, aut, counts), one per common degeneration graph, where
-    counts maps decorations of `graph` to integer multiplicities: the
-    product xi_*(dec_a) * xi_*(dec_b) is the sum over the yielded graphs
-    of sum(count * xi_*(dec)) / aut.  Decorations are neither
-    canonicalized nor filtered, so some may exceed a vertex dimension and
-    push forward to zero.
+
+def _products(dims, ends, pulled_a, pulled_b, fits):
+    """(psi, kappa, count) of the terms of pulled_a * pulled_b * excess.
+
+    No term exceeds a vertex dimension; fits memoizes the excess
+    placements by vertex budget for one degeneration record.
     """
-    (ga, da), (gb, db) = term_a, term_b
-    orbit_a = _aut_orbit_sum(ga, da)
-    orbit_b = _aut_orbit_sum(gb, db)
-    records = sg.degeneration_base_pairs(ga, gb)
-    for graph, group in itertools.groupby(records, key=lambda r: r[0]):
-        counts: dict = {}
-        for _, va, ia, vb, ib, shared in group:
-            pulled_a = _pulled_orbit(graph, va, ia, orbit_a)
-            pulled_b = _pulled_orbit(graph, vb, ib, orbit_b)
-            excess = _excess_monomials(graph, shared)
-            for ma, ka in pulled_a.items():
-                for mb, kb in pulled_b.items():
-                    mab = decoration_mul(ma, mb)
-                    k = ka * kb
-                    for me, sign in excess:
-                        dec = decoration_mul(mab, me)
-                        counts[dec] = counts.get(dec, 0) + sign * k
-        yield graph, sg.automorphism_count(graph), counts
+    sign = -1 if len(ends) % 2 else 1
+    for deg_a, monos_a in pulled_a.items():
+        for deg_b, monos_b in pulled_b.items():
+            budget = tuple(map(sub, dims, map(add, deg_a, deg_b)))
+            picks = fits.get(budget)
+            if picks is None:
+                fits[budget] = picks = min(budget) >= 0 and _excess(ends, list(budget))
+            for (psi_a, kappa_a), ka in monos_a.items() if picks else ():
+                ka *= sign
+                for (psi_b, kappa_b), kb in monos_b.items():
+                    psi_ab = list(map(add, psi_a, psi_b))
+                    if kappa_a is None or kappa_b is None:
+                        kappa = kappa_b if kappa_a is None else kappa_a
+                    else:
+                        pairs = zip(kappa_a, kappa_b)
+                        kappa = tuple(tuple(sorted(x + y)) for x, y in pairs)
+                    for _, pick in picks:
+                        psi = psi_ab[:]
+                        for i in pick:
+                            psi[i] += 1
+                        yield tuple(psi), kappa, ka * kb
+
+
+def _check_product(a, b, top):
+    """Raise DomainError unless a * b is defined (and of top degree if top)."""
+    if a.virtual or b.virtual:
+        raise DomainError("virtual psi classes only support integration")
+    if (a.g, a.n) != (b.g, b.n):
+        raise DomainError("classes live on different moduli spaces")
+    d, dim = a.d + b.d, dim_moduli(a.g, a.n)
+    if d > dim or top and d < dim:
+        raise DomainError("product degree %d against dimension %d" % (d, dim))
 
 
 def multiply(a: TautClass, b: TautClass) -> TautClass:
     """Excess intersection product of two decorated strata classes."""
-    if a.virtual or b.virtual:
-        raise DomainError("virtual psi classes only support integration")
-    if (a.g, a.n) != (b.g, b.n):
-        raise DomainError("factors live on different moduli spaces")
-    d = a.d + b.d
-    if d > dim_moduli(a.g, a.n):
-        raise DomainError(
-            "product degree %d exceeds the dimension %d" % (d, dim_moduli(a.g, a.n))
-        )
-    out = TautClass(a.g, a.n, d)
-    for term_a, ca in a.terms.items():
-        for term_b, cb in b.terms.items():
-            scale = ca * cb
-            for graph, aut, counts in _excess_terms(term_a, term_b):
-                weight = scale / aut
-                for dec, count in counts.items():
-                    out._insert(graph, dec, weight * count)
+    _check_product(a, b, top=False)
+    out = TautClass(a.g, a.n, a.d + b.d)
+    for (graph_a, dec_a), ca in a.terms.items():
+        orbit_a = _aut_orbit_sum(graph_a, dec_a).items()
+        for (graph_b, dec_b), cb in b.terms.items():
+            orbit_b = _aut_orbit_sum(graph_b, dec_b).items()
+            counts: dict = {}
+            records = sg.degeneration_base_pairs(graph_a, graph_b)
+            for graph, va, ia, vb, ib, shared in records:
+                layout = _layout(graph)
+                pulled_a = _pull(layout, va, ia, orbit_a)
+                pulled_b = _pull(layout, vb, ib, orbit_b)
+                ends = _ends(layout, graph, shared)
+                for psi, kappa, k in _products(layout[2], ends, pulled_a, pulled_b, {}):
+                    key = (graph, psi, kappa)
+                    counts[key] = counts.get(key, 0) + k
+            for (graph, psi, kappa), k in counts.items():
+                names = tuple(_layout(graph)[0])
+                psi = tuple(sorted((names[i], e) for i, e in enumerate(psi) if e))
+                dec = Decoration(psi, kappa or ((),) * graph.n_vertices)
+                out._insert(graph, dec, ca * cb * k / sg.automorphism_count(graph))
     return out
 
 
-_VERTEX_SHAPE_CACHE: dict = {}
+# ---------------------------------------------------------------------------
+# the top pairing, one (row term, column graph) block at a time
 
 
-def _vertex_shape(graph):
-    """(vertex of each marking, dimension of each vertex's moduli space)."""
-    cached = _VERTEX_SHAPE_CACHE.get(graph)
-    if cached is not None:
-        return cached
-    home = {m: v for v, legs in enumerate(graph.legs) for m in legs}
-    valence = [len(legs) for legs in graph.legs]
-    for (v1, _), (v2, _) in graph.edges:
-        valence[v1] += 1
-        valence[v2] += 1
-    dims = [dim_moduli(gv, nv) for gv, nv in zip(graph.genera, valence)]
-    result = (home, dims)
-    _VERTEX_SHAPE_CACHE[graph] = result
-    return result
+def _term_value(graph, owner, psi, kappa):
+    """A term integral over |Aut(graph)| as (numerator, denominator)."""
+    exps = [[] for _ in graph.genera]
+    for v, e in zip(owner, psi):
+        exps[v].append(e)
+    value = ONE / sg.automorphism_count(graph)
+    for v, gv in enumerate(graph.genera):
+        value *= vertex_integral(gv, exps[v], kappa[v] if kappa else ())
+    return value.numerator, value.denominator
 
 
-def product_integral(term_a, term_b):
-    """Integral of xi_*(dec_a) * xi_*(dec_b) for complementary degrees.
+def _block(orbit_a, graph_a, graph_b, orbits, known):
+    """(denominator, numerators) of a row orbit on graph_a paired with the
+    orbits of decorations on graph_b, (decoration, multiplicity, vertex
+    degrees) each, except where the value is known.
 
-    Sums the excess terms' integrals as they are produced: an integral
-    does not depend on the representative of a decorated stratum, so no
-    term is canonicalized.  A term integrates to zero unless each vertex
-    carries exactly its dimension, so terms that do not are skipped
-    before the (cached) `term_integral`: most raw terms never enter its
-    cache.
+    A record pulls the row orbit back once, and a column transport only if
+    its degree at each vertex of graph_b is what a row monomial and an
+    excess placement leave.  Sums are integers over a running lcm.
     """
-    total = ZERO
-    for graph, aut, counts in _excess_terms(term_a, term_b):
-        home, dims = _vertex_shape(graph)
-        subtotal = ZERO
-        for dec, count in counts.items():
-            if not count:
+    total, acc = 1, [0] * len(orbits)
+    for graph, va, ia, vb, ib, shared in sg.degeneration_base_pairs(graph_a, graph_b):
+        _, owner, dims, values = layout = _layout(graph)
+        pulled_a = _pull(layout, va, ia, orbit_a)
+        ends = _ends(layout, graph, shared)
+        fibers = [[] for _ in graph_b.genera]
+        for v, w in enumerate(vb):
+            fibers[w].append(v)
+        wanted = {
+            tuple(sum(left[v] for v in fiber) for fiber in fibers)
+            for degrees in pulled_a
+            for left, _ in _excess(ends, list(map(sub, dims, degrees)))
+        }
+        fits: dict = {}
+        for c, orbit in enumerate(orbits):
+            if known[c] is not None:
                 continue
-            degrees = [sum(ks) for ks in dec.kappa]
-            for key, e in dec.psi:
-                degrees[key[1] if key[0] == PSI_HE else home[key[1]]] += e
-            if degrees == dims:
-                subtotal += count * term_integral(graph, dec)
-        total += subtotal / aut
-    return total
+            orbit = [(t, m) for t, m, deg in orbit if deg in wanted]
+            if not orbit:
+                continue
+            pulled_b = _pull(layout, vb, ib, orbit)
+            for psi, kappa, count in _products(dims, ends, pulled_a, pulled_b, fits):
+                value = values.get((psi, kappa))
+                if value is None:
+                    value = values[psi, kappa] = _term_value(graph, owner, psi, kappa)
+                num, den = value
+                if num and total % den:
+                    scale = den // gcd(total, den)
+                    total *= scale
+                    acc = [x * scale for x in acc]
+                acc[c] += count * num * (total // den)
+    return total, acc
+
+
+class _Columns:
+    """A basis grouped by stratum graph, with the blocks of the row terms.
+
+    groups holds (graph, decorations, graded orbits, uses) per column
+    graph, uses[c] the (column, coefficient * scale) of decoration c.  In
+    the self-dual degree a row term that is also a column term, at
+    where[term], reuses the values its column terms paired with it as rows.
+    """
+
+    def __init__(self, basis, x):
+        self.basis = tuple(basis)
+        terms: dict = {}
+        for j, cls in enumerate(self.basis):
+            _check_product(x, cls, top=True)
+            for term, coeff in cls.terms.items():
+                terms.setdefault(term, []).append((j, coeff))
+        self.scale = lcm(*(c.denominator for use in terms.values() for _, c in use))
+        self.symmetric = 2 * x.d == dim_moduli(x.g, x.n)
+        self.groups, self.where, self.rows, index = [], {}, {}, {}
+        for (graph, dec), use in terms.items():
+            if graph not in index:
+                index[graph] = len(self.groups)
+                self.groups.append((graph, [], [], []))
+            _, decs, orbits, uses = self.groups[index[graph]]
+            self.where[(graph, dec)] = (index[graph], len(decs))
+            decs.append(dec)
+            orbit = _aut_orbit_sum(graph, dec).items()
+            orbits.append([(t, m, tuple(vertex_degrees(graph, t))) for t, m in orbit])
+            uses.append([(j, int(c * self.scale)) for j, c in use])
+
+    def blocks(self, term):
+        """Per group, None or (denominator, numerators) of term's integrals."""
+        orbit_a = _aut_orbit_sum(*term).items()
+        home = self.where.get(term) if self.symmetric else None
+        out = []
+        for graph_b, decs, orbits, _ in self.groups:
+            known = [None] * len(decs)
+            for c, dec in enumerate(decs if home else ()):
+                other = self.rows.get((graph_b, dec))
+                if other is not None:
+                    block = other[home[0]]
+                    known[c] = (block[1][home[1]], block[0]) if block else (0, 1)
+            if None in known:
+                total, acc = _block(orbit_a, term[0], graph_b, orbits, known)
+                known = [k or (num, total) for k, num in zip(known, acc)]
+            total = lcm(*(den for num, den in known if num))
+            nums = [num * (total // den) for num, den in known]
+            out.append((total, nums) if any(nums) else None)
+        return out
+
+
+_LAST_COLUMNS: list = [None]
+
+
+def pairing_row(x: TautClass, basis) -> list:
+    """Integrals of x times each class of basis (complementary degrees).
+
+    The last basis stays grouped with the blocks of every row term seen
+    against it, so a matrix built row by row computes each (row term,
+    column graph) block once.  Each row is summed in integers over one
+    denominator.
+    """
+    if not basis:
+        return []
+    cols = _LAST_COLUMNS[0]
+    if cols is None or cols.basis != tuple(basis):
+        cols = _LAST_COLUMNS[0] = _Columns(basis, x)
+    _check_product(x, basis[0], top=True)
+    total, out = 1, [0] * len(basis)
+    for term, coeff in x.terms.items():
+        blocks = cols.rows.get(term)
+        if blocks is None:
+            blocks = cols.rows[term] = cols.blocks(term)
+        for block, group in zip(blocks, cols.groups):
+            if block is None:
+                continue
+            den = coeff.denominator * block[0]
+            if total % den:
+                scale = den // gcd(total, den)
+                total *= scale
+                out = [v * scale for v in out]
+            factor = coeff.numerator * (total // den)
+            for num, use in zip(block[1], group[3]):
+                if num:
+                    num *= factor
+                    for j, c in use:
+                        out[j] += num if c == 1 else num * c
+    total *= cols.scale
+    return [QQ(v, total) for v in out]
 
 
 def power(a: TautClass, k: int) -> TautClass:

@@ -78,9 +78,6 @@ class StableGraph:
         """Slots of the edge ends at vertex v."""
         return sorted(s for (w, s) in self.half_edges() if w == v)
 
-    def n_loops(self, v: int) -> int:
-        return sum(1 for ((v1, _), (v2, _)) in self.edges if v1 == v2 == v)
-
     def valence(self, v: int) -> int:
         return len(self.edge_ends(v)) + len(self.legs[v])
 
@@ -633,8 +630,13 @@ def degeneration_base_pairs(a: StableGraph, b: StableGraph) -> tuple:
 
     A common degeneration contracts disjoint edge sets onto a and b, so it
     has between max(|E(a)|, |E(b)|) and |E(a)| + |E(b)| edges; each edge
-    count is looked up in its inverted contraction index.
+    count is looked up in its inverted contraction index.  Results are
+    cached under the canonical pair, which the graphs of `TautClass` terms
+    already are, so only a miss canonicalizes.
     """
+    cached = _DEGENERATION_CACHE.get((a, b))
+    if cached is not None:
+        return cached
     a = canonical_form(a)
     b = canonical_form(b)
     key = (a, b)

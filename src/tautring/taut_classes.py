@@ -44,13 +44,16 @@ class Decoration:
     psi: tuple  # sorted tuple of (key, exponent), exponent > 0
     kappa: tuple  # per-vertex sorted tuples of kappa indices (each >= 1)
 
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.psi, self.kappa)))
+
+    def __hash__(self):
+        return self._hash
+
     def degree(self) -> int:
         return sum(e for _, e in self.psi) + sum(
             a for ks in self.kappa for a in ks
         )
-
-    def is_trivial(self) -> bool:
-        return not self.psi and all(not ks for ks in self.kappa)
 
     def transport(self, vmap, hemap) -> "Decoration":
         """Relabel along a graph isomorphism (vmap, hemap)."""
@@ -119,28 +122,6 @@ def decoration(graph: StableGraph, psi=None, kappa=None) -> Decoration:
 
 def trivial_decoration(graph: StableGraph) -> Decoration:
     return Decoration((), ((),) * graph.n_vertices)
-
-
-def decoration_mul(d1: Decoration, d2: Decoration) -> Decoration:
-    """Product of two monomials on the same graph."""
-    if not d2.psi:
-        psi = d1.psi
-    elif not d1.psi:
-        psi = d2.psi
-    else:
-        exps = dict(d1.psi)
-        for key, e in d2.psi:
-            exps[key] = exps.get(key, 0) + e
-        psi = tuple(sorted(exps.items()))
-    if not any(d2.kappa):
-        kappa = d1.kappa
-    elif not any(d1.kappa):
-        kappa = d2.kappa
-    else:
-        kappa = tuple(
-            tuple(sorted(k1 + k2)) for k1, k2 in zip(d1.kappa, d2.kappa)
-        )
-    return Decoration(psi, kappa)
 
 
 def vertex_degrees(graph: StableGraph, dec: Decoration) -> list[int]:

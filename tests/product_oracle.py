@@ -7,13 +7,19 @@ of two graphs are found by scanning every stable graph of the type and
 probing its contraction table.  It is slow but follows the construction
 as written, so `multiply`, `pair_integral` and `degeneration_base_pairs`
 are checked against it.
+
+`product_integral` is the per-pair integral that the block pairing
+kernel (`product.pairing_row`) replaced: it integrates the `Decoration`
+terms of `_excess_terms`, the library's former product kernel, one by
+one in `Fraction`s.
 """
 
 import itertools
 
 from tautring import stable_graphs as sg
 from tautring.errors import DomainError
-from tautring.rationals import ONE
+from tautring.integration import term_integral
+from tautring.rationals import ONE, ZERO
 from tautring.stable_graphs import (
     StableGraph,
     canonical_form,
@@ -190,6 +196,46 @@ def _excess_monomials(graph, shared):
     return out
 
 
+def _pulled_orbit(graph, vmap, he_inv, orbit):
+    """Pullbacks of every transport in an Aut-orbit sum, merged."""
+    out: dict = {}
+    for dec, mult in orbit.items():
+        for mono, m in _pullback_monomials(graph, vmap, he_inv, dec):
+            out[mono] = out.get(mono, 0) + mult * m
+    return out
+
+
+def _excess_terms(term_a, term_b):
+    """The excess-intersection product of two decorated strata, by graph.
+
+    term_a and term_b are (graph, decoration) pairs on the same (g, n).
+    Yields (graph, aut, counts), one per common degeneration graph, where
+    counts maps decorations of `graph` to integer multiplicities: the
+    product xi_*(dec_a) * xi_*(dec_b) is the sum over the yielded graphs
+    of sum(count * xi_*(dec)) / aut.  Decorations are neither
+    canonicalized nor filtered, so some may exceed a vertex dimension and
+    push forward to zero.
+    """
+    (ga, da), (gb, db) = term_a, term_b
+    orbit_a = _aut_orbit_sum(ga, da)
+    orbit_b = _aut_orbit_sum(gb, db)
+    records = sg.degeneration_base_pairs(ga, gb)
+    for graph, group in itertools.groupby(records, key=lambda r: r[0]):
+        counts: dict = {}
+        for _, va, ia, vb, ib, shared in group:
+            pulled_a = _pulled_orbit(graph, va, ia, orbit_a)
+            pulled_b = _pulled_orbit(graph, vb, ib, orbit_b)
+            excess = _excess_monomials(graph, shared)
+            for ma, ka in pulled_a.items():
+                for mb, kb in pulled_b.items():
+                    mab = decoration_mul(ma, mb)
+                    k = ka * kb
+                    for me, sign in excess:
+                        dec = decoration_mul(mab, me)
+                        counts[dec] = counts.get(dec, 0) + sign * k
+        yield graph, sg.automorphism_count(graph), counts
+
+
 def oracle_multiply(a: TautClass, b: TautClass) -> TautClass:
     """Excess intersection product of two decorated strata classes."""
     if a.virtual or b.virtual:
@@ -225,3 +271,48 @@ def oracle_multiply(a: TautClass, b: TautClass) -> TautClass:
                         for me, sign in excess:
                             out._insert(graph, decoration_mul(mab, me), coeff * sign)
     return out
+
+
+_VERTEX_SHAPE_CACHE: dict = {}
+
+
+def _vertex_shape(graph):
+    """(vertex of each marking, dimension of each vertex's moduli space)."""
+    cached = _VERTEX_SHAPE_CACHE.get(graph)
+    if cached is not None:
+        return cached
+    home = {m: v for v, legs in enumerate(graph.legs) for m in legs}
+    valence = [len(legs) for legs in graph.legs]
+    for (v1, _), (v2, _) in graph.edges:
+        valence[v1] += 1
+        valence[v2] += 1
+    dims = [dim_moduli(gv, nv) for gv, nv in zip(graph.genera, valence)]
+    result = (home, dims)
+    _VERTEX_SHAPE_CACHE[graph] = result
+    return result
+
+
+def product_integral(term_a, term_b):
+    """Integral of xi_*(dec_a) * xi_*(dec_b) for complementary degrees.
+
+    Sums the excess terms' integrals as they are produced: an integral
+    does not depend on the representative of a decorated stratum, so no
+    term is canonicalized.  A term integrates to zero unless each vertex
+    carries exactly its dimension, so terms that do not are skipped
+    before the (cached) `term_integral`: most raw terms never enter its
+    cache.
+    """
+    total = ZERO
+    for graph, aut, counts in _excess_terms(term_a, term_b):
+        home, dims = _vertex_shape(graph)
+        subtotal = ZERO
+        for dec, count in counts.items():
+            if not count:
+                continue
+            degrees = [sum(ks) for ks in dec.kappa]
+            for key, e in dec.psi:
+                degrees[key[1] if key[0] == PSI_HE else home[key[1]]] += e
+            if degrees == dims:
+                subtotal += count * term_integral(graph, dec)
+        total += subtotal / aut
+    return total

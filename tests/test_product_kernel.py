@@ -13,10 +13,14 @@ from collections import Counter
 
 import pytest
 
-from product_oracle import oracle_degeneration_base_pairs, oracle_multiply
+from product_oracle import (
+    oracle_degeneration_base_pairs,
+    oracle_multiply,
+    product_integral,
+)
 from tautring.integration import integrate
 from tautring.membership import pair_integral
-from tautring.product import multiply, product_integral
+from tautring.product import multiply
 from tautring.stable_graphs import degeneration_base_pairs
 from tautring.taut_classes import dim_moduli, generators
 

@@ -1,12 +1,13 @@
 """Membership analysis in the tautological ring via the top pairing.
 
-Classes of complementary degree pair to a rational number by multiplying
-and integrating.  Taking pairing vectors against the full decorated-
-stratum generating set turns span and membership questions into exact
-linear algebra.  For genus up to 3 the pairing between complementary
-degrees of these rings is perfect, so answers both ways are certified;
-beyond that only refutations are certain and span ranks are lower
-bounds, which callers must request explicitly.
+Classes of complementary degree pair to a rational number, the integral
+of their product, computed without building the product by the block
+pairing kernel `product.pairing_row`.  Taking pairing vectors against the
+full decorated-stratum generating set turns span and membership questions
+into exact linear algebra.  For genus up to 3 the pairing between
+complementary degrees of these rings is perfect, so answers both ways are
+certified; beyond that only refutations are certain and span ranks are
+lower bounds, which callers must request explicitly.
 """
 
 import itertools

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DomainError
 from .rationals import QQ, format_rat, parse_rat
@@ -37,12 +37,13 @@ def dim_moduli(g: int, n: int) -> int:
     return 3 * g - 3 + n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Decoration:
     """A psi-kappa monomial on a stable graph."""
 
     psi: tuple  # sorted tuple of (key, exponent), exponent > 0
     kappa: tuple  # per-vertex sorted tuples of kappa indices (each >= 1)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.psi, self.kappa)))

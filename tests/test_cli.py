@@ -162,7 +162,8 @@ def test_cone_accepts_a_file(capsys, tmp_path):
         ["cone", "file:[]", "pp", "1"],
         ["cone", 'file:{"lattice_rank": 2}', "pp", "1"],
         ["cone", 'file:{"lattice_rank": 2, "cones": {"rays": [[1, 0]]}}', "pp", "1"],
-        ["cone", 'file:{"lattice_rank": 2, "cones": [{"rays": [[1, 0]]}], "gluings": {}}', "pp", "1"],
+        ["cone", 'file:{"lattice_rank": 2, "cones": [{"rays": [[1, 0]]}], '
+         '"gluings": {}}', "pp", "1"],
         ["cone", 'file:{"lattice_rank": 2, "cones": [[[1, 0], [0, 1]]]}', "pp", "1"],
         ["cone", 'file:{"lattice_rank": 2, "cones": [{"rays": [7]}]}', "pp", "1"],
         ["cone", 'file:{"lattice_rank": 2, "cones": [{"rays": [[1, 0], [0, 1]]}], '

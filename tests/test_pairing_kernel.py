@@ -1,10 +1,10 @@
 """The block pairing kernel against the per-pair integral it replaced.
 
-`product_oracle.product_integral` integrates the `Decoration` terms of
-`product._excess_terms` one pair of strata at a time in `Fraction`s.  The
-kernel evaluates a row term against all column terms of one stratum graph
-at once, in integers, and in the self-dual degree reuses the values it
-already has the other way round.  Every value must agree, in both
+`product_oracle.product_integral` integrates the `Decoration` terms of the
+former library product kernel one pair of strata at a time in `Fraction`s.
+The kernel evaluates a row term against all column terms of one stratum
+graph at once, in integers, and in the self-dual degree reuses the values
+it already has the other way round.  Every value must agree, in both
 argument orders: on every complementary generator pair of a few small
 spaces, on a seeded sample of (3,1) and (4,0) pairs, and on the full
 self-dual degree of (3,0).
@@ -35,7 +35,8 @@ def _check_rows(rows, cols):
     col_terms = [_term(b) for b in cols]
     for a in rows:
         ta = _term(a)
-        assert pairing_vector(a, cols) == [product_integral(ta, tb) for tb in col_terms]
+        expected = [product_integral(ta, tb) for tb in col_terms]
+        assert pairing_vector(a, cols) == expected
 
 
 @pytest.mark.parametrize("g, n", SPACES)
@@ -49,7 +50,8 @@ def test_every_generator_pair_matches_the_oracle(g, n):
 
 def test_seeded_pairs_of_genus_3_and_4_match_the_oracle():
     rng = random.Random(20240607)
-    for (g, n), d, k in [((3, 1), 2, 12), ((3, 1), 3, 12), ((4, 0), 4, 4), ((4, 0), 3, 4)]:
+    samples = [((3, 1), 2, 12), ((3, 1), 3, 12), ((4, 0), 4, 4), ((4, 0), 3, 4)]
+    for (g, n), d, k in samples:
         top = dim_moduli(g, n)
         rows = tuple(rng.sample(generators(g, n, d), k))
         cols = tuple(rng.sample(generators(g, n, top - d), 3 * k))
@@ -89,8 +91,9 @@ def test_multi_term_classes_and_coefficients():
 
 
 def test_mixed_bases_are_rejected():
+    x = generators(2, 1, 2)[0]
     with pytest.raises(DomainError):
-        pairing_vector(generators(2, 1, 2)[0], [generators(2, 1, 2)[0], generators(2, 1, 1)[0]])
+        pairing_vector(x, [generators(2, 1, 2)[0], generators(2, 1, 1)[0]])
     with pytest.raises(DomainError):
         pairing_vector(generators(2, 1, 1)[0], generators(2, 1, 2))
-    assert pairing_vector(generators(2, 1, 2)[0], []) == []
+    assert pairing_vector(x, []) == []

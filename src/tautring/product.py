@@ -277,7 +277,7 @@ class _Columns:
     """
 
     def __init__(self, basis, x):
-        self.basis = tuple(basis)
+        self.basis = basis
         terms: dict = {}
         for j, cls in enumerate(self.basis):
             _check_product(x, cls, top=True)
@@ -329,10 +329,11 @@ def pairing_row(x: TautClass, basis) -> list:
     column graph) block once.  Each row is summed in integers over one
     denominator.
     """
+    basis = tuple(basis)
     if not basis:
         return []
     cols = _LAST_COLUMNS[0]
-    if cols is None or cols.basis != tuple(basis):
+    if cols is None or cols.basis != basis:
         cols = _LAST_COLUMNS[0] = _Columns(basis, x)
     _check_product(x, basis[0], top=True)
     total, out = 1, [0] * len(basis)

@@ -84,6 +84,7 @@ def test_multi_term_classes_and_coefficients():
         for b in basis
     ]
     assert pairing_vector(x, basis) == expected
+    assert pairing_vector(x, iter(basis)) == expected
     # a basis of the same length but other classes is not served stale values
     other = [cols[3], cols[4], cols[6]]
     assert pairing_vector(x, other) == [pair_integral(x, b) for b in other]

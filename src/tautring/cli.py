@@ -286,12 +286,6 @@ def build_parser():
         prog="tautring",
         description="Exact computations in tautological rings and cone complexes.",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="accepted for compatibility and ignored: everything runs on one thread",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("graphs", help="enumerate stable graphs")
@@ -336,9 +330,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be positive", file=sys.stderr)
-        return 2
     try:
         args.func(args)
     except DomainError as exc:

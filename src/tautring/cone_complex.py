@@ -345,17 +345,20 @@ def star_subdivision(complex, rays):
     """Star subdivision at the barycenter of the face spanned by the rays.
 
     The whole gluing orbit of the face is subdivided at once so the
-    identifications stay valid.  If the orbit contains nested faces no
-    uniform subdivision exists and the call is refused.
+    identifications stay valid.  Two orbit members that share a ray and lie
+    in one maximal cone (nested faces among them) would be subdivided in an
+    order-dependent way that the gluing does not preserve, so the call is
+    refused.
     """
     face = tuple(sorted(tuple(r) for r in rays))
     if not complex._is_face(face):
         raise DomainError("%r is not a face of the complex" % (face,))
     orbit = _gluing_orbit(complex, face)
     for a, b in itertools.combinations(orbit, 2):
-        if set(a) < set(b) or set(b) < set(a):
+        if set(a) & set(b) and any(set(a + b) <= set(c) for c in complex.cones):
             raise DomainError(
-                "the face is identified with a nested face; star refused"
+                "the face is identified with a face that shares a ray and a cone "
+                "with it; star refused"
             )
     cones = list(complex.cones)
     for member in orbit:

@@ -160,9 +160,6 @@ class QMatrix:
     def shape(self):
         return (self.n_rows, self.n_cols)
 
-    def copy(self):
-        return QMatrix([row[:] for row in self.rows], n_cols=self.n_cols)
-
     def transpose(self):
         return QMatrix(
             [[self.rows[i][j] for i in range(self.n_rows)] for j in range(self.n_cols)],

@@ -18,6 +18,8 @@ factor appears.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .errors import DomainError
 from .rationals import QQ, ZERO, ONE, double_factorial
 from .stable_graphs import StableGraph
@@ -27,11 +29,11 @@ from .taut_classes import (
     Decoration,
     TautClass,
     dim_moduli,
-    vertex_degrees,
 )
 
 # (g, sorted exponent tuple) -> <tau_{d_1} ... tau_{d_n}>_g, for stable,
-# dimension-correct keys only.
+# dimension-correct keys only.  A dict, not functools.cache:
+# perfbench/spans.py reads it by name.
 _CORRELATORS: dict[tuple, object] = {}
 
 
@@ -142,9 +144,6 @@ def _dvv(g: int, exps: tuple) -> object:
 # kappa conversion, route 1: one kappa at a time
 
 
-_VERTEX_CACHE: dict[tuple, object] = {}
-
-
 def vertex_integral(g: int, psi_exps, kappas) -> object:
     """Integral of prod(psi_i^{b_i}) * prod(kappa_{a_j}) over Mbar_{g,n}.
 
@@ -162,29 +161,27 @@ def vertex_integral(g: int, psi_exps, kappas) -> object:
         return ZERO
     if sum(psi_exps) + sum(kappas) != dim_moduli(g, n):
         return ZERO
-    key = (g, psi_exps, kappas)
-    cached = _VERTEX_CACHE.get(key)
-    if cached is not None:
-        return cached
+    return _vertex_integral(g, psi_exps, kappas)
+
+
+@cache
+def _vertex_integral(g: int, psi_exps: tuple, kappas: tuple) -> object:
+    """`vertex_integral` on sorted, dimension-correct arguments."""
     if not kappas:
-        value = psi_integral(g, psi_exps)
-    else:
-        a_last = kappas[-1]
-        rest = kappas[:-1]
-        value = ZERO
-        for bits in range(1 << len(rest)):
-            absorbed = a_last
-            kept = []
-            for i, b in enumerate(rest):
-                if bits >> i & 1:
-                    absorbed += b
-                else:
-                    kept.append(b)
-            sign = -ONE if bin(bits).count("1") % 2 else ONE
-            value += sign * vertex_integral(
-                g, psi_exps + (absorbed + 1,), tuple(kept)
-            )
-    _VERTEX_CACHE[key] = value
+        return psi_integral(g, psi_exps)
+    a_last = kappas[-1]
+    rest = kappas[:-1]
+    value = ZERO
+    for bits in range(1 << len(rest)):
+        absorbed = a_last
+        kept = []
+        for i, b in enumerate(rest):
+            if bits >> i & 1:
+                absorbed += b
+            else:
+                kept.append(b)
+        sign = -ONE if bin(bits).count("1") % 2 else ONE
+        value += sign * vertex_integral(g, psi_exps + (absorbed + 1,), tuple(kept))
     return value
 
 
@@ -277,15 +274,9 @@ def _term_vertex_data(graph: StableGraph, dec: Decoration):
     return [(gv, tuple(sorted(e)), k) for gv, e, k in zip(graph.genera, at, dec.kappa)]
 
 
-_TERM_INTEGRAL_CACHE: dict = {}
-
-
+@cache
 def term_integral(graph: StableGraph, dec: Decoration) -> object:
     """Integral of xi_*(dec): the product of the vertex integrals."""
-    key = (graph, dec)
-    cached = _TERM_INTEGRAL_CACHE.get(key)
-    if cached is not None:
-        return cached
     value = ONE
     for (gv, psi_exps, kappas) in _term_vertex_data(graph, dec):
         nv = len(psi_exps)
@@ -295,7 +286,6 @@ def term_integral(graph: StableGraph, dec: Decoration) -> object:
         value *= vertex_integral(gv, psi_exps, kappas)
         if not value:
             break
-    _TERM_INTEGRAL_CACHE[key] = value
     return value
 
 

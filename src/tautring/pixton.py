@@ -16,7 +16,7 @@ import itertools
 import math
 
 from .errors import ConsistencyError, DomainError
-from .exact_linalg import QPolynomial, lagrange_interpolate
+from .exact_linalg import lagrange_interpolate
 from .rationals import QQ, ZERO, ONE
 from .stable_graphs import StableGraph, automorphism_count, enumerate_stable_graphs
 from .taut_classes import (
@@ -229,17 +229,13 @@ class RPolynomialClass:
         return out
 
 
-def pixton_r_polynomial(
-    g: int, a, d: int, start: int = None, threads: int = 1
-) -> RPolynomialClass:
+def pixton_r_polynomial(g: int, a, d: int, start: int = None) -> RPolynomialClass:
     """Interpolate the class as a polynomial in the modulus r.
 
     Samples 2d+2 consecutive values of r beginning at `start` (by default
     just past d and every |a_i|), fits each stratum coefficient exactly,
     and verifies the fit against one further sample; disagreement raises
-    ConsistencyError.  `threads` is accepted for compatibility and has no
-    effect: the samples run one after another, which measured faster than
-    a thread pool because the work holds the interpreter lock.
+    ConsistencyError.
     """
     a = tuple(int(x) for x in a)
     if sum(a) != 0:
@@ -274,30 +270,30 @@ def pixton_r_polynomial(
     return result
 
 
-def pixton_class(g: int, a, d: int, start: int = None, threads: int = 1) -> TautClass:
+def pixton_class(g: int, a, d: int, start: int = None) -> TautClass:
     """Value at r = 0 of the interpolated polynomial class."""
-    return pixton_r_polynomial(g, a, d, start=start, threads=threads).at(0)
+    return pixton_r_polynomial(g, a, d, start=start).at(0)
 
 
-def dr_cycle(g: int, a, start: int = None, threads: int = 1) -> TautClass:
+def dr_cycle(g: int, a, start: int = None) -> TautClass:
     """Double ramification cycle for weights summing to zero."""
     a = tuple(int(x) for x in a)
     if sum(a) != 0:
         raise DomainError("double ramification weights must sum to zero")
     if g == 0 and len(a) < 3:
         raise DomainError("unstable moduli space")
-    cls = pixton_class(g, a, g, start=start, threads=threads)
+    cls = pixton_class(g, a, g, start=start)
     return QQ(1, 2**g) * cls
 
 
-def lambda_top(g: int, n: int = 0, start: int = None, threads: int = 1) -> TautClass:
+def lambda_top(g: int, n: int = 0, start: int = None) -> TautClass:
     """lambda_g expressed in decorated strata, via weights all zero."""
     if g < 1:
         raise DomainError("lambda_g needs positive genus")
     if 2 * g - 2 + n <= 0:
         raise DomainError("unstable moduli space")
     sign = -ONE if g % 2 else ONE
-    return sign * dr_cycle(g, (0,) * n, start=start, threads=threads)
+    return sign * dr_cycle(g, (0,) * n, start=start)
 
 
 def reference_lambda_expansion(g: int, n: int = 0) -> TautClass:

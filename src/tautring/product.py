@@ -14,6 +14,7 @@ vertex has room below its dimension, since a term beyond it is zero.
 builds no `Decoration`, and sums integers over one denominator.
 """
 
+from functools import cache
 from math import gcd, lcm
 from operator import add, le, sub
 
@@ -31,9 +32,7 @@ from .taut_classes import (
     vertex_degrees,
 )
 
-_ORBIT_CACHE: dict = {}
-
-
+@cache
 def _aut_orbit_sum(graph, dec):
     """Distinct transports of dec under Aut(graph), with multiplicities.
 
@@ -41,35 +40,24 @@ def _aut_orbit_sum(graph, dec):
     factor of a product; collapsing repeats into multiplicities keeps the
     later pullback loops short.
     """
-    key = (graph, dec)
-    cached = _ORBIT_CACHE.get(key)
-    if cached is not None:
-        return cached
     out: dict = {}
     for vmap, hemap in sg.automorphisms(graph):
         moved = dec.transport(vmap, hemap)
         out[moved] = out.get(moved, 0) + 1
-    _ORBIT_CACHE[key] = out
     return out
 
 
-_LAYOUT_CACHE: dict = {}
-
-
+@cache
 def _layout(graph):
     """(slot, owner, dims, values): slot numbers the psi keys as positions
     of an exponent vector, owner[i] is the vertex of position i, dims the
     vertex dimensions; values memoizes term integrals over |Aut|."""
-    cached = _LAYOUT_CACHE.get(graph)
-    if cached is not None:
-        return cached
     keys = [(v, (PSI_LEG, m)) for v, legs in enumerate(graph.legs) for m in legs]
     keys += [(v, (PSI_HE, v, s)) for edge in graph.edges for v, s in edge]
     slot = {key: i for i, (_, key) in enumerate(keys)}
     owner = [v for v, _ in keys]
     dims = tuple(dim_moduli(gv, owner.count(v)) for v, gv in enumerate(graph.genera))
-    result = _LAYOUT_CACHE[graph] = (slot, owner, dims, {})
-    return result
+    return slot, owner, dims, {}
 
 
 def _pull(layout, vmap, he_inv, orbit):
@@ -318,6 +306,7 @@ class _Columns:
         return out
 
 
+# One slot of state, not a memo: the last basis and its row blocks.
 _LAST_COLUMNS: list = [None]
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import DomainError
 
@@ -245,6 +246,7 @@ def _candidate(graph: StableGraph, new_of_old: list[int]):
     return tuple(new_edges), hemap
 
 
+# A dict, not functools.cache: it also stores each canonical graph's identity entry.
 _CANONICAL_CACHE: dict[StableGraph, tuple] = {}
 
 
@@ -332,14 +334,9 @@ def _vertex_automorphism_maps(graph: StableGraph):
     return out
 
 
-_AUTOMORPHISM_CACHE: dict[StableGraph, tuple] = {}
-
-
+@cache
 def automorphisms(graph: StableGraph) -> tuple:
     """All automorphisms as (vmap, hemap) pairs, legs fixed pointwise."""
-    cached = _AUTOMORPHISM_CACHE.get(graph)
-    if cached is not None:
-        return cached
     bundles, loops = _edge_bundles(graph)
     result = []
     for vmap in _vertex_automorphism_maps(graph):
@@ -385,23 +382,16 @@ def automorphisms(graph: StableGraph) -> tuple:
             for mapping in combo:
                 hemap.update(mapping)
             result.append((vmap, hemap))
-    result = tuple(result)
-    _AUTOMORPHISM_CACHE[graph] = result
-    return result
+    return tuple(result)
 
 
-_AUTOMORPHISM_COUNT_CACHE: dict[StableGraph, int] = {}
-
-
+@cache
 def automorphism_count(graph: StableGraph) -> int:
     """|Aut| via the orbit formula: vertex symmetries times edge symmetries.
 
     For each admissible vertex permutation the half-edge extensions count
     m! per parallel bundle and l! * 2^l per loop bundle.
     """
-    cached = _AUTOMORPHISM_COUNT_CACHE.get(graph)
-    if cached is not None:
-        return cached
     bundles, loops = _edge_bundles(graph)
     total = 0
     for vmap in _vertex_automorphism_maps(graph):
@@ -416,7 +406,6 @@ def automorphism_count(graph: StableGraph) -> int:
                 count *= i
             count *= 2 ** l
         total += count
-    _AUTOMORPHISM_COUNT_CACHE[graph] = total
     return total
 
 
@@ -548,6 +537,7 @@ def _splits(graph: StableGraph):
                 yield StableGraph(genera, legs_out, edges), new
 
 
+# A dict, not functools.cache: perfbench/spans.py reads it by name.
 _ENUM_CACHE: dict[tuple[int, int], tuple] = {}
 
 
@@ -581,11 +571,7 @@ def enumerate_stable_graphs(g: int, n: int) -> tuple[StableGraph, ...]:
 # common degenerations
 
 
-# (g, n, E) -> canonical contraction target -> graph -> contractions, over
-# the stable graphs of type (g, n) with E edges.
-_DEGENERATION_INDEX: dict[tuple[int, int, int], dict] = {}
-
-
+@cache
 def _degeneration_index(g: int, n: int, E: int) -> dict:
     """Contractions of the E-edge graphs of (g, n), inverted by target.
 
@@ -595,10 +581,6 @@ def _degeneration_index(g: int, n: int, E: int) -> dict:
     vertex it lands on, and he_inv names, for every target half-edge, the
     graph half-edge sitting over it.
     """
-    key = (g, n, E)
-    index = _DEGENERATION_INDEX.get(key)
-    if index is not None:
-        return index
     index = {}
     for graph in enumerate_stable_graphs(g, n):
         if graph.n_edges != E:
@@ -611,13 +593,10 @@ def _degeneration_index(g: int, n: int, E: int) -> dict:
             he_inv = {chemap[m]: h for h, m in hemap.items()}
             over = index.setdefault(canon, {})
             over.setdefault(graph, []).append((bits, total_v, he_inv))
-    _DEGENERATION_INDEX[key] = index
     return index
 
 
-_DEGENERATION_CACHE: dict[tuple[StableGraph, StableGraph], tuple] = {}
-
-
+@cache
 def degeneration_base_pairs(a: StableGraph, b: StableGraph) -> tuple:
     """Common degenerations of a and b, one record per contraction pair.
 
@@ -631,18 +610,11 @@ def degeneration_base_pairs(a: StableGraph, b: StableGraph) -> tuple:
     A common degeneration contracts disjoint edge sets onto a and b, so it
     has between max(|E(a)|, |E(b)|) and |E(a)| + |E(b)| edges; each edge
     count is looked up in its inverted contraction index.  Results are
-    cached under the canonical pair, which the graphs of `TautClass` terms
-    already are, so only a miss canonicalizes.
+    cached under the pair given; the graphs of `TautClass` terms are
+    already canonical, so only a miss canonicalizes.
     """
-    cached = _DEGENERATION_CACHE.get((a, b))
-    if cached is not None:
-        return cached
     a = canonical_form(a)
     b = canonical_form(b)
-    key = (a, b)
-    cached = _DEGENERATION_CACHE.get(key)
-    if cached is not None:
-        return cached
     g, n = a.genus(), a.n_markings
     if (g, n) != (b.genus(), b.n_markings):
         raise DomainError("graphs live on different moduli spaces")
@@ -665,6 +637,4 @@ def degeneration_base_pairs(a: StableGraph, b: StableGraph) -> tuple:
                     both = sa | sb
                     shared = tuple(i for i in range(E) if not both >> i & 1)
                     results.append((graph, va, ia, vb, ib, shared))
-    result = tuple(results)
-    _DEGENERATION_CACHE[key] = result
-    return result
+    return tuple(results)

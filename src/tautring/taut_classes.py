@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from functools import cache
 
 from .errors import DomainError
 from .rationals import QQ, format_rat, parse_rat
@@ -149,24 +150,16 @@ def term_is_zero_class(graph: StableGraph, dec: Decoration) -> bool:
     return False
 
 
-_CANON_TERM_CACHE: dict = {}
-
-
+@cache
 def canonical_term(graph: StableGraph, dec: Decoration):
     """Canonical (graph, decoration) representative of a decorated stratum."""
-    key = (graph, dec)
-    cached = _CANON_TERM_CACHE.get(key)
-    if cached is not None:
-        return cached
     canon, vmap, hemap = canonical_form_with_map(graph)
     moved = dec.transport(vmap, hemap)
     best = min(
         (moved.transport(av, ah) for av, ah in automorphisms(canon)),
         key=Decoration.sort_key,
     )
-    result = (canon, best)
-    _CANON_TERM_CACHE[key] = result
-    return result
+    return canon, best
 
 
 class TautClass:
@@ -386,9 +379,7 @@ def _decorations_of_degree(graph: StableGraph, m: int):
             yield Decoration(psi, tuple(kappa_parts))
 
 
-_GENERATORS_CACHE: dict = {}
-
-
+@cache
 def generators(g: int, n: int, d: int) -> tuple[TautClass, ...]:
     """The decorated-stratum generating set of degree d on (g, n).
 
@@ -398,10 +389,6 @@ def generators(g: int, n: int, d: int) -> tuple[TautClass, ...]:
     included in full, so the set is deliberately redundant.  The order is
     deterministic.
     """
-    key = (g, n, d)
-    cached = _GENERATORS_CACHE.get(key)
-    if cached is not None:
-        return cached
     if d < 0 or d > dim_moduli(g, n):
         raise DomainError("degree outside 0..3g-3+n")
     seen = set()
@@ -413,8 +400,4 @@ def generators(g: int, n: int, d: int) -> tuple[TautClass, ...]:
                 continue
             seen.add(canonical_term(graph, dec))
     ordered = sorted(seen, key=lambda t: (t[0].sort_key(), t[1].sort_key()))
-    result = tuple(
-        class_of_graph(graph, dec) for (graph, dec) in ordered
-    )
-    _GENERATORS_CACHE[key] = result
-    return result
+    return tuple(class_of_graph(graph, dec) for (graph, dec) in ordered)

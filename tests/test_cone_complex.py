@@ -110,13 +110,27 @@ def test_star_subdivision():
 
 
 def test_star_respects_gluings():
-    """Identified faces are subdivided together, so one star on the
-    triangle-with-rotation splits its cone at all three edge barycenters."""
+    """The rotation of triangle-z3 identifies its three edges, and any two of
+    them share a ray inside the one cone: subdividing them one after another
+    gives a complex its own gluing does not preserve, so that star is
+    refused.  The whole cone is its own orbit and is subdivided."""
     tz = triangle_z3_complex()
-    face = tz.cones[0][:2]
-    fine, _ = star_subdivision(tz, face)
-    assert len(fine.cones) == 4
+    with pytest.raises(DomainError, match="star refused"):
+        star_subdivision(tz, tz.cones[0][:2])
+    fine, _ = star_subdivision(tz, tz.cones[0])
+    assert len(fine.cones) == 3
     fine.validate()
+
+
+def test_star_subdivides_identified_faces_in_different_cones():
+    """Two quadrants glued one onto the other share the ray (0, 1) but no
+    cone, so a star at one subdivides both."""
+    x, y, w = (1, 0), (0, 1), (-1, 0)
+    quadrants = ConeComplex(2, [(x, y), (w, y)], [((x, y), (y, w))])
+    fine, _ = star_subdivision(quadrants, (x, y))
+    assert len(fine.cones) == 4
+    for f in pp_space(fine, 1):
+        f.validate()
 
 
 def test_json_round_trip():
@@ -204,23 +218,30 @@ def test_pullback_along_barycentric():
     assert not pullback_pp(mapping, f).is_zero()
 
 
-def _subdivisions(coarse):
+def _subdivisions(coarse, refused):
+    """Barycentric and every star subdivision; the star at a face with
+    `refused` rays must be refused."""
     yield barycentric(coarse)[1]
     for face in coarse.all_faces():
-        yield star_subdivision(coarse, face)[1]
+        if len(face) == refused:
+            with pytest.raises(DomainError, match="star refused"):
+                star_subdivision(coarse, face)
+        else:
+            yield star_subdivision(coarse, face)[1]
 
 
 @pytest.mark.parametrize(
-    "fixture",
+    "fixture, refused",
     [
-        lambda: simplex_cone_complex(1),
-        lambda: simplex_cone_complex(2),
-        lambda: simplex_cone_complex(3),
-        triangle_z3_complex,
+        (lambda: simplex_cone_complex(1), None),
+        (lambda: simplex_cone_complex(2), None),
+        (lambda: simplex_cone_complex(3), None),
+        # the edges of triangle-z3 (see test_star_respects_gluings)
+        (triangle_z3_complex, 2),
     ],
     ids=["simplex1", "simplex2", "simplex3", "triangle-z3"],
 )
-def test_pullback_agrees_at_random_lattice_points(fixture, monkeypatch):
+def test_pullback_agrees_at_random_lattice_points(fixture, refused, monkeypatch):
     """pullback_pp(m, f)(p) == f(p) for random f and random lattice points p
     of the support, along barycentric and every star subdivision; the
     pullback itself solves for no coordinates."""
@@ -228,7 +249,7 @@ def test_pullback_agrees_at_random_lattice_points(fixture, monkeypatch):
 
     rng = random.Random(11)
     coarse = fixture()
-    for sub_map in _subdivisions(coarse):
+    for sub_map in _subdivisions(coarse, refused):
         for d in (1, 2):
             basis = pp_space(coarse, d)
             f = PPFunction(coarse, d, [{} for _ in coarse.cones])

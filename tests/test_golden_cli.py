@@ -8,14 +8,18 @@ the `graphs` and `dr` commands before generation by vertex splitting
 replaced the brute-force stable-graph enumerator, the `cone` commands
 before `pp_space` replaced its nullspace by union-find components and
 `pullback_pp` moved to integer arithmetic.  Any change in the bytes these
-commands print shows up here.
+commands print shows up here, including one that a memo causes: a few of
+them also run cold, warm and after every memo is cleared.
 """
 
 import hashlib
+import importlib
+import pkgutil
 
 import pytest
 
-from tautring import cli
+import tautring
+from tautring import cli, integration, product, stable_graphs
 from tautring.cone_complex import ConeComplex, barycentric
 
 GOLDEN = {
@@ -104,3 +108,53 @@ def test_cone_file_stdout_matches_the_golden_digest(capsys, tmp_path, command):
     assert cli.main(command.format(**paths).split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == FILE_GOLDEN[command]
+
+
+def _cached_functions():
+    """Every functools.cache of the tautring modules, by qualified name."""
+    found = {}
+    for info in pkgutil.iter_modules(tautring.__path__):
+        module = importlib.import_module("tautring." + info.name)
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                found[value.__module__ + "." + value.__qualname__] = value
+    return found
+
+
+def _clear_every_memo(cached):
+    for function in cached.values():
+        function.cache_clear()
+    integration._CORRELATORS.clear()
+    stable_graphs._ENUM_CACHE.clear()
+    stable_graphs._CANONICAL_CACHE.clear()
+    product._LAST_COLUMNS[0] = None
+
+
+def test_memos_do_not_change_answers(capsys):
+    """Golden stdout cold, warm and after every memo is cleared; on the warm
+    run every cached function the command calls hits at least once."""
+    cached = _cached_functions()
+    used = set()
+    commands = [
+        "div-membership 2 2 2",
+        "lambda 3 0 --pair",
+        "dr 2 --weights=1,2,-3",
+        "cone triangle-z3 pp 2",
+        "theta-genus2 --json",
+    ]
+    for command in commands:
+        _clear_every_memo(cached)
+        for run in ("cold", "warm", "cleared"):
+            if run == "cleared":
+                _clear_every_memo(cached)
+            before = {name: f.cache_info() for name, f in cached.items()}
+            assert cli.main(command.split()) == 0
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command], run
+            for name, f in cached.items():
+                hits, misses = f.cache_info()[:2]
+                if hits + misses > before[name].hits + before[name].misses:
+                    used.add(name)
+                    assert run != "warm" or hits > before[name].hits, (command, name)
+    # every memo the scan finds is exercised; no CLI command calls `integrate`
+    assert set(cached) - used == {"tautring.integration.term_integral"}

@@ -105,15 +105,6 @@ def test_dr_cycle_examples():
     assert dr_cycle(1, (0,)) == -1 * reference_lambda_expansion(1, 1)
 
 
-def test_threads_do_not_change_results():
-    sequential = pixton_r_polynomial(1, (0,), 1, threads=1)
-    pooled = pixton_r_polynomial(1, (0,), 1, threads=4)
-    assert set(sequential.coeffs) == set(pooled.coeffs)
-    for key in sequential.coeffs:
-        assert sequential.coeffs[key] == pooled.coeffs[key]
-    assert dr_cycle(2, (1, -1), threads=3) == dr_cycle(2, (1, -1))
-
-
 def test_input_validation():
     with pytest.raises(DomainError):
         dr_cycle(1, (1,))  # weights must sum to zero

@@ -75,7 +75,7 @@ def _subdivisions(coarse):
     for face in coarse.all_faces():
         try:
             yield star_subdivision(coarse, face)
-        except DomainError:  # the face is identified with a nested face
+        except DomainError:  # orbit faces share a ray in one cone
             pass
 
 
@@ -101,6 +101,15 @@ def test_pp_space_matches_the_oracle(name, d):
     _assert_same_space(coarse, d)
     for fine, _ in _subdivisions(coarse):
         _assert_same_space(fine, d)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_accepted_star_subdivisions_keep_their_gluings(name):
+    """Every star subdivision that is not refused is preserved by its own
+    gluing, so its degree-one functions are well defined."""
+    for fine, _ in _subdivisions(FIXTURES[name]()):
+        for f in pp_space(fine, 1):
+            f.validate()
 
 
 def _random_rational(rng):

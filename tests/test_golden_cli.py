@@ -5,7 +5,9 @@ the pairing commands before the excess-intersection kernel replaced the
 product-then-integrate pairing (`div-membership 3 0 3 --max-gen-degree 2`
 and `2 1 2` before the block pairing kernel replaced `product_integral`),
 the `graphs` and `dr` commands before generation by vertex splitting
-replaced the brute-force stable-graph enumerator, the `cone` commands
+replaced the brute-force stable-graph enumerator (`lambda 4 0`,
+`dr 2 --weights=2,-1,-1` and `dr 3 --weights=1,-1` before the Pixton
+sampler moved to integer power sums per block), the `cone` commands
 before `pp_space` replaced its nullspace by union-find components and
 `pullback_pp` moved to integer arithmetic.  Any change in the bytes these
 commands print shows up here, including one that a memo causes: a few of
@@ -40,6 +42,9 @@ GOLDEN = {
     "graphs 3 2": "b7d67f382f1486b0a9a2eef69cb1df244d892cf335bfa01b0aaa97fb11ddc7fd",
     "dr 2 --weights=1,2,-3": "e274b043d41374bef6e254872a6054dc21d339c33bd78e7beff3e5a8b3775d6c",
     "dr 1 --weights=1,-1,1,-1 --degree 1": "94f40c34706f6dd987528c1e281a03bcffdb99b1b40be65dc6a25bbabf815fc2",
+    "dr 2 --weights=2,-1,-1": "aa44fae4fe83d06a78eab027d79cf7cb095fcae16fc2057fb4dd0e5694e17f02",
+    "dr 3 --weights=1,-1": "a5ef07a4917c78c861dcfdf979da4342a0a9987c45c3b0dddb082b36e25eae6b",
+    "lambda 4 0": "a147e98fef06af81969e539f06fb996976980f87a3c7ddd7d953a5da8a4b5ae1",
     "cone simplex3 barycentric": "a3d8c2461f4d06cd85b42aceedfd92d990037b96a9ad382335342dad6c0e1dd2",
     "cone simplex3 star 3": "d5afdd2d53aa1890f65a66c575fcfac4e99e2a699494bbbb3172491c1730f633",
     "cone triangle-z3 pp 1": "7bcf8c22dfd718806198c4b3868f4af5b771b13ec77ce033ba458baaf944b7fa",

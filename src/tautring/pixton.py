@@ -7,16 +7,25 @@ polynomial in r for large r, and the class of interest is its value at
 r = 0.  The double ramification cycle is 2^{-g} times the degree-g
 class, and with all weights zero it equals (-1)^g lambda_g.
 
-Sampling happens at r large enough that the weights reduce to
-themselves; one extra sample cross-checks the interpolated polynomial
-and raises ConsistencyError on disagreement.
+A weighting enters only through the integer power sums
+S_M(r) = sum_w prod_e t_e^{m_e}, with t_e = w(r - w) for the weight w on
+an edge's first half, one for every multi-index M of a graph.  One
+spanning-tree solve per graph writes every edge weight as an integer
+form in the free edge weights; free weights that share a form make up an
+independent block of the cycle space, so S_M is a product over blocks of
+sums over r**h1(block) values.  S_M(r) / r**h1 is interpolated per
+(graph, M) from samples at r large enough that the weights reduce to
+themselves, each fit is checked against one extra sample
+(ConsistencyError on disagreement), and the ψ splits and leg powers of
+each graph are expanded once, with polynomial coefficients.
 """
 
 import itertools
 import math
+from collections import Counter
 
 from .errors import ConsistencyError, DomainError
-from .exact_linalg import lagrange_interpolate
+from .exact_linalg import QPolynomial, lagrange_interpolate
 from .rationals import QQ, ZERO, ONE
 from .stable_graphs import StableGraph, automorphism_count, enumerate_stable_graphs
 from .taut_classes import (
@@ -25,26 +34,24 @@ from .taut_classes import (
     Decoration,
     TautClass,
     _compositions,
+    canonical_term,
     dim_moduli,
+    term_is_zero_class,
 )
 
 
-def weightings_mod_r(graph: StableGraph, a, r: int):
-    """All half-edge weightings mod r for leg values a.
+def _edge_forms(graph: StableGraph, a):
+    """Every edge weight as an integer form in the free weights.
 
-    A weighting puts w in {0..r-1} on every half-edge so that the two
-    halves of each edge sum to 0 mod r and, at every vertex, the
-    half-edge weights plus the leg values add up to 0 mod r (legs carry
-    a_i mod r).  When sum(a) is divisible by r there are exactly
-    r**h1(graph) of them; otherwise there are none.
-
-    Returns a list of dicts mapping half-edges to weights.
+    A BFS spanning tree rooted at vertex 0 leaves the non-tree edges free;
+    free edge j carries x_j on its first half.  Returns (forms, blocks):
+    forms[e] = (const, ((j, k), ...)) says that the weight on the first
+    half of edge e is const + sum k * x_j mod r (k is -1 or 1, const a
+    sum of leg values), for every modulus r dividing sum(a).  blocks
+    lists (variables, edges) for each group of free weights that share a
+    form; the weights of different blocks are independent.  An edge in
+    no block (a bridge) has a constant weight.
     """
-    if r < 1:
-        raise DomainError("modulus r must be positive")
-    a = tuple(int(x) for x in a)
-    if sum(a) % r != 0:
-        return []
     V = graph.n_vertices
     leg_sum = [sum(a[m - 1] for m in graph.legs[v]) for v in range(V)]
 
@@ -69,32 +76,85 @@ def weightings_mod_r(graph: StableGraph, a, r: int):
                 queue.append(u)
     tree_idxs = {idx for idx, _, _ in tree_edge.values()}
     free_idxs = [i for i in range(graph.n_edges) if i not in tree_idxs]
-    # Per vertex, the half-edges that fix the weight of its tree edge.
-    others = {
-        u: [(u, s) for s in graph.edge_ends(u) if (u, s) != tree_edge[u][1]]
-        for u in order[1:]
-    }
+
+    ends = [[] for _ in range(V)]
+    for h in graph.half_edges():
+        ends[h[0]].append(h)
+    # Half-edge forms as (const, {variable: coefficient}).
+    half = {}
+    for j, idx in enumerate(free_idxs):
+        h1, h2 = graph.edges[idx]
+        half[h1] = (0, {j: 1})
+        half[h2] = (0, {j: -1})
+    # Tree weights are forced, working from the leaves up.
+    for u in reversed(order[1:]):
+        _, h_at_u, h_at_parent = tree_edge[u]
+        const, coeffs = leg_sum[u], {}
+        for h in ends[u]:
+            if h != h_at_u:
+                c, k = half[h]
+                const += c
+                for j, x in k.items():
+                    coeffs[j] = coeffs.get(j, 0) + x
+        coeffs = {j: x for j, x in coeffs.items() if x}
+        half[h_at_u] = (-const, {j: -x for j, x in coeffs.items()})
+        half[h_at_parent] = (const, coeffs)
+
+    forms = []
+    for h1, _ in graph.edges:
+        const, coeffs = half[h1]
+        forms.append((const, tuple(sorted(coeffs.items()))))
+
+    # Union-find over the free weights that share a form.
+    root = list(range(len(free_idxs)))
+
+    def find(j):
+        while root[j] != j:
+            root[j] = root[root[j]]
+            j = root[j]
+        return j
+
+    for _, coeffs in forms:
+        for j, _ in coeffs[1:]:
+            root[find(j)] = find(coeffs[0][0])
+    groups = {}
+    for j in range(len(free_idxs)):
+        groups.setdefault(find(j), ([], []))[0].append(j)
+    for e, (_, coeffs) in enumerate(forms):
+        if coeffs:
+            groups[find(coeffs[0][0])][1].append(e)
+    blocks = [(tuple(js), tuple(es)) for js, es in groups.values()]
+    return forms, blocks
+
+
+def weightings_mod_r(graph: StableGraph, a, r: int):
+    """All half-edge weightings mod r for leg values a.
+
+    A weighting puts w in {0..r-1} on every half-edge so that the two
+    halves of each edge sum to 0 mod r and, at every vertex, the
+    half-edge weights plus the leg values add up to 0 mod r (legs carry
+    a_i mod r).  When sum(a) is divisible by r there are exactly
+    r**h1(graph) of them; otherwise there are none.
+
+    Returns a list of dicts mapping half-edges to weights.
+    """
+    if r < 1:
+        raise DomainError("modulus r must be positive")
+    a = tuple(int(x) for x in a)
+    if sum(a) % r != 0:
+        return []
+    forms, _ = _edge_forms(graph, a)
+    root_legs = sum(a[m - 1] for m in graph.legs[0])
     root_ends = [(0, s) for s in graph.edge_ends(0)]
 
     results = []
-    for assign in itertools.product(range(r), repeat=len(free_idxs)):
+    for assign in itertools.product(range(r), repeat=graph.h1()):
         w = {}
-        for idx, x in zip(free_idxs, assign):
-            h1, h2 = graph.edges[idx]
+        for (h1, h2), (const, coeffs) in zip(graph.edges, forms):
+            x = (const + sum(k * assign[j] for j, k in coeffs)) % r
             w[h1] = x
             w[h2] = (-x) % r
-        # Tree weights are forced, working from the leaves up.
-        for u in reversed(order):
-            if u == 0:
-                continue
-            _, h_at_u, h_at_parent = tree_edge[u]
-            total = leg_sum[u]
-            for h in others[u]:
-                total += w[h]
-            w[h_at_u] = (-total) % r
-            w[h_at_parent] = total % r
-        root_sum = leg_sum[0] + sum(w[h] for h in root_ends)
-        if root_sum % r != 0:
+        if (root_legs + sum(w[h] for h in root_ends)) % r != 0:
             raise ConsistencyError("root vertex condition failed")
         results.append(w)
     return results
@@ -119,47 +179,78 @@ def _multi_indices(n_edges: int, max_total: int):
     return out
 
 
-def _graph_contribution(out: TautClass, graph: StableGraph, a, d: int, r: int):
-    """Add the weighted-graph sum for one stable graph into `out`."""
-    E = graph.n_edges
-    if E > d:
-        return
-    h1 = graph.h1()
-    weightings = weightings_mod_r(graph, a, r)
-    indices = _multi_indices(E, d)
-    # Power sums over the weighting set: for each multi-index M the sum
-    # of prod_e t_e^{m_e} with t_e the product of the two half weights.
-    power_sums = {M: 0 for M in indices}
-    for w in weightings:
-        ts = [w[h1_] * w[h2_] for (h1_, h2_) in graph.edges]
-        powers = [[1] * (d + 1) for _ in range(E)]
-        for e in range(E):
-            for m in range(1, d + 1):
-                powers[e][m] = powers[e][m - 1] * ts[e]
-        for M in indices:
-            prod = 1
-            for e, m in enumerate(M):
-                prod *= powers[e][m]
-            power_sums[M] += prod
+def _power_sums(graph: StableGraph, a, d: int, r: int):
+    """S_M(r) = sum over weightings mod r of prod_e t_e^{m_e}, per M.
 
-    scale = ONE / (automorphism_count(graph) * QQ(r) ** h1)
-    leg_of_mark = {}
-    for v in range(graph.n_vertices):
-        for m in graph.legs[v]:
-            leg_of_mark[m] = v
+    t_e = w(r - w) for the weight w on the first half of edge e (the
+    product of its two half weights).  Returns a dict over the
+    multi-indices M of `_multi_indices(E, d)`.  Each block of
+    `_edge_forms` contributes a Counter of its t-tuples over its
+    r**h1(block) weightings, and S_M is the product over blocks of
+    sum n * prod t^m, times the fixed t^m of the bridges.
+    """
+    indices = _multi_indices(graph.n_edges, d)
+    if sum(a) % r != 0:
+        return {M: 0 for M in indices}
+    forms, blocks = _edge_forms(graph, a)
+    t_of = [w * (r - w) for w in range(r)]
+    fixed = [(e, t_of[const % r]) for e, (const, coeffs) in enumerate(forms) if not coeffs]
+    counts = []
+    for variables, edges in blocks:
+        local = {j: i for i, j in enumerate(variables)}
+        assigns = list(itertools.product(range(r), repeat=len(variables)))
+        columns = []
+        for e in edges:
+            const, coeffs = forms[e]
+            column = [const] * len(assigns)
+            for j, k in coeffs:
+                i = local[j]
+                column = [w + k * x[i] for w, x in zip(column, assigns)]
+            columns.append([t_of[w % r] for w in column])
+        counts.append((edges, list(Counter(zip(*columns)).items())))
 
+    sums = {}
+    block_sums = {}
     for M in indices:
-        s = power_sums[M]
-        if not s:
-            continue
-        edge_coeff = QQ(s)
+        total = 1
+        for e, t in fixed:
+            total *= t ** M[e]
+        for b, (edges, items) in enumerate(counts):
+            if not total:
+                break
+            ms = tuple(M[e] for e in edges)
+            value = block_sums.get((b, ms))
+            if value is None:
+                value = 0
+                for ts, n in items:
+                    for t, m in zip(ts, ms):
+                        n *= t**m
+                    value += n
+                block_sums[(b, ms)] = value
+            total *= value
+        sums[M] = total
+    return sums
+
+
+def _expansion(graph: StableGraph, a, d: int):
+    """The graph's share of the degree-d class, as key -> {M: c}.
+
+    At modulus r the share is the sum over canonical keys (graph,
+    decoration) and multi-indices M of c * S_M(r) / r**h1(graph).  c
+    collects 1/|Aut|, the edge factors (-1)^{m+1}/m!, the binomials of
+    the ψ splits (ψ_h + ψ_h')^{m-1} on each edge and the leg factors
+    a_i^{2k}/k! of the remaining degree.  Zero classes are dropped.
+    """
+    aut = QQ(1, automorphism_count(graph))
+    out = {}
+    for M in _multi_indices(graph.n_edges, d):
+        edge_coeff = aut
         for m in M:
             edge_coeff *= QQ((-1) ** (m + 1), math.factorial(m))
         rest = d - sum(M)
         # psi splits (psi_h + psi_h')^{m-1} on each edge
-        split_ranges = [range(m) for m in M]
-        for splits in itertools.product(*split_ranges):
-            split_coeff = ONE
+        for splits in itertools.product(*(range(m) for m in M)):
+            split_coeff = edge_coeff
             psi_base: dict = {}
             for e, i in enumerate(splits):
                 m = M[e]
@@ -173,39 +264,44 @@ def _graph_contribution(out: TautClass, graph: StableGraph, a, d: int, r: int):
                     psi_base[key] = psi_base.get(key, 0) + (m - 1 - i)
             # leg exponents absorb the remaining degree
             for ks in _compositions(rest, len(a)):
-                coeff = scale * edge_coeff * split_coeff
-                psi = dict(psi_base)
-                dead = False
-                for i, k in enumerate(ks):
-                    if k == 0:
-                        continue
-                    if a[i] == 0:
-                        dead = True
-                        break
-                    coeff *= QQ(a[i] ** (2 * k), math.factorial(k))
-                    psi[(PSI_LEG, i + 1)] = k
-                if dead or not coeff:
+                if any(k and not x for k, x in zip(ks, a)):
                     continue
-                dec = Decoration(
-                    tuple(sorted(psi.items())), ((),) * graph.n_vertices
-                )
-                out._insert(graph, dec, coeff)
+                coeff = split_coeff
+                psi = dict(psi_base)
+                for i, k in enumerate(ks):
+                    if k:
+                        coeff *= QQ(a[i] ** (2 * k), math.factorial(k))
+                        psi[(PSI_LEG, i + 1)] = k
+                dec = Decoration(tuple(sorted(psi.items())), ((),) * graph.n_vertices)
+                if term_is_zero_class(graph, dec):
+                    continue
+                per_m = out.setdefault(canonical_term(graph, dec), {})
+                per_m[M] = per_m.get(M, 0) + coeff
+    return out
+
+
+def _summed_graphs(g: int, a, d: int):
+    """The stable graphs with at most d edges, after checking d."""
+    if d < 0 or d > dim_moduli(g, len(a)):
+        raise DomainError("degree out of range")
+    return [graph for graph in enumerate_stable_graphs(g, len(a)) if graph.n_edges <= d]
 
 
 def pixton_class_at_r(g: int, a, d: int, r: int) -> TautClass:
     """The degree-d weighted-graph class evaluated at a concrete modulus."""
     a = tuple(int(x) for x in a)
-    n = len(a)
-    if d < 0 or d > dim_moduli(g, n):
-        raise DomainError("degree out of range")
     if r < 1:
         raise DomainError("modulus r must be positive")
     if sum(a) % r != 0:
         raise DomainError("sum of weights must vanish mod r")
-    out = TautClass(g, n, d)
-    for graph in enumerate_stable_graphs(g, n):
-        if graph.n_edges <= d:
-            _graph_contribution(out, graph, a, d, r)
+    out = TautClass(g, len(a), d)
+    for graph in _summed_graphs(g, a, d):
+        sums = _power_sums(graph, a, d, r)
+        scale = QQ(r) ** graph.h1()
+        for key, per_m in _expansion(graph, a, d).items():
+            coeff = sum(c * sums[M] for M, c in per_m.items()) / scale
+            if coeff:
+                out.terms[key] = coeff
     return out
 
 
@@ -232,10 +328,12 @@ class RPolynomialClass:
 def pixton_r_polynomial(g: int, a, d: int, start: int = None) -> RPolynomialClass:
     """Interpolate the class as a polynomial in the modulus r.
 
-    Samples 2d+2 consecutive values of r beginning at `start` (by default
-    just past d and every |a_i|), fits each stratum coefficient exactly,
-    and verifies the fit against one further sample; disagreement raises
-    ConsistencyError.
+    Samples the power sums S_M(r) of every graph at 2d+2 consecutive
+    values of r beginning at `start` (by default just past d and every
+    |a_i|) and fits S_M(r) / r**h1 exactly for each (graph, M).  Every
+    fit is verified against one further sample; disagreement raises
+    ConsistencyError.  Each stratum coefficient is then the matching
+    combination of the fitted polynomials.
     """
     a = tuple(int(x) for x in a)
     if sum(a) != 0:
@@ -246,28 +344,34 @@ def pixton_r_polynomial(g: int, a, d: int, start: int = None) -> RPolynomialClas
         start = 2
     n_samples = 2 * d + 2
     rs = list(range(start, start + n_samples))
-    samples = [pixton_class_at_r(g, a, d, r) for r in rs]
-
-    keys = set()
-    for cls in samples:
-        keys.update(cls.terms)
-    coeffs = {}
-    for key in sorted(keys, key=lambda k: (k[0].sort_key(), k[1].sort_key())):
-        points = [
-            (r, cls.terms.get(key, ZERO)) for r, cls in zip(rs, samples)
-        ]
-        poly = lagrange_interpolate(points)
-        if poly.coeffs:
-            coeffs[key] = poly
-    result = RPolynomialClass(g, len(a), d, coeffs)
-
     r_check = start + n_samples
-    direct = pixton_class_at_r(g, a, d, r_check)
-    if result.at(r_check) != direct:
-        raise ConsistencyError(
-            "interpolated class disagrees with a fresh sample at r=%d" % r_check
-        )
-    return result
+
+    coeffs = {}
+    for graph in _summed_graphs(g, a, d):
+        h1 = graph.h1()
+        samples = [_power_sums(graph, a, d, r) for r in rs]
+        checks = _power_sums(graph, a, d, r_check)
+        fits = {}
+        for M, value in checks.items():
+            fit = lagrange_interpolate(
+                [(r, QQ(sums[M], r**h1)) for r, sums in zip(rs, samples)]
+            )
+            if fit(r_check) != QQ(value, r_check**h1):
+                raise ConsistencyError(
+                    "interpolated power sum %r of %r disagrees with a fresh "
+                    "sample at r=%d" % (M, graph, r_check)
+                )
+            fits[M] = fit.coeffs
+        for key, per_m in _expansion(graph, a, d).items():
+            total = [ZERO] * n_samples
+            for M, c in per_m.items():
+                for i, x in enumerate(fits[M]):
+                    total[i] += c * x
+            poly = QPolynomial(total)
+            if poly.coeffs:
+                coeffs[key] = poly
+    ordered = sorted(coeffs, key=lambda k: (k[0].sort_key(), k[1].sort_key()))
+    return RPolynomialClass(g, len(a), d, {key: coeffs[key] for key in ordered})
 
 
 def pixton_class(g: int, a, d: int, start: int = None) -> TautClass:

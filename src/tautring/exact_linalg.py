@@ -226,6 +226,22 @@ class QMatrix:
     def rank(self):
         return len(_echelon(self, back_substitute=False)[1])
 
+    def rank_with(self, row):
+        """``(rank, rank with row appended)`` from one elimination.
+
+        row is reduced against the forward echelon rows in pivot order
+        (each is zero left of its pivot); it adds one to the rank exactly
+        when a remainder is left.
+        """
+        if len(row) != self.n_cols:
+            raise DomainError("row length does not match column count")
+        rows, pivots, _ = _echelon(self, back_substitute=False)
+        rest = _integer_row([rat(x) for x in row])
+        for pivot_row, c in zip(rows, pivots):
+            if c in rest:
+                _eliminate(rest, pivot_row, c)
+        return len(pivots), len(pivots) + bool(rest)
+
     def nullspace(self):
         """Basis of the right kernel, one vector per free column."""
         rows, pivots, _ = _echelon(self)

@@ -159,10 +159,7 @@ def div_membership(
         pairing_vector(cls, cols)
         for _, cls in _degree_monomials(g, n, d, max_gen_degree)
     ]
-    base = QMatrix(vectors, n_cols=len(cols))
-    rank = base.rank()
-    vx = pairing_vector(x, cols)
-    rank_with = QMatrix(vectors + [vx], n_cols=len(cols)).rank()
+    rank, rank_with = QMatrix(vectors, n_cols=len(cols)).rank_with(pairing_vector(x, cols))
     return MembershipReport(
         g=g,
         n=n,

@@ -119,10 +119,25 @@ def test_solve_affine_and_certificate_match_oracle(data):
     assert infeasibility_certificate(mat, b) == dense_infeasibility_certificate(mat, b)
 
 
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_rank_with_matches_two_ranks(data):
+    """One elimination gives both ranks, in and out of the span."""
+    mat = data.draw(matrices())
+    if data.draw(st.booleans()):
+        coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=mat.n_rows, max_size=mat.n_rows))
+        row = [sum((c * r[j] for c, r in zip(coeffs, mat.rows)), QQ(0)) for j in range(mat.n_cols)]
+    else:
+        row = data.draw(vectors(mat.n_cols))
+    expected = (mat.rank(), QMatrix(mat.rows + [row], n_cols=mat.n_cols).rank())
+    assert mat.rank_with(row) == expected
+
+
 def test_empty_shapes():
     for rows, n_cols in (([], 0), ([], 3), ([[], []], 0)):
         mat = QMatrix(rows, n_cols=n_cols)
         assert mat.rref() == dense_rref(mat)
         assert mat.rref(record=True) == dense_rref(mat, record=True)
         assert mat.rank() == 0
+        assert mat.rank_with([QQ(1)] * n_cols) == (0, int(n_cols > 0))
         assert mat.nullspace() == dense_nullspace(mat)

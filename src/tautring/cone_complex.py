@@ -21,7 +21,7 @@ import json
 import math
 import operator
 
-from .errors import DomainError
+from .errors import DomainError, json_field, json_ints, json_loads
 from .exact_linalg import QMatrix
 from .rationals import QQ, ZERO, ONE, rat
 
@@ -217,23 +217,11 @@ class ConeComplex:
         """Read a complex; a key or type out of place raises DomainError
         (an integer is an `int`, never a bool, float or string)."""
 
-        def field(obj, key, kind, default=None):
-            if type(obj) is not dict:
-                raise DomainError("expected an object with %r, not %r" % (key, obj))
-            value = obj.get(key, default)
-            if type(value) is not kind:
-                raise DomainError("%r must be %s, not %r" % (key, kind.__name__, value))
-            return value
-
         def rays(obj, key):
-            entries = field(obj, key, list)
-            for ray in entries:
-                if type(ray) is not list or [type(x) for x in ray] != [int] * rank:
-                    raise DomainError("a ray must be %d integers, not %r" % (rank, ray))
-            return tuple(map(tuple, entries))
+            return tuple(json_ints(ray, rank) for ray in json_field(obj, key, list))
 
-        rank = field(data, "lattice_rank", int)
-        all_cones = [rays(entry, "rays") for entry in field(data, "cones", list)]
+        rank = json_field(data, "lattice_rank", int)
+        all_cones = [rays(entry, "rays") for entry in json_field(data, "cones", list)]
         raysets = [set(c) for c in all_cones]
         maximal = [
             cone
@@ -242,17 +230,13 @@ class ConeComplex:
         ]
         gluings = [
             (rays(entry, "source"), rays(entry, "target"))
-            for entry in field(data, "gluings", list, [])
+            for entry in json_field(data, "gluings", list, [])
         ]
         return ConeComplex(rank, maximal, gluings)
 
     @staticmethod
     def from_json(text):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DomainError("invalid JSON: %s" % exc) from None
-        return ConeComplex.from_json_dict(data)
+        return ConeComplex.from_json_dict(json_loads(text))
 
 
 def simplex_cone_complex(n):

@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 from functools import cache
 
-from .errors import DomainError
+from .errors import DomainError, json_field, json_ints, json_loads
 
 HalfEdge = tuple[int, int]
 Edge = tuple[HalfEdge, HalfEdge]
@@ -149,22 +149,26 @@ class StableGraph:
 
     @staticmethod
     def from_json_dict(data: dict) -> "StableGraph":
-        genera = tuple(v["genus"] for v in data["vertices"])
-        legs = tuple(tuple(v["legs"]) for v in data["vertices"])
-        edges = tuple(
-            ((e[0][0], e[0][1]), (e[1][0], e[1][1])) for e in data["edges"]
-        )
-        graph = StableGraph(genera, legs, edges)
+        """Read a graph; a key or type out of place raises DomainError."""
+        vertices = json_field(data, "vertices", list)
+        genera = tuple(json_field(v, "genus", int) for v in vertices)
+        legs = tuple(json_ints(json_field(v, "legs", list)) for v in vertices)
+        edges = []
+        for e in json_field(data, "edges", list):
+            if type(e) is not list or len(e) != 2:
+                raise DomainError("an edge must be two half-edges, not %r" % (e,))
+            edges.append((json_ints(e[0], 2), json_ints(e[1], 2)))
+        graph = StableGraph(genera, legs, tuple(edges))
         graph.validate()
-        if graph.genus() != data.get("g", graph.genus()):
+        if graph.genus() != json_field(data, "g", int, graph.genus()):
             raise DomainError("declared g does not match the graph")
-        if graph.n_markings != data.get("n", graph.n_markings):
+        if graph.n_markings != json_field(data, "n", int, graph.n_markings):
             raise DomainError("declared n does not match the graph")
         return graph
 
     @staticmethod
     def from_json(text: str) -> "StableGraph":
-        return StableGraph.from_json_dict(json.loads(text))
+        return StableGraph.from_json_dict(json_loads(text))
 
 
 def stable_graph(genera, legs, edges) -> StableGraph:

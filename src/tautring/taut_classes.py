@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cache
 
-from .errors import DomainError
+from .errors import DomainError, json_field, json_ints, json_loads
 from .rationals import QQ, format_rat, parse_rat
 from .stable_graphs import (
     StableGraph,
@@ -289,22 +289,44 @@ class TautClass:
 
     @staticmethod
     def from_json_dict(data: dict) -> "TautClass":
-        out = TautClass(data["g"], data["n"], data["d"])
-        for term in data["terms"]:
-            graph = StableGraph.from_json_dict(term["graph"])
-            psi = tuple(
-                sorted((tuple(key), int(e)) for key, e in term["psi"])
-            )
-            kappa = tuple(tuple(ks) for ks in term["kappa"])
-            dec = Decoration(psi, kappa)
+        """Read a class; a key or type out of place raises DomainError."""
+        g, n, d = (json_field(data, key, int) for key in ("g", "n", "d"))
+        if g < 0 or n < 0:
+            raise DomainError("g and n must be nonnegative")
+        out = TautClass(g, n, d)
+        for term in json_field(data, "terms", list):
+            graph = StableGraph.from_json_dict(json_field(term, "graph", dict))
+            psi = [_psi_entry(entry) for entry in json_field(term, "psi", list)]
+            kappa = tuple(json_ints(ks) for ks in json_field(term, "kappa", list))
+            dec = Decoration(tuple(sorted(psi)), kappa)
             dec.validate(graph)
-            out._insert(graph, dec, parse_rat(term["coeff"]))
+            coeff = json_field(term, "coeff", str)
+            try:
+                value = parse_rat(coeff)
+            except (ValueError, ZeroDivisionError):
+                raise DomainError("coefficient %r is not a rational" % coeff) from None
+            out._insert(graph, dec, value)
         out.validate()
         return out
 
     @staticmethod
     def from_json(text: str) -> "TautClass":
-        return TautClass.from_json_dict(json.loads(text))
+        return TautClass.from_json_dict(json_loads(text))
+
+
+def _psi_entry(entry):
+    """A JSON psi entry [[kind, place...], exponent] as (key, exponent)."""
+    if (
+        type(entry) is list
+        and len(entry) == 2
+        and type(entry[0]) is list
+        and entry[0]
+        and type(entry[1]) is int
+    ):
+        kind, *place = entry[0]
+        if type(kind) is str and len(place) == {PSI_LEG: 1, PSI_HE: 2}.get(kind):
+            return (kind,) + json_ints(place), entry[1]
+    raise DomainError("a psi entry must be [[kind, place...], exponent], not %r" % (entry,))
 
 
 def class_of_graph(graph: StableGraph, dec: Decoration = None, coeff=1) -> TautClass:

@@ -309,3 +309,30 @@ def test_json_round_trip():
 def test_validate_rejects(genera, legs, edges):
     with pytest.raises(DomainError):
         StableGraph(genera, legs, edges).validate()
+
+
+GRAPH_PROBES = {
+    "empty object": "{}",
+    "array": "[]",
+    "invalid JSON": "{",
+    "vertex genus 1.5": '{"vertices": [{"genus": 1.5, "legs": []}], "edges": [[[0, 0], [0, 1]]]}',
+    "vertex genus a bool": '{"vertices": [{"genus": true, "legs": [1]}], "edges": []}',
+    "vertex genus a string": '{"vertices": [{"genus": "2", "legs": []}], "edges": []}',
+    "vertex not an object": '{"vertices": [2], "edges": []}',
+    "legs missing": '{"vertices": [{"genus": 1}], "edges": [[[0, 0], [0, 1]]]}',
+    "leg a float": '{"vertices": [{"genus": 1, "legs": [1.0]}], "edges": []}',
+    "vertices an object": '{"vertices": {}, "edges": []}',
+    "edges missing": '{"vertices": [{"genus": 2, "legs": []}]}',
+    "edge of one half": '{"vertices": [{"genus": 1, "legs": []}], "edges": [[[0, 0]]]}',
+    "half-edge of three ints": '{"vertices": [{"genus": 1, "legs": []}], "edges": [[[0, 0], [0, 1, 2]]]}',
+    "half-edge slot a string": '{"vertices": [{"genus": 1, "legs": []}], "edges": [[[0, 0], [0, "1"]]]}',
+    "edge of two ints": '{"vertices": [{"genus": 1, "legs": []}], "edges": [[0, 1]]}',
+    "g a float": '{"g": 2.0, "vertices": [{"genus": 1, "legs": []}], "edges": [[[0, 0], [0, 1]]]}',
+    "n a string": '{"n": "0", "vertices": [{"genus": 1, "legs": []}], "edges": [[[0, 0], [0, 1]]]}',
+}
+
+
+@pytest.mark.parametrize("probe", sorted(GRAPH_PROBES))
+def test_malformed_graph_json_is_a_domain_error(probe):
+    with pytest.raises(DomainError):
+        StableGraph.from_json(GRAPH_PROBES[probe])

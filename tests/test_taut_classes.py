@@ -1,5 +1,7 @@
 """Decorated strata classes and their exact linear combinations."""
 
+import json
+
 import pytest
 
 from tautring.errors import DomainError
@@ -118,9 +120,71 @@ def test_json_round_trip():
     again = TautClass.from_json(cls.to_json())
     assert again == cls
     assert '"7/240"' in cls.to_json()
-    import json
-
     data = json.loads(cls.to_json())
     data["d"] = 5
     with pytest.raises(DomainError):
         TautClass.from_json_dict(data)
+
+
+def _edited(data, path, value):
+    """A deep copy of JSON data with the entry at path set (or deleted)."""
+    data = json.loads(json.dumps(data))
+    *inner, last = path
+    target = data
+    for step in inner:
+        target = target[step]
+    if value is DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    return json.dumps(data)
+
+
+DELETE = object()
+PSI_ON_LOOP = json.loads(
+    (QQ(7, 240) * class_of_graph(LOOP_G1, decoration(LOOP_G1, psi={(0, 0): 1}))).to_json()
+)
+TERM = ("terms", 0)
+CLASS_PROBES = {
+    "empty object": "{}",
+    "array": "[]",
+    "null": "null",
+    "invalid JSON": '{"g": 2',
+    "g a string": (("g",), "2"),
+    "g a bool": (("g",), True),
+    "g negative": (("g",), -1),
+    "d a float": (("d",), 2.0),
+    "n missing": (("n",), DELETE),
+    "terms an object": (("terms",), {}),
+    "term not an object": (TERM, 1),
+    "psi missing": (TERM + ("psi",), DELETE),
+    "psi exponent 1.5": (TERM + ("psi", 0, 1), 1.5),
+    "psi exponent a bool": (TERM + ("psi", 0, 1), True),
+    "psi entry a string": (TERM + ("psi", 0), "he"),
+    "psi key short": (TERM + ("psi", 0, 0), ["he", 0]),
+    "psi key of unknown kind": (TERM + ("psi", 0, 0), [["he"], 0, 0]),
+    "psi leg a string": (TERM + ("psi", 0, 0), ["leg", "1"]),
+    "psi half-edge a float": (TERM + ("psi", 0, 0), ["he", 0, 0.0]),
+    "kappa index 1.5": (TERM + ("kappa",), [[1.5]]),
+    "kappa an object": (TERM + ("kappa",), {}),
+    "coeff a number": (TERM + ("coeff",), 7),
+    "coeff not a rational": (TERM + ("coeff",), "seven"),
+    "coeff over zero": (TERM + ("coeff",), "1/0"),
+    "graph a list": (TERM + ("graph",), []),
+    "vertex genus 1.5": (TERM + ("graph", "vertices", 0, "genus"), 1.5),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(CLASS_PROBES))
+def test_malformed_class_json_is_a_domain_error(probe):
+    text = CLASS_PROBES[probe]
+    if isinstance(text, tuple):
+        text = _edited(PSI_ON_LOOP, *text)
+    with pytest.raises(DomainError):
+        TautClass.from_json(text)
+
+
+def test_strict_reader_keeps_valid_classes():
+    assert TautClass.from_json(json.dumps(PSI_ON_LOOP)).to_json() == json.dumps(
+        PSI_ON_LOOP, sort_keys=True
+    )

@@ -17,7 +17,7 @@ unique, so every result equals the one of a dense rational Gauss-Jordan
 reduction.
 """
 
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import DomainError
 from .rationals import QQ, ONE, ZERO, rat
@@ -442,32 +442,34 @@ class QPolynomial:
 def lagrange_interpolate(points):
     """The unique polynomial of degree < len(points) through the points.
 
-    Takes exact rational (x, y) pairs with distinct x values and builds
-    the interpolant by accumulating Newton basis polynomials.
+    Takes exact rational (x, y) pairs with distinct x values.  The nodes
+    are scaled to integers X_i = s * x_i, and the Lagrange form
+    sum_i y_i prod_{j != i} (X - X_j) / (X_i - X_j) is summed in integers
+    over one common denominator; the coefficient of x^k is then that of
+    X^k times s^k.
     """
     xs = [rat(x) for x, _ in points]
     ys = [rat(y) for _, y in points]
     if len(set(xs)) != len(xs):
         raise DomainError("interpolation nodes must be distinct")
-    if not points:
-        return QPolynomial([])
-    # Divided differences.
-    table = ys[:]
-    coeffs = [table[0]]
-    for level in range(1, len(xs)):
-        table = [
-            (table[i + 1] - table[i]) / (xs[i + level] - xs[i])
-            for i in range(len(table) - 1)
-        ]
-        coeffs.append(table[0])
-    # Expand sum_k coeffs[k] * prod_{i<k} (x - xs[i]).
-    poly = [ZERO] * len(xs)
-    basis = [ONE]
-    for k, c in enumerate(coeffs):
-        for i, b in enumerate(basis):
-            poly[i] = poly[i] + c * b
-        if k + 1 < len(coeffs):
-            # basis *= (x - xs[k])
-            shifted = [ZERO] + basis
-            basis = [s - xs[k] * b for s, b in zip(shifted, basis + [ZERO])]
-    return QPolynomial(poly)
+    scale = lcm(*(x.denominator for x in xs))
+    nodes = [x.numerator * (scale // x.denominator) for x in xs]
+    # prod_j (X - X_j), lowest degree first
+    full = [1]
+    for node in nodes:
+        full = [a - node * b for a, b in zip([0] + full, full + [0])]
+    terms = []
+    for i, (node, y) in enumerate(zip(nodes, ys)):
+        if y:
+            weight = prod(node - other for j, other in enumerate(nodes) if j != i)
+            terms.append((node, y.numerator, y.denominator * weight))
+    denom = lcm(*(abs(d) for _, _, d in terms))
+    numer = [0] * len(nodes)
+    for node, y, d in terms:
+        # (prod_j (X - X_j)) / (X - node) by synthetic division
+        factor = y * (denom // d)
+        carry = 0
+        for k in range(len(nodes), 0, -1):
+            carry = full[k] + node * carry
+            numer[k - 1] += factor * carry
+    return QPolynomial([QQ(c * scale**k, denom) for k, c in enumerate(numer)])

@@ -151,6 +151,14 @@ def test_lagrange_round_trip(coeffs):
     assert lagrange_interpolate(points) == poly
 
 
+@given(st.lists(st.tuples(rationals, rationals), max_size=7, unique_by=lambda p: p[0]))
+@settings(max_examples=200, deadline=None)
+def test_lagrange_passes_through_rational_nodes(points):
+    poly = lagrange_interpolate(points)
+    assert poly.degree < len(points)
+    assert all(poly(x) == y for x, y in points)
+
+
 def test_lagrange_rejects_repeated_nodes():
     with pytest.raises(DomainError):
         lagrange_interpolate([(1, 1), (1, 2)])

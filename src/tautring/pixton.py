@@ -9,15 +9,15 @@ class, and with all weights zero it equals (-1)^g lambda_g.
 
 A weighting enters only through the integer power sums
 S_M(r) = sum_w prod_e t_e^{m_e}, with t_e = w(r - w) for the weight w on
-an edge's first half, one for every multi-index M of a graph.  One
-spanning-tree solve per graph writes every edge weight as an integer
+an edge's first half, one for every multi-index M of a graph.  A
+spanning-tree solve writes every edge weight of a graph as an integer
 form in the free edge weights; free weights that share a form make up an
 independent block of the cycle space, so S_M is a product over blocks of
 sums over r**h1(block) values.  S_M(r) / r**h1 is interpolated per
 (graph, M) from samples at r large enough that the weights reduce to
 themselves, each fit is checked against one extra sample
-(ConsistencyError on disagreement), and the ψ splits and leg powers of
-each graph are expanded once, with polynomial coefficients.
+(ConsistencyError on disagreement), and the psi splits and leg powers
+of each graph are expanded once, with polynomial coefficients.
 """
 
 import itertools
@@ -62,15 +62,13 @@ def _edge_forms(graph: StableGraph, a):
             adjacency[v2].append((idx, (v2, s2), (v1, s1), v1))
 
     # BFS spanning tree; non-tree edges carry the free weights.
-    parent = {0: None}
     tree_edge = {}  # vertex -> (edge index, half at vertex, half at parent)
     order = [0]
     queue = [0]
     while queue:
         v = queue.pop(0)
         for idx, h_here, h_there, u in adjacency[v]:
-            if u not in parent:
-                parent[u] = v
+            if u not in tree_edge and u != 0:
                 tree_edge[u] = (idx, h_there, h_here)
                 order.append(u)
                 queue.append(u)
@@ -238,7 +236,7 @@ def _expansion(graph: StableGraph, a, d: int):
     At modulus r the share is the sum over canonical keys (graph,
     decoration) and multi-indices M of c * S_M(r) / r**h1(graph).  c
     collects 1/|Aut|, the edge factors (-1)^{m+1}/m!, the binomials of
-    the ψ splits (ψ_h + ψ_h')^{m-1} on each edge and the leg factors
+    the psi splits (psi_h + psi_h')^{m-1} on each edge and the leg factors
     a_i^{2k}/k! of the remaining degree.  Zero classes are dropped.
     """
     aut = QQ(1, automorphism_count(graph))

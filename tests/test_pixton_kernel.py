@@ -152,3 +152,18 @@ def test_every_power_sum_is_checked(monkeypatch):
             _perturb(patch, r_check, graph, M)
             with pytest.raises(ConsistencyError):
                 pixton.pixton_r_polynomial(g, a, d)
+
+
+def test_each_graph_is_expanded_once(monkeypatch):
+    """The psi splits and leg powers are expanded once per graph, not per r."""
+    expanded = []
+    original = pixton._expansion
+
+    def counted(graph, a, d):
+        expanded.append(graph)
+        return original(graph, a, d)
+
+    monkeypatch.setattr(pixton, "_expansion", counted)
+    pixton.pixton_r_polynomial(2, (1, -1), 2)
+    summed = [graph for graph in enumerate_stable_graphs(2, 2) if graph.n_edges <= 2]
+    assert expanded == summed

@@ -14,7 +14,7 @@ import sys
 
 from . import cone_complex as cc
 from .errors import ConsistencyError, DomainError
-from .membership import div_membership, pairing_rank, pairing_vector, theta_solve
+from .membership import div_membership, pairing_vector, theta_solve
 from .pixton import (
     dr_cycle,
     lambda_top,
@@ -132,7 +132,7 @@ def _cmd_div_membership(args):
             "certified": report.certified,
             "rank": report.rank,
             "rank_with_class": report.rank_with_class,
-            "ambient": pairing_rank(args.g, args.n, args.d),
+            "ambient": report.ambient_rank,
             "verdict": report.verdict,
         }
     )

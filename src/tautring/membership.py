@@ -1,10 +1,11 @@
 """Membership analysis in the tautological ring via the top pairing.
 
 Classes of complementary degree pair to a rational number, the integral
-of their product, computed without building the product by the block
-pairing kernel `product.pairing_row`.  Taking pairing vectors against the
-full decorated-stratum generating set turns span and membership questions
-into exact linear algebra.  For genus up to 3 the pairing between
+of their product, computed without building the product by
+`product.pairing_matrix`, which pairs all rows of a question with the
+full decorated-stratum generating set in one walk over the common
+degenerations.  That turns span and membership questions into exact
+linear algebra.  For genus up to 3 the pairing between
 complementary degrees of these rings is perfect, so answers both ways are
 certified; beyond that only refutations are certain and span ranks are
 lower bounds, which callers must request explicitly.
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .exact_linalg import AffineSolutionSet, QMatrix, feasible, solve_affine
-from .product import multiply, pairing_row
+from .product import multiply, pairing_matrix
 from .rationals import QQ
 from .stable_graphs import StableGraph
 from .taut_classes import (
@@ -30,18 +31,15 @@ from .pixton import lambda_top
 
 def pair_integral(a: TautClass, b: TautClass):
     """Integral of a*b over the moduli space (degrees must be complementary)."""
-    return pairing_row(a, (b,))[0]
+    return pairing_matrix((a,), (b,))[0][0]
 
 
 def pairing_vector(x: TautClass, basis=None):
-    """Pairing numbers of x against the complementary generating set.
-
-    Computed by the block pairing kernel, which keeps the last basis with
-    the values of every row term paired against it.
-    """
+    """Pairing numbers of x against basis, by default the complementary
+    generating set."""
     if basis is None:
         basis = generators(x.g, x.n, dim_moduli(x.g, x.n) - x.d)
-    return pairing_row(x, basis)
+    return pairing_matrix((x,), basis)[0]
 
 
 def pairing_rank(g: int, n: int, d: int) -> int:
@@ -50,10 +48,8 @@ def pairing_rank(g: int, n: int, d: int) -> int:
     Equals dim R^d whenever the pairing is perfect; in any case it is a
     lower bound.
     """
-    rows = generators(g, n, d)
     cols = generators(g, n, dim_moduli(g, n) - d)
-    matrix = [pairing_vector(r, cols) for r in rows]
-    return QMatrix(matrix, n_cols=len(cols)).rank()
+    return QMatrix(pairing_matrix(generators(g, n, d), cols), n_cols=len(cols)).rank()
 
 
 def _degree_monomials(g: int, n: int, d: int, k: int):
@@ -101,20 +97,20 @@ def subalgebra_span(g: int, n: int, d: int, k: int = 1) -> SpanReport:
 
     Ranks are computed in pairing coordinates against the full degree
     top-d generating set, alongside the ambient pairing rank of degree d
-    itself.
+    itself; the monomials and the generators are paired in one matrix.
     """
     cols = generators(g, n, dim_moduli(g, n) - d)
-    monomials = _degree_monomials(g, n, d, k)
-    vectors = [pairing_vector(cls, cols) for _, cls in monomials]
-    rank = QMatrix(vectors, n_cols=len(cols)).rank()
+    monomials = [cls for _, cls in _degree_monomials(g, n, d, k)]
+    matrix = pairing_matrix(monomials + list(generators(g, n, d)), cols)
+    m = len(monomials)
     return SpanReport(
         g=g,
         n=n,
         degree=d,
         generator_degree=k,
-        rank=rank,
-        ambient_rank=pairing_rank(g, n, d),
-        monomial_count=len(monomials),
+        rank=QMatrix(matrix[:m], n_cols=len(cols)).rank(),
+        ambient_rank=QMatrix(matrix[m:], n_cols=len(cols)).rank(),
+        monomial_count=m,
     )
 
 
@@ -127,6 +123,7 @@ class MembershipReport:
     certified: bool
     rank: int
     rank_with_class: int
+    ambient_rank: int | None = None
 
     @property
     def verdict(self) -> str:
@@ -145,7 +142,9 @@ def div_membership(
     rings is perfect and both answers are certified.  For larger genus a
     negative answer is still a proof, but a positive one only says the
     pairing cannot tell the class apart from the subring; that weaker
-    mode must be requested with unverified_extended.
+    mode must be requested with unverified_extended.  The report also
+    carries the ambient pairing rank of degree d: the monomials, x and the
+    degree-d generators are paired in one matrix.
     """
     g, n, d = x.g, x.n, x.d
     certified = g <= 3
@@ -155,11 +154,10 @@ def div_membership(
             "pass unverified_extended=True for lower-bound analysis"
         )
     cols = generators(g, n, dim_moduli(g, n) - d)
-    vectors = [
-        pairing_vector(cls, cols)
-        for _, cls in _degree_monomials(g, n, d, max_gen_degree)
-    ]
-    rank, rank_with = QMatrix(vectors, n_cols=len(cols)).rank_with(pairing_vector(x, cols))
+    monomials = [cls for _, cls in _degree_monomials(g, n, d, max_gen_degree)]
+    matrix = pairing_matrix([*monomials, x, *generators(g, n, d)], cols)
+    m = len(monomials)
+    rank, rank_with = QMatrix(matrix[:m], n_cols=len(cols)).rank_with(matrix[m])
     return MembershipReport(
         g=g,
         n=n,
@@ -168,6 +166,7 @@ def div_membership(
         certified=certified,
         rank=rank,
         rank_with_class=rank_with,
+        ambient_rank=QMatrix(matrix[m + 1:], n_cols=len(cols)).rank(),
     )
 
 
@@ -205,11 +204,8 @@ def theta_solve() -> ThetaReport:
     target = 2 * lambda_top(2, 0)
 
     cols = generators(2, 0, 1)
-    matrix = QMatrix(
-        [pairing_vector(cls, cols) for cls in (d0_sq, b_cls, c_cls)],
-        n_cols=len(cols),
-    ).transpose()
-    rhs = pairing_vector(target, cols)
+    *vectors, rhs = pairing_matrix((d0_sq, b_cls, c_cls, target), cols)
+    matrix = QMatrix(vectors, n_cols=len(cols)).transpose()
     solutions = solve_affine(matrix, rhs)
     if solutions is None:
         raise DomainError("the genus-2 system is inconsistent")

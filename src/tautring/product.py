@@ -29,7 +29,6 @@ from .taut_classes import (
     TautClass,
     dim_moduli,
     fundamental_class,
-    vertex_degrees,
 )
 
 @cache
@@ -198,7 +197,7 @@ def multiply(a: TautClass, b: TautClass) -> TautClass:
 
 
 # ---------------------------------------------------------------------------
-# the top pairing, one (row term, column graph) block at a time
+# the top pairing, one degeneration graph at a time
 
 
 def _term_value(graph, owner, psi, kappa):
@@ -212,140 +211,135 @@ def _term_value(graph, owner, psi, kappa):
     return value.numerator, value.denominator
 
 
-def _block(orbit_a, graph_a, graph_b, orbits, known):
-    """(denominator, numerators) of a row orbit on graph_a paired with the
-    orbits of decorations on graph_b, (decoration, multiplicity, vertex
-    degrees) each, except where the value is known.
+def _by_graph(terms):
+    """{graph: [(position, orbit)]} of the terms, numbered in order."""
+    out: dict = {}
+    for i, (graph, dec) in enumerate(terms):
+        out.setdefault(graph, []).append((i, _aut_orbit_sum(graph, dec).items()))
+    return out
 
-    A record pulls the row orbit back once, and a column transport only if
-    its degree at each vertex of graph_b is what a row monomial and an
-    excess placement leave.  Sums are integers over a running lcm.
+
+def _over(index, groups):
+    """The contractions in index onto the graphs of groups, by source:
+    {degeneration graph: [(bits, vmap, he_inv, terms on the target)]}."""
+    out: dict = {}
+    for target, terms in groups.items():
+        for graph, entries in index.get(target, {}).items():
+            out.setdefault(graph, []).extend((*entry, terms) for entry in entries)
+    return out
+
+
+def _pulls(layout, entries, partners):
+    """(bits, [(position, pulled)]) per entry whose contracted edges miss
+    those of some partner, with each term pulled back once."""
+    out = []
+    for bits, vmap, he_inv, terms in entries:
+        if all(bits & other for other in partners):
+            continue
+        pulled = [(i, p) for i, orbit in terms if (p := _pull(layout, vmap, he_inv, orbit))]
+        if pulled:
+            out.append((bits, pulled))
+    return out
+
+
+def _sum_at(graph, row_entries, col_entries, sums):
+    """Add the terms of every common degeneration on graph to sums.
+
+    A pair of contractions is a common degeneration when their contracted
+    edges are disjoint; the edges kept by both carry the excess factors.
     """
-    total, acc = 1, [0] * len(orbits)
-    for graph, va, ia, vb, ib, shared in sg.degeneration_base_pairs(graph_a, graph_b):
-        _, owner, dims, values = layout = _layout(graph)
-        pulled_a = _pull(layout, va, ia, orbit_a)
-        ends = _ends(layout, graph, shared)
-        fibers = [[] for _ in graph_b.genera]
-        for v, w in enumerate(vb):
-            fibers[w].append(v)
-        wanted = {
-            tuple(sum(left[v] for v in fiber) for fiber in fibers)
-            for degrees in pulled_a
-            for left, _ in _excess(ends, list(map(sub, dims, degrees)))
-        }
-        fits: dict = {}
-        for c, orbit in enumerate(orbits):
-            if known[c] is not None:
+    layout = _layout(graph)
+    _, owner, dims, values = layout
+    rows = _pulls(layout, row_entries, [bits for bits, *_ in col_entries])
+    cols = _pulls(layout, col_entries, [bits for bits, *_ in row_entries])
+    for bits_a, pulled_rows in rows:
+        for bits_b, pulled_cols in cols:
+            if bits_a & bits_b:
                 continue
-            orbit = [(t, m) for t, m, deg in orbit if deg in wanted]
-            if not orbit:
-                continue
-            pulled_b = _pull(layout, vb, ib, orbit)
-            for psi, kappa, count in _products(dims, ends, pulled_a, pulled_b, fits):
-                value = values.get((psi, kappa))
-                if value is None:
-                    value = values[psi, kappa] = _term_value(graph, owner, psi, kappa)
-                num, den = value
-                if num and total % den:
-                    scale = den // gcd(total, den)
-                    total *= scale
-                    acc = [x * scale for x in acc]
-                acc[c] += count * num * (total // den)
-    return total, acc
+            both = bits_a | bits_b
+            shared = [i for i in range(graph.n_edges) if not both >> i & 1]
+            ends = _ends(layout, graph, shared)
+            fits: dict = {}
+            for t, pulled_a in pulled_rows:
+                total, nums = slot = sums[t]
+                for c, pulled_b in pulled_cols:
+                    for psi, kappa, count in _products(dims, ends, pulled_a, pulled_b, fits):
+                        value = values.get((psi, kappa))
+                        if value is None:
+                            value = values[psi, kappa] = _term_value(graph, owner, psi, kappa)
+                        num, den = value
+                        if num and total % den:
+                            scale = den // gcd(total, den)
+                            total *= scale
+                            nums[:] = [x * scale for x in nums]
+                        nums[c] += count * num * (total // den)
+                slot[0] = total
 
 
-class _Columns:
-    """A basis grouped by stratum graph, with the blocks of the row terms.
+def _term_sums(row_terms, col_terms, g, n):
+    """[denominator, numerators over col_terms] of each row term.
 
-    groups holds (graph, decorations, graded orbits, uses) per column
-    graph, uses[c] the (column, coefficient * scale) of decoration c.  In
-    the self-dual degree a row term that is also a column term, at
-    where[term], reuses the values its column terms paired with it as rows.
+    The contraction index of each edge count is inverted once over the
+    row graphs and once over the column graphs, and every degeneration
+    graph that contracts onto both sides is visited once.
     """
-
-    def __init__(self, basis, x):
-        self.basis = basis
-        terms: dict = {}
-        for j, cls in enumerate(self.basis):
-            _check_product(x, cls, top=True)
-            for term, coeff in cls.terms.items():
-                terms.setdefault(term, []).append((j, coeff))
-        self.scale = lcm(*(c.denominator for use in terms.values() for _, c in use))
-        self.symmetric = 2 * x.d == dim_moduli(x.g, x.n)
-        self.groups, self.where, self.rows, index = [], {}, {}, {}
-        for (graph, dec), use in terms.items():
-            if graph not in index:
-                index[graph] = len(self.groups)
-                self.groups.append((graph, [], [], []))
-            _, decs, orbits, uses = self.groups[index[graph]]
-            self.where[(graph, dec)] = (index[graph], len(decs))
-            decs.append(dec)
-            orbit = _aut_orbit_sum(graph, dec).items()
-            orbits.append([(t, m, tuple(vertex_degrees(graph, t))) for t, m in orbit])
-            uses.append([(j, int(c * self.scale)) for j, c in use])
-
-    def blocks(self, term):
-        """Per group, None or (denominator, numerators) of term's integrals."""
-        orbit_a = _aut_orbit_sum(*term).items()
-        home = self.where.get(term) if self.symmetric else None
-        out = []
-        for graph_b, decs, orbits, _ in self.groups:
-            known = [None] * len(decs)
-            for c, dec in enumerate(decs if home else ()):
-                other = self.rows.get((graph_b, dec))
-                if other is not None:
-                    block = other[home[0]]
-                    known[c] = (block[1][home[1]], block[0]) if block else (0, 1)
-            if None in known:
-                total, acc = _block(orbit_a, term[0], graph_b, orbits, known)
-                known = [k or (num, total) for k, num in zip(known, acc)]
-            total = lcm(*(den for num, den in known if num))
-            nums = [num * (total // den) for num, den in known]
-            out.append((total, nums) if any(nums) else None)
-        return out
+    sums = [[1, [0] * len(col_terms)] for _ in row_terms]
+    if not row_terms or not col_terms:
+        return sums
+    rows, cols = _by_graph(row_terms), _by_graph(col_terms)
+    low = max(min(a.n_edges for a in rows), min(b.n_edges for b in cols))
+    high = max(a.n_edges for a in rows) + max(b.n_edges for b in cols)
+    for E in range(low, min(high, dim_moduli(g, n)) + 1):
+        index = sg._degeneration_index(g, n, E)
+        over_cols = _over(index, cols)
+        for graph, row_entries in _over(index, rows).items():
+            col_entries = over_cols.get(graph)
+            if col_entries:
+                _sum_at(graph, row_entries, col_entries, sums)
+    return sums
 
 
-# One slot of state, not a memo: the last basis and its row blocks.
-_LAST_COLUMNS: list = [None]
+def pairing_matrix(rows, basis) -> list:
+    """Integrals of each class of rows times each class of basis.
 
-
-def pairing_row(x: TautClass, basis) -> list:
-    """Integrals of x times each class of basis (complementary degrees).
-
-    The last basis stays grouped with the blocks of every row term seen
-    against it, so a matrix built row by row computes each (row term,
-    column graph) block once.  Each row is summed in integers over one
-    denominator.
+    Every distinct row term is paired with every distinct column term in
+    one walk over the common degenerations (`_term_sums`); each row is
+    then summed from its terms in integers over one denominator.
     """
-    basis = tuple(basis)
-    if not basis:
-        return []
-    cols = _LAST_COLUMNS[0]
-    if cols is None or cols.basis != basis:
-        cols = _LAST_COLUMNS[0] = _Columns(basis, x)
-    _check_product(x, basis[0], top=True)
-    total, out = 1, [0] * len(basis)
-    for term, coeff in x.terms.items():
-        blocks = cols.rows.get(term)
-        if blocks is None:
-            blocks = cols.rows[term] = cols.blocks(term)
-        for block, group in zip(blocks, cols.groups):
-            if block is None:
-                continue
-            den = coeff.denominator * block[0]
+    rows, basis = tuple(rows), tuple(basis)
+    if not rows or not basis:
+        return [[] for _ in rows]
+    for x in rows:
+        _check_product(x, basis[0], top=True)
+    for b in basis:
+        _check_product(rows[0], b, top=True)
+    where = {term: i for i, term in enumerate(dict.fromkeys(t for x in rows for t in x.terms))}
+    uses: dict = {}
+    for j, b in enumerate(basis):
+        for term, coeff in b.terms.items():
+            uses.setdefault(term, []).append((j, coeff))
+    sums = _term_sums(list(where), list(uses), rows[0].g, rows[0].n)
+    scale = lcm(*(c.denominator for use in uses.values() for _, c in use))
+    uses = [[(j, int(c * scale)) for j, c in use] for use in uses.values()]
+    out = []
+    for x in rows:
+        total, row = 1, [0] * len(basis)
+        for term, coeff in x.terms.items():
+            den, nums = sums[where[term]]
+            den *= coeff.denominator
             if total % den:
-                scale = den // gcd(total, den)
-                total *= scale
-                out = [v * scale for v in out]
+                factor = den // gcd(total, den)
+                total *= factor
+                row = [v * factor for v in row]
             factor = coeff.numerator * (total // den)
-            for num, use in zip(block[1], group[3]):
+            for num, use in zip(nums, uses):
                 if num:
                     num *= factor
                     for j, c in use:
-                        out[j] += num if c == 1 else num * c
-    total *= cols.scale
-    return [QQ(v, total) for v in out]
+                        row[j] += num if c == 1 else num * c
+        total *= scale
+        out.append([QQ(v, total) for v in row])
+    return out
 
 
 def power(a: TautClass, k: int) -> TautClass:

@@ -22,7 +22,7 @@ import pkgutil
 import pytest
 
 import tautring
-from tautring import cli, integration, product, stable_graphs
+from tautring import cli, integration, stable_graphs
 from tautring.cone_complex import ConeComplex, barycentric
 
 GOLDEN = {
@@ -134,7 +134,6 @@ def _clear_every_memo(cached):
     integration._CORRELATORS.clear()
     stable_graphs._ENUM_CACHE.clear()
     stable_graphs._CANONICAL_CACHE.clear()
-    product._LAST_COLUMNS[0] = None
 
 
 def test_memos_do_not_change_answers(capsys):

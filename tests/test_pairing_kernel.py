@@ -1,13 +1,15 @@
-"""The block pairing kernel against the per-pair integral it replaced.
+"""The pairing kernel against the per-pair integral and the block kernel.
 
 `product_oracle.product_integral` integrates the `Decoration` terms of the
 former library product kernel one pair of strata at a time in `Fraction`s.
-The kernel evaluates a row term against all column terms of one stratum
-graph at once, in integers, and in the self-dual degree reuses the values
-it already has the other way round.  Every value must agree, in both
-argument orders: on every complementary generator pair of a few small
-spaces, on a seeded sample of (3,1) and (4,0) pairs, and on the full
-self-dual degree of (3,0).
+`pairing_oracle.pairing_row` is the block kernel that walked the common
+degenerations of one (row term, column graph) block at a time.
+`product.pairing_matrix` pairs all row terms with all column terms in one
+walk over the degeneration graphs, in integers.  Every value must agree,
+in both argument orders: on every complementary generator pair of a few
+small spaces, on a seeded sample of (3,1) and (4,0) pairs, on the full
+self-dual degree of (3,0), and row by row with the block kernel on the
+matrices `div_membership` builds.
 """
 
 import itertools
@@ -15,11 +17,21 @@ import random
 
 import pytest
 
+import pairing_oracle
 from product_oracle import product_integral
+from tautring import stable_graphs
 from tautring.errors import DomainError
-from tautring.membership import pair_integral, pairing_vector
+from tautring.membership import (
+    _degree_monomials,
+    div_membership,
+    pair_integral,
+    pairing_rank,
+    pairing_vector,
+)
+from tautring.pixton import lambda_top
+from tautring.product import pairing_matrix
 from tautring.rationals import QQ
-from tautring.taut_classes import dim_moduli, generators
+from tautring.taut_classes import TautClass, dim_moduli, generators
 
 SPACES = [(0, 5), (1, 2), (1, 3), (2, 0), (2, 1)]
 
@@ -98,3 +110,39 @@ def test_mixed_bases_are_rejected():
     with pytest.raises(DomainError):
         pairing_vector(generators(2, 1, 1)[0], generators(2, 1, 2))
     assert pairing_vector(x, []) == []
+
+
+def _check_matrix(rows, cols):
+    """pairing_matrix equals the block kernel, row by row."""
+    matrix = pairing_matrix(rows, cols)
+    assert len(matrix) == len(rows)
+    for x, row in zip(rows, matrix):
+        assert row == pairing_oracle.pairing_row(x, cols)
+
+
+@pytest.mark.parametrize("g, n, d", [(2, 2, 2), (1, 4, 1), (3, 0, 3)])
+def test_membership_rows_match_the_block_kernel(g, n, d):
+    """The multi-term divisor monomials and lambda_g, as div_membership
+    pairs them, against the complementary generators; in degree 1 every
+    monomial is a single generator."""
+    rows = [cls for _, cls in _degree_monomials(g, n, d, 1)] + [lambda_top(g, n)]
+    assert d == 1 or any(len(x.terms) > 1 for x in rows)
+    _check_matrix(rows, generators(g, n, dim_moduli(g, n) - d))
+
+
+def test_self_dual_generator_matrix_matches_the_block_kernel():
+    gens = generators(3, 0, 3)
+    _check_matrix(gens, gens)
+
+
+@pytest.mark.parametrize("g, n, d", [(2, 2, 2), (1, 4, 1), (3, 0, 3)])
+def test_ambient_rank_is_the_pairing_rank(g, n, d):
+    assert div_membership(lambda_top(g, n)).ambient_rank == pairing_rank(g, n, d)
+
+
+def test_a_zero_row_builds_no_contraction_index():
+    """Rows without terms pair to zero without walking a degeneration."""
+    stable_graphs._degeneration_index.cache_clear()
+    cols = generators(3, 0, 3)
+    assert pairing_matrix([TautClass(3, 0, 3)] * 2, cols) == [[0] * len(cols)] * 2
+    assert stable_graphs._degeneration_index.cache_info().misses == 0

@@ -23,6 +23,7 @@ of each graph are expanded once, with polynomial coefficients.
 import itertools
 import math
 from collections import Counter
+from functools import cache
 
 from .errors import ConsistencyError, DomainError
 from .exact_linalg import QPolynomial, lagrange_interpolate
@@ -40,7 +41,8 @@ from .taut_classes import (
 )
 
 
-def _edge_forms(graph: StableGraph, a):
+@cache
+def _edge_forms(graph: StableGraph, a: tuple):
     """Every edge weight as an integer form in the free weights.
 
     A BFS spanning tree rooted at vertex 0 leaves the non-tree edges free;
@@ -50,7 +52,8 @@ def _edge_forms(graph: StableGraph, a):
     sum of leg values), for every modulus r dividing sum(a).  blocks
     lists (variables, edges) for each group of free weights that share a
     form; the weights of different blocks are independent.  An edge in
-    no block (a bridge) has a constant weight.
+    no block (a bridge) has a constant weight.  The forms do not depend
+    on r, so each (graph, a) is solved once for all moduli.
     """
     V = graph.n_vertices
     leg_sum = [sum(a[m - 1] for m in graph.legs[v]) for v in range(V)]
@@ -121,8 +124,8 @@ def _edge_forms(graph: StableGraph, a):
     for e, (_, coeffs) in enumerate(forms):
         if coeffs:
             groups[find(coeffs[0][0])][1].append(e)
-    blocks = [(tuple(js), tuple(es)) for js, es in groups.values()]
-    return forms, blocks
+    blocks = tuple((tuple(js), tuple(es)) for js, es in groups.values())
+    return tuple(forms), blocks
 
 
 def weightings_mod_r(graph: StableGraph, a, r: int):

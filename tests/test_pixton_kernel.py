@@ -75,6 +75,14 @@ def test_blocks_split_the_cycle_space():
     assert all(k in (-1, 1) for _, coeffs in forms for _, k in coeffs)
 
 
+def test_edge_forms_are_solved_once_per_graph():
+    """The forms do not depend on r: one solve per graph, not per modulus."""
+    pixton._edge_forms.cache_clear()
+    pixton.lambda_top(3, 0)
+    graphs = pixton._summed_graphs(3, (), 3)
+    assert pixton._edge_forms.cache_info().misses == len(graphs) == 17
+
+
 CLASSES = [
     (1, (0,), 1),
     (1, (1, -1), 1),

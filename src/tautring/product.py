@@ -14,6 +14,7 @@ vertex has room below its dimension, since a term beyond it is zero.
 builds no `Decoration`, and sums integers over one denominator.
 """
 
+import itertools
 from functools import cache
 from math import gcd, lcm
 from operator import add, le, sub
@@ -21,7 +22,7 @@ from operator import add, le, sub
 from . import stable_graphs as sg
 from .errors import DomainError
 from .integration import vertex_integral
-from .rationals import ONE, QQ
+from .rationals import QQ
 from .taut_classes import (
     PSI_HE,
     PSI_LEG,
@@ -65,7 +66,7 @@ def _pull(layout, vmap, he_inv, orbit):
     `vmap` and `he_inv` are as in `degeneration_base_pairs`.  Returns
     {degrees: {(psi, kappa): multiplicity}}, kappa None or per-vertex
     sorted tuples.  A kappa class pulls back to the sum over the
-    preimages; a choice is dropped once a vertex exceeds its dimension.
+    preimages; a choice is dropped if a vertex exceeds its dimension.
     """
     slot, owner, dims, _ = layout
     preimages: dict = {}
@@ -81,38 +82,29 @@ def _pull(layout, vmap, he_inv, orbit):
             degrees[owner[i]] += e
         psi = tuple(psi)
         factors = [(a, preimages[w]) for w, ks in enumerate(dec.kappa) for a in ks]
-        kappa = [[] for _ in dims]
-
-        def place(i):
-            if i == len(factors):
-                key = (psi, tuple(map(tuple, map(sorted, kappa))) if factors else None)
-                monos = out.setdefault(tuple(degrees), {})
+        for choice in itertools.product(*(vertices for _, vertices in factors)):
+            kappa = [[] for _ in dims] if factors else None
+            at = degrees[:]
+            for (a, _), v in zip(factors, choice):
+                at[v] += a
+                kappa[v].append(a)
+            if all(map(le, at, dims)):
+                key = (psi, kappa and tuple(map(tuple, map(sorted, kappa))))
+                monos = out.setdefault(tuple(at), {})
                 monos[key] = monos.get(key, 0) + mult
-                return
-            a, vertices = factors[i]
-            for v in vertices:
-                if degrees[v] + a <= dims[v]:
-                    degrees[v] += a
-                    kappa[v].append(a)
-                    place(i + 1)
-                    kappa[v].pop()
-                    degrees[v] -= a
-
-        if all(map(le, degrees, dims)):
-            place(0)
     return out
 
 
 def _excess(ends, budget):
-    """(budget left, positions) of each way to place one psi per shared edge,
-    edge by edge where the vertex budget has room; ends holds each edge's
+    """Positions of each way to place one psi per shared edge, edge by
+    edge where the vertex budget has room; ends holds each edge's
     (position, vertex) ends.  These are the terms of prod (-psi_h - psi_h')
     up to sign."""
     out, picked = [], []
 
     def walk(i):
         if i == len(ends):
-            out.append((tuple(budget), tuple(picked)))
+            out.append(tuple(picked))
             return
         for pos, v in ends[i]:
             if budget[v] > 0:
@@ -130,33 +122,33 @@ def _ends(layout, graph, shared):
     return [[(layout[0][(PSI_HE, *h)], h[0]) for h in graph.edges[i]] for i in shared]
 
 
-def _products(dims, ends, pulled_a, pulled_b, fits):
-    """(psi, kappa, count) of the terms of pulled_a * pulled_b * excess.
+def _placements(dims, ends, deg_a, deg_b, fits):
+    """The excess placements that fit beside vertex degrees deg_a + deg_b,
+    memoized in fits by the budget they leave."""
+    budget = tuple(map(sub, dims, map(add, deg_a, deg_b)))
+    picks = fits.get(budget)
+    if picks is None:
+        fits[budget] = picks = min(budget) >= 0 and _excess(ends, list(budget))
+    return picks
 
-    No term exceeds a vertex dimension; fits memoizes the excess
-    placements by vertex budget for one degeneration record.
-    """
-    sign = -1 if len(ends) % 2 else 1
-    for deg_a, monos_a in pulled_a.items():
-        for deg_b, monos_b in pulled_b.items():
-            budget = tuple(map(sub, dims, map(add, deg_a, deg_b)))
-            picks = fits.get(budget)
-            if picks is None:
-                fits[budget] = picks = min(budget) >= 0 and _excess(ends, list(budget))
-            for (psi_a, kappa_a), ka in monos_a.items() if picks else ():
-                ka *= sign
-                for (psi_b, kappa_b), kb in monos_b.items():
-                    psi_ab = list(map(add, psi_a, psi_b))
-                    if kappa_a is None or kappa_b is None:
-                        kappa = kappa_b if kappa_a is None else kappa_a
-                    else:
-                        pairs = zip(kappa_a, kappa_b)
-                        kappa = tuple(tuple(sorted(x + y)) for x, y in pairs)
-                    for _, pick in picks:
-                        psi = psi_ab[:]
-                        for i in pick:
-                            psi[i] += 1
-                        yield tuple(psi), kappa, ka * kb
+
+def _terms(monos_a, monos_b, picks):
+    """(psi, kappa, count) of monos_a * monos_b * excess, one excess
+    placement of picks per term; the sign is (-1)^(shared edges)."""
+    sign = -1 if len(picks[0]) % 2 else 1
+    for (psi_a, kappa_a), ka in monos_a.items():
+        ka *= sign
+        for (psi_b, kappa_b), kb in monos_b.items():
+            psi_ab = list(map(add, psi_a, psi_b))
+            if kappa_a is None or kappa_b is None:
+                kappa = kappa_b if kappa_a is None else kappa_a
+            else:
+                kappa = tuple(tuple(sorted(x + y)) for x, y in zip(kappa_a, kappa_b))
+            for pick in picks:
+                psi = psi_ab[:]
+                for i in pick:
+                    psi[i] += 1
+                yield tuple(psi), kappa, ka * kb
 
 
 def _check_product(a, b, top):
@@ -182,12 +174,14 @@ def multiply(a: TautClass, b: TautClass) -> TautClass:
             records = sg.degeneration_base_pairs(graph_a, graph_b)
             for graph, va, ia, vb, ib, shared in records:
                 layout = _layout(graph)
-                pulled_a = _pull(layout, va, ia, orbit_a)
-                pulled_b = _pull(layout, vb, ib, orbit_b)
-                ends = _ends(layout, graph, shared)
-                for psi, kappa, k in _products(layout[2], ends, pulled_a, pulled_b, {}):
-                    key = (graph, psi, kappa)
-                    counts[key] = counts.get(key, 0) + k
+                pulled_b = _pull(layout, vb, ib, orbit_b).items()
+                ends, fits = _ends(layout, graph, shared), {}
+                for deg_a, monos_a in _pull(layout, va, ia, orbit_a).items():
+                    for deg_b, monos_b in pulled_b:
+                        picks = _placements(layout[2], ends, deg_a, deg_b, fits)
+                        for psi, kappa, k in _terms(monos_a, monos_b, picks) if picks else ():
+                            key = (graph, psi, kappa)
+                            counts[key] = counts.get(key, 0) + k
             for (graph, psi, kappa), k in counts.items():
                 names = tuple(_layout(graph)[0])
                 psi = tuple(sorted((names[i], e) for i, e in enumerate(psi) if e))
@@ -205,10 +199,13 @@ def _term_value(graph, owner, psi, kappa):
     exps = [[] for _ in graph.genera]
     for v, e in zip(owner, psi):
         exps[v].append(e)
-    value = ONE / sg.automorphism_count(graph)
+    num, den = 1, sg.automorphism_count(graph)
     for v, gv in enumerate(graph.genera):
-        value *= vertex_integral(gv, exps[v], kappa[v] if kappa else ())
-    return value.numerator, value.denominator
+        value = vertex_integral(gv, exps[v], kappa[v] if kappa else ())
+        num *= value.numerator
+        den *= value.denominator
+    common = gcd(num, den)
+    return num // common, den // common
 
 
 def _by_graph(terms):
@@ -230,50 +227,63 @@ def _over(index, groups):
 
 
 def _pulls(layout, entries, partners):
-    """(bits, [(position, pulled)]) per entry whose contracted edges miss
-    those of some partner, with each term pulled back once."""
+    """(bits, {degrees: [(position, monomials)]}) per entry whose
+    contracted edges miss those of some partner, with each term pulled
+    back once and its monomials grouped by vertex degrees."""
     out = []
     for bits, vmap, he_inv, terms in entries:
         if all(bits & other for other in partners):
             continue
-        pulled = [(i, p) for i, orbit in terms if (p := _pull(layout, vmap, he_inv, orbit))]
-        if pulled:
-            out.append((bits, pulled))
+        by_degrees: dict = {}
+        for i, orbit in terms:
+            for degrees, monos in _pull(layout, vmap, he_inv, orbit).items():
+                by_degrees.setdefault(degrees, []).append((i, monos))
+        if by_degrees:
+            out.append((bits, by_degrees))
     return out
 
 
-def _sum_at(graph, row_entries, col_entries, sums):
-    """Add the terms of every common degeneration on graph to sums.
-
-    A pair of contractions is a common degeneration when their contracted
-    edges are disjoint; the edges kept by both carry the excess factors.
-    """
+def _matches(graph, dims, rows, cols):
+    """(row pulls, column pulls, excess placements) per pair of vertex
+    degrees that fit, over every pair of contractions whose contracted
+    edges are disjoint (a common degeneration); the edges kept by both
+    carry the excess factors."""
     layout = _layout(graph)
-    _, owner, dims, values = layout
-    rows = _pulls(layout, row_entries, [bits for bits, *_ in col_entries])
-    cols = _pulls(layout, col_entries, [bits for bits, *_ in row_entries])
-    for bits_a, pulled_rows in rows:
-        for bits_b, pulled_cols in cols:
+    for bits_a, rows_by_degrees in rows:
+        for bits_b, cols_by_degrees in cols:
             if bits_a & bits_b:
                 continue
             both = bits_a | bits_b
             shared = [i for i in range(graph.n_edges) if not both >> i & 1]
-            ends = _ends(layout, graph, shared)
-            fits: dict = {}
-            for t, pulled_a in pulled_rows:
-                total, nums = slot = sums[t]
-                for c, pulled_b in pulled_cols:
-                    for psi, kappa, count in _products(dims, ends, pulled_a, pulled_b, fits):
-                        value = values.get((psi, kappa))
-                        if value is None:
-                            value = values[psi, kappa] = _term_value(graph, owner, psi, kappa)
-                        num, den = value
-                        if num and total % den:
-                            scale = den // gcd(total, den)
-                            total *= scale
-                            nums[:] = [x * scale for x in nums]
-                        nums[c] += count * num * (total // den)
-                slot[0] = total
+            ends, fits = _ends(layout, graph, shared), {}
+            for deg_a, pulled_rows in rows_by_degrees.items():
+                for deg_b, pulled_cols in cols_by_degrees.items():
+                    picks = _placements(dims, ends, deg_a, deg_b, fits)
+                    if picks:
+                        yield pulled_rows, pulled_cols, picks
+
+
+def _sum_at(graph, row_entries, col_entries, sums):
+    """Add the terms of every common degeneration on graph to sums."""
+    layout = _layout(graph)
+    _, owner, dims, values = layout
+    rows = _pulls(layout, row_entries, [bits for bits, *_ in col_entries])
+    cols = _pulls(layout, col_entries, [bits for bits, *_ in row_entries])
+    for pulled_rows, pulled_cols, picks in _matches(graph, dims, rows, cols):
+        for t, monos_a in pulled_rows:
+            total, nums = slot = sums[t]
+            for c, monos_b in pulled_cols:
+                for psi, kappa, count in _terms(monos_a, monos_b, picks):
+                    value = values.get((psi, kappa))
+                    if value is None:
+                        value = values[psi, kappa] = _term_value(graph, owner, psi, kappa)
+                    num, den = value
+                    if num and total % den:
+                        scale = den // gcd(total, den)
+                        total *= scale
+                        nums[:] = [x * scale for x in nums]
+                    nums[c] += count * num * (total // den)
+            slot[0] = total
 
 
 def _term_sums(row_terms, col_terms, g, n):

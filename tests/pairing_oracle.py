@@ -6,25 +6,76 @@ through `degeneration_base_pairs`, pulls every column orbit back again
 for each row term with the same row graph, keeps the last basis in one
 slot with the blocks of every row term paired against it, and in the
 self-dual degree reuses the values of (b, a) for (a, b).  Each row is
-checked against it.
+checked against it.  `_excess` and `_products` are the helpers it was
+written against, kept here as they were.
 """
 
 from math import gcd, lcm
-from operator import sub
+from operator import add, sub
 
 from tautring import stable_graphs as sg
 from tautring.product import (
     _aut_orbit_sum,
     _check_product,
     _ends,
-    _excess,
     _layout,
-    _products,
     _pull,
     _term_value,
 )
 from tautring.rationals import QQ
 from tautring.taut_classes import TautClass, dim_moduli, vertex_degrees
+
+
+def _excess(ends, budget):
+    """(budget left, positions) of each way to place one psi per shared edge,
+    edge by edge where the vertex budget has room; ends holds each edge's
+    (position, vertex) ends.  These are the terms of prod (-psi_h - psi_h')
+    up to sign."""
+    out, picked = [], []
+
+    def walk(i):
+        if i == len(ends):
+            out.append((tuple(budget), tuple(picked)))
+            return
+        for pos, v in ends[i]:
+            if budget[v] > 0:
+                budget[v] -= 1
+                picked.append(pos)
+                walk(i + 1)
+                picked.pop()
+                budget[v] += 1
+
+    walk(0)
+    return out
+
+
+def _products(dims, ends, pulled_a, pulled_b, fits):
+    """(psi, kappa, count) of the terms of pulled_a * pulled_b * excess.
+
+    No term exceeds a vertex dimension; fits memoizes the excess
+    placements by vertex budget for one degeneration record.
+    """
+    sign = -1 if len(ends) % 2 else 1
+    for deg_a, monos_a in pulled_a.items():
+        for deg_b, monos_b in pulled_b.items():
+            budget = tuple(map(sub, dims, map(add, deg_a, deg_b)))
+            picks = fits.get(budget)
+            if picks is None:
+                fits[budget] = picks = min(budget) >= 0 and _excess(ends, list(budget))
+            for (psi_a, kappa_a), ka in monos_a.items() if picks else ():
+                ka *= sign
+                for (psi_b, kappa_b), kb in monos_b.items():
+                    psi_ab = list(map(add, psi_a, psi_b))
+                    if kappa_a is None or kappa_b is None:
+                        kappa = kappa_b if kappa_a is None else kappa_a
+                    else:
+                        pairs = zip(kappa_a, kappa_b)
+                        kappa = tuple(tuple(sorted(x + y)) for x, y in pairs)
+                    for _, pick in picks:
+                        psi = psi_ab[:]
+                        for i in pick:
+                            psi[i] += 1
+                        yield tuple(psi), kappa, ka * kb
 
 
 def _block(orbit_a, graph_a, graph_b, orbits, known):

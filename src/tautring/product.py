@@ -10,8 +10,12 @@ One kernel serves `multiply` and the top pairing.  Pulled-back monomials
 are psi exponent vectors with per-vertex kappa tuples, grouped by degree
 at each vertex; a kappa preimage or excess factor goes only where its
 vertex has room below its dimension, since a term beyond it is zero.
-`pairing_row` integrates one (row term, column graph) block at a time,
-builds no `Decoration`, and sums integers over one denominator.
+`multiply` walks the records of `degeneration_base_pairs` one pair of
+terms at a time.  `pairing_matrix` walks each degeneration graph once
+for a whole matrix: every row term and column orbit is pulled back once
+per contraction onto its graph, the pulls of contractions with disjoint
+contracted edges are paired, and the integrals are summed in integers,
+with no `Decoration` built.
 """
 
 import itertools
@@ -243,12 +247,11 @@ def _pulls(layout, entries, partners):
     return out
 
 
-def _matches(graph, dims, rows, cols):
+def _matches(layout, graph, rows, cols):
     """(row pulls, column pulls, excess placements) per pair of vertex
     degrees that fit, over every pair of contractions whose contracted
     edges are disjoint (a common degeneration); the edges kept by both
     carry the excess factors."""
-    layout = _layout(graph)
     for bits_a, rows_by_degrees in rows:
         for bits_b, cols_by_degrees in cols:
             if bits_a & bits_b:
@@ -258,7 +261,7 @@ def _matches(graph, dims, rows, cols):
             ends, fits = _ends(layout, graph, shared), {}
             for deg_a, pulled_rows in rows_by_degrees.items():
                 for deg_b, pulled_cols in cols_by_degrees.items():
-                    picks = _placements(dims, ends, deg_a, deg_b, fits)
+                    picks = _placements(layout[2], ends, deg_a, deg_b, fits)
                     if picks:
                         yield pulled_rows, pulled_cols, picks
 
@@ -266,10 +269,10 @@ def _matches(graph, dims, rows, cols):
 def _sum_at(graph, row_entries, col_entries, sums):
     """Add the terms of every common degeneration on graph to sums."""
     layout = _layout(graph)
-    _, owner, dims, values = layout
+    _, owner, _, values = layout
     rows = _pulls(layout, row_entries, [bits for bits, *_ in col_entries])
     cols = _pulls(layout, col_entries, [bits for bits, *_ in row_entries])
-    for pulled_rows, pulled_cols, picks in _matches(graph, dims, rows, cols):
+    for pulled_rows, pulled_cols, picks in _matches(layout, graph, rows, cols):
         for t, monos_a in pulled_rows:
             total, nums = slot = sums[t]
             for c, monos_b in pulled_cols:

@@ -9,9 +9,9 @@ as written, so `multiply`, `pair_integral` and `degeneration_base_pairs`
 are checked against it.
 
 `product_integral` is the per-pair integral that the block pairing
-kernel (`product.pairing_row`) replaced: it integrates the `Decoration`
-terms of `_excess_terms`, the library's former product kernel, one by
-one in `Fraction`s.
+kernel (now `pairing_oracle.pairing_row`) replaced: it integrates the
+`Decoration` terms of `_excess_terms`, the library's former product
+kernel, one by one in `Fraction`s.
 """
 
 import itertools

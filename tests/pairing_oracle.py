@@ -1,19 +1,20 @@
 """Reference block pairing kernel (tests only).
 
 This is the top pairing that `product.pairing_matrix` replaced: it walks
-the common degenerations of one (row term, column graph) block at a time
-through `degeneration_base_pairs`, pulls every column orbit back again
-for each row term with the same row graph, keeps the last basis in one
-slot with the blocks of every row term paired against it, and in the
-self-dual degree reuses the values of (b, a) for (a, b).  Each row is
-checked against it.  `_excess` and `_products` are the helpers it was
-written against, kept here as they were.
+the common degenerations of one (row term, column graph) block at a
+time, pulls every column orbit back again for each row term with the
+same row graph, keeps the last basis in one slot with the blocks of
+every row term paired against it, and in the self-dual degree reuses the
+values of (b, a) for (a, b).  Each row is checked against it.  `_excess`
+and `_products` are the helpers it was written against, kept here as
+they were.  Its degeneration records come from the scan of
+`product_oracle`, not from the library walk it checks.
 """
 
 from math import gcd, lcm
 from operator import add, sub
 
-from tautring import stable_graphs as sg
+from product_oracle import oracle_degeneration_base_pairs
 from tautring.product import (
     _aut_orbit_sum,
     _check_product,
@@ -88,7 +89,7 @@ def _block(orbit_a, graph_a, graph_b, orbits, known):
     excess placement leave.  Sums are integers over a running lcm.
     """
     total, acc = 1, [0] * len(orbits)
-    for graph, va, ia, vb, ib, shared in sg.degeneration_base_pairs(graph_a, graph_b):
+    for graph, va, ia, vb, ib, shared in oracle_degeneration_base_pairs(graph_a, graph_b):
         _, owner, dims, values = layout = _layout(graph)
         pulled_a = _pull(layout, va, ia, orbit_a)
         ends = _ends(layout, graph, shared)

@@ -219,7 +219,7 @@ def _excess_terms(term_a, term_b):
     (ga, da), (gb, db) = term_a, term_b
     orbit_a = _aut_orbit_sum(ga, da)
     orbit_b = _aut_orbit_sum(gb, db)
-    records = sg.degeneration_base_pairs(ga, gb)
+    records = oracle_degeneration_base_pairs(ga, gb)
     for graph, group in itertools.groupby(records, key=lambda r: r[0]):
         counts: dict = {}
         for _, va, ia, vb, ib, shared in group:

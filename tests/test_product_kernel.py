@@ -5,7 +5,9 @@ every excess term inserted into a canonicalized class one at a time, and
 common degenerations found by scanning every stable graph.  On every pair
 of generators of complementary degree of a few small spaces, the kernel
 must give the same product class term for term, the same integral
-without building the class, and the same degeneration records.
+without building the class, and the same degeneration records.  Sums of
+terms with rational coefficients, on several graphs, and the zero class
+are multiplied against it too.
 """
 
 import itertools
@@ -20,9 +22,11 @@ from product_oracle import (
 )
 from tautring.integration import integrate
 from tautring.membership import pair_integral
+from tautring.pixton import lambda_top
 from tautring.product import multiply
-from tautring.stable_graphs import degeneration_base_pairs
-from tautring.taut_classes import dim_moduli, generators
+from tautring.rationals import QQ
+from tautring.stable_graphs import StableGraph, degeneration_base_pairs
+from tautring.taut_classes import TautClass, class_of_graph, dim_moduli, generators
 
 SPACES = [(0, 5), (1, 2), (1, 3), (2, 0), (2, 1)]
 
@@ -64,3 +68,33 @@ def test_products_below_the_top_match_the_reference(g, n):
         for d2 in range(d1, top - d1):
             for a, b in itertools.product(generators(g, n, d1), generators(g, n, d2)):
                 assert multiply(a, b) == oracle_multiply(a, b)
+
+
+def _factors(case):
+    """Two factors, the first with several terms and non-unit rational
+    coefficients."""
+    if case == "lambda3*loop/2":
+        loop = StableGraph((2,), ((),), (((0, 0), (0, 1)),))
+        return lambda_top(3), QQ(1, 2) * class_of_graph(loop)
+    deg1, deg2 = generators(2, 1, 1), generators(2, 1, 2)
+    x = QQ(2, 3) * deg2[1] - QQ(5, 7) * deg2[4] + 3 * deg2[9]
+    return {
+        "x*deg1": (x, deg1[0] - QQ(1, 2) * deg1[3]),
+        "x*deg2": (x, QQ(3, 4) * deg2[2] - QQ(2, 5) * deg2[16]),
+        "deg1*x": (deg1[1] + QQ(7, 2) * deg1[2], x),
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["x*deg1", "x*deg2", "deg1*x", "lambda3*loop/2"])
+def test_sums_with_rational_coefficients_match_the_reference(case):
+    a, b = _factors(case)
+    assert len(a.terms) > 1
+    product = multiply(a, b)
+    assert product.terms
+    assert product == oracle_multiply(a, b)
+
+
+def test_a_zero_factor_gives_the_zero_class():
+    zero, x = TautClass(2, 1, 1), QQ(2, 3) * generators(2, 1, 2)[1]
+    assert multiply(zero, x) == multiply(x, zero) == TautClass(2, 1, 3)
+    assert oracle_multiply(zero, x) == TautClass(2, 1, 3)

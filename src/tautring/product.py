@@ -6,16 +6,16 @@ decorations times an excess class, one factor -psi_h - psi_h' for each
 edge that survives in both contractions, and the contribution is
 weighted by 1/|Aut| of the degeneration.
 
-One kernel serves `multiply` and the top pairing.  Pulled-back monomials
-are psi exponent vectors with per-vertex kappa tuples, grouped by degree
-at each vertex; a kappa preimage or excess factor goes only where its
-vertex has room below its dimension, since a term beyond it is zero.
-`multiply` walks the records of `degeneration_base_pairs` one pair of
-terms at a time.  `pairing_matrix` walks each degeneration graph once
-for a whole matrix: every row term and column orbit is pulled back once
-per contraction onto its graph, the pulls of contractions with disjoint
-contracted edges are paired, and the integrals are summed in integers,
-with no `Decoration` built.
+One walk serves `multiply` and the top pairing (`_common`): each graph
+of `stable_graphs.common_degenerations` is visited once for all the
+terms of both sides, every term is pulled back once per contraction onto
+its graph, and the pulls of contractions with disjoint contracted edges
+are paired.  Pulled-back monomials are psi exponent vectors with
+per-vertex kappa tuples, grouped by degree at each vertex; a kappa
+preimage or excess factor goes only where its vertex has room below its
+dimension, since a term beyond it is zero.  `multiply` sums integer
+counts per stratum term and builds each `Decoration` once;
+`pairing_matrix` sums the integrals in integers and builds none.
 """
 
 import itertools
@@ -67,10 +67,10 @@ def _layout(graph):
 def _pull(layout, vmap, he_inv, orbit):
     """Pull (decoration, multiplicity) pairs back along a contraction.
 
-    `vmap` and `he_inv` are as in `degeneration_base_pairs`.  Returns
-    {degrees: {(psi, kappa): multiplicity}}, kappa None or per-vertex
-    sorted tuples.  A kappa class pulls back to the sum over the
-    preimages; a choice is dropped if a vertex exceeds its dimension.
+    `vmap` and `he_inv` are as in `stable_graphs._degeneration_index`.
+    Returns {degrees: {(psi, kappa): multiplicity}}, kappa None or
+    per-vertex sorted tuples.  A kappa class pulls back to the sum over
+    the preimages; a choice is dropped if a vertex exceeds its dimension.
     """
     slot, owner, dims, _ = layout
     preimages: dict = {}
@@ -167,30 +167,26 @@ def _check_product(a, b, top):
 
 
 def multiply(a: TautClass, b: TautClass) -> TautClass:
-    """Excess intersection product of two decorated strata classes."""
+    """Excess intersection product of two decorated strata classes, summed
+    in integers per (graph, psi, kappa) over integer-scaled factors."""
     _check_product(a, b, top=False)
     out = TautClass(a.g, a.n, a.d + b.d)
-    for (graph_a, dec_a), ca in a.terms.items():
-        orbit_a = _aut_orbit_sum(graph_a, dec_a).items()
-        for (graph_b, dec_b), cb in b.terms.items():
-            orbit_b = _aut_orbit_sum(graph_b, dec_b).items()
-            counts: dict = {}
-            records = sg.degeneration_base_pairs(graph_a, graph_b)
-            for graph, va, ia, vb, ib, shared in records:
-                layout = _layout(graph)
-                pulled_b = _pull(layout, vb, ib, orbit_b).items()
-                ends, fits = _ends(layout, graph, shared), {}
-                for deg_a, monos_a in _pull(layout, va, ia, orbit_a).items():
-                    for deg_b, monos_b in pulled_b:
-                        picks = _placements(layout[2], ends, deg_a, deg_b, fits)
-                        for psi, kappa, k in _terms(monos_a, monos_b, picks) if picks else ():
-                            key = (graph, psi, kappa)
-                            counts[key] = counts.get(key, 0) + k
-            for (graph, psi, kappa), k in counts.items():
-                names = tuple(_layout(graph)[0])
-                psi = tuple(sorted((names[i], e) for i, e in enumerate(psi) if e))
-                dec = Decoration(psi, kappa or ((),) * graph.n_vertices)
-                out._insert(graph, dec, ca * cb * k / sg.automorphism_count(graph))
+    sa, sb = (lcm(*(c.denominator for c in x.terms.values())) for x in (a, b))
+    ka = [c.numerator * (sa // c.denominator) for c in a.terms.values()]
+    kb = [c.numerator * (sb // c.denominator) for c in b.terms.values()]
+    counts: dict = {}
+    for graph, pulled_a, pulled_b, picks in _common(list(a.terms), list(b.terms), a.g, a.n):
+        for t, monos_a in pulled_a:
+            for c, monos_b in pulled_b:
+                k = ka[t] * kb[c]
+                for psi, kappa, count in _terms(monos_a, monos_b, picks):
+                    key = (graph, psi, kappa)
+                    counts[key] = counts.get(key, 0) + k * count
+    for (graph, psi, kappa), k in counts.items():
+        names = tuple(_layout(graph)[0])
+        psi = tuple(sorted((names[i], e) for i, e in enumerate(psi) if e))
+        dec = Decoration(psi, kappa or ((),) * graph.n_vertices)
+        out._insert(graph, dec, QQ(k, sa * sb * sg.automorphism_count(graph)))
     return out
 
 
@@ -220,24 +216,11 @@ def _by_graph(terms):
     return out
 
 
-def _over(index, groups):
-    """The contractions in index onto the graphs of groups, by source:
-    {degeneration graph: [(bits, vmap, he_inv, terms on the target)]}."""
-    out: dict = {}
-    for target, terms in groups.items():
-        for graph, entries in index.get(target, {}).items():
-            out.setdefault(graph, []).extend((*entry, terms) for entry in entries)
-    return out
-
-
-def _pulls(layout, entries, partners):
-    """(bits, {degrees: [(position, monomials)]}) per entry whose
-    contracted edges miss those of some partner, with each term pulled
-    back once and its monomials grouped by vertex degrees."""
+def _pulls(layout, entries):
+    """(bits, {degrees: [(position, monomials)]}) per entry, with each
+    term pulled back once and its monomials grouped by vertex degrees."""
     out = []
     for bits, vmap, he_inv, terms in entries:
-        if all(bits & other for other in partners):
-            continue
         by_degrees: dict = {}
         for i, orbit in terms:
             for degrees, monos in _pull(layout, vmap, he_inv, orbit).items():
@@ -266,13 +249,24 @@ def _matches(layout, graph, rows, cols):
                         yield pulled_rows, pulled_cols, picks
 
 
-def _sum_at(graph, row_entries, col_entries, sums):
-    """Add the terms of every common degeneration on graph to sums."""
-    layout = _layout(graph)
-    _, owner, _, values = layout
-    rows = _pulls(layout, row_entries, [bits for bits, *_ in col_entries])
-    cols = _pulls(layout, col_entries, [bits for bits, *_ in row_entries])
-    for pulled_rows, pulled_cols, picks in _matches(layout, graph, rows, cols):
+def _common(row_terms, col_terms, g, n):
+    """(graph, row pulls, column pulls, excess placements) of `_matches`
+    over every common degeneration of a row term and a column term, with
+    each term pulled back once per contraction onto its graph."""
+    rows, cols = _by_graph(row_terms), _by_graph(col_terms)
+    for graph, row_entries, col_entries in sg.common_degenerations(g, n, rows, cols):
+        layout = _layout(graph)
+        pulled_rows = _pulls(layout, row_entries)
+        pulled_cols = _pulls(layout, col_entries)
+        for match in _matches(layout, graph, pulled_rows, pulled_cols):
+            yield graph, *match
+
+
+def _term_sums(row_terms, col_terms, g, n):
+    """[denominator, numerators over col_terms] of each row term."""
+    sums = [[1, [0] * len(col_terms)] for _ in row_terms]
+    for graph, pulled_rows, pulled_cols, picks in _common(row_terms, col_terms, g, n):
+        _, owner, _, values = _layout(graph)
         for t, monos_a in pulled_rows:
             total, nums = slot = sums[t]
             for c, monos_b in pulled_cols:
@@ -287,28 +281,6 @@ def _sum_at(graph, row_entries, col_entries, sums):
                         nums[:] = [x * scale for x in nums]
                     nums[c] += count * num * (total // den)
             slot[0] = total
-
-
-def _term_sums(row_terms, col_terms, g, n):
-    """[denominator, numerators over col_terms] of each row term.
-
-    The contraction index of each edge count is inverted once over the
-    row graphs and once over the column graphs, and every degeneration
-    graph that contracts onto both sides is visited once.
-    """
-    sums = [[1, [0] * len(col_terms)] for _ in row_terms]
-    if not row_terms or not col_terms:
-        return sums
-    rows, cols = _by_graph(row_terms), _by_graph(col_terms)
-    low = max(min(a.n_edges for a in rows), min(b.n_edges for b in cols))
-    high = max(a.n_edges for a in rows) + max(b.n_edges for b in cols)
-    for E in range(low, min(high, dim_moduli(g, n)) + 1):
-        index = sg._degeneration_index(g, n, E)
-        over_cols = _over(index, cols)
-        for graph, row_entries in _over(index, rows).items():
-            col_entries = over_cols.get(graph)
-            if col_entries:
-                _sum_at(graph, row_entries, col_entries, sums)
     return sums
 
 

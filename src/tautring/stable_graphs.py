@@ -600,7 +600,45 @@ def _degeneration_index(g: int, n: int, E: int) -> dict:
     return index
 
 
-@cache
+def _over(index, targets, fewest):
+    """{graph: [(bits, vmap, he_inv, payload)]} of the contractions in index
+    onto the targets with at least `fewest` edges, with their payloads."""
+    out: dict = {}
+    for target, payload in targets.items():
+        if target.n_edges >= fewest:
+            for graph, entries in index.get(target, {}).items():
+                out.setdefault(graph, []).extend((*entry, payload) for entry in entries)
+    return out
+
+
+def _partnered(entries, others):
+    """The entries whose contracted edges miss those of some other entry."""
+    return [e for e in entries if not all(e[0] & other[0] for other in others)]
+
+
+def common_degenerations(g: int, n: int, left: dict, right: dict):
+    """(graph, left entries, right entries) per common degeneration of a
+    graph of left and one of right: contractions onto both, with disjoint
+    contracted edges.  left and right map canonical graphs to payloads;
+    an entry (bits, vmap, he_inv, payload) is a contraction as in
+    `_degeneration_index` that has a disjoint partner.  Such a graph has
+    between max(|E(a)|, |E(b)|) and |E(a)| + |E(b)| edges, so only those
+    edge counts are read, each inverted once per side."""
+    if not left or not right:
+        return
+    most_left = max(a.n_edges for a in left)
+    most_right = max(b.n_edges for b in right)
+    low = max(min(a.n_edges for a in left), min(b.n_edges for b in right))
+    for E in range(low, min(most_left + most_right, 3 * g - 3 + n) + 1):
+        index = _degeneration_index(g, n, E)
+        over_right = _over(index, right, E - most_left)
+        for graph, entries in _over(index, left, E - most_right).items():
+            rights = over_right.get(graph, [])
+            lefts = _partnered(entries, rights)
+            if lefts:
+                yield graph, lefts, _partnered(rights, lefts)
+
+
 def degeneration_base_pairs(a: StableGraph, b: StableGraph) -> tuple:
     """Common degenerations of a and b, one record per contraction pair.
 
@@ -608,37 +646,18 @@ def degeneration_base_pairs(a: StableGraph, b: StableGraph) -> tuple:
     where he_to_a maps every half-edge of canonical(a) to the half-edge of
     `graph` over it, and shared_edges are the edge indices of `graph` kept
     by both contractions.  Records do not include compositions with
-    automorphisms of a and b; callers that need all pairs (f_a, f_b) expand
-    each record by Aut(a) x Aut(b).  Records of one graph are consecutive.
-
-    A common degeneration contracts disjoint edge sets onto a and b, so it
-    has between max(|E(a)|, |E(b)|) and |E(a)| + |E(b)| edges; each edge
-    count is looked up in its inverted contraction index.  Results are
-    cached under the pair given; the graphs of `TautClass` terms are
-    already canonical, so only a miss canonicalizes.
+    automorphisms of a and b.  A record view of `common_degenerations`
+    that no library code calls; tests and the benchmark's spans read it.
     """
-    a = canonical_form(a)
-    b = canonical_form(b)
+    a, b = canonical_form(a), canonical_form(b)
     g, n = a.genus(), a.n_markings
     if (g, n) != (b.genus(), b.n_markings):
         raise DomainError("graphs live on different moduli spaces")
     results = []
-    top = min(a.n_edges + b.n_edges, 3 * g - 3 + n)
-    for E in range(max(a.n_edges, b.n_edges), top + 1):
-        index = _degeneration_index(g, n, E)
-        over_a = index.get(a)
-        over_b = index.get(b)
-        if not over_a or not over_b:
-            continue
-        for graph, into_a in over_a.items():
-            into_b = over_b.get(graph)
-            if into_b is None:
-                continue
-            for (sa, va, ia) in into_a:
-                for (sb, vb, ib) in into_b:
-                    if sa & sb:
-                        continue
-                    both = sa | sb
-                    shared = tuple(i for i in range(E) if not both >> i & 1)
-                    results.append((graph, va, ia, vb, ib, shared))
+    for graph, into_a, into_b in common_degenerations(g, n, {a: None}, {b: None}):
+        for (sa, va, ia, _), (sb, vb, ib, _) in itertools.product(into_a, into_b):
+            if not sa & sb:
+                both = sa | sb
+                shared = tuple(i for i in range(graph.n_edges) if not both >> i & 1)
+                results.append((graph, va, ia, vb, ib, shared))
     return tuple(results)

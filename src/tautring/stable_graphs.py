@@ -17,6 +17,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import cache
+from math import factorial
 
 from .errors import DomainError, json_field, json_ints, json_loads
 
@@ -393,24 +394,17 @@ def automorphisms(graph: StableGraph) -> tuple:
 def automorphism_count(graph: StableGraph) -> int:
     """|Aut| via the orbit formula: vertex symmetries times edge symmetries.
 
-    For each admissible vertex permutation the half-edge extensions count
-    m! per parallel bundle and l! * 2^l per loop bundle.
+    Every admissible vertex permutation extends to half-edges in the same
+    number of ways: m! per bundle of m parallel edges and l! * 2^l per
+    bundle of l loops.
     """
     bundles, loops = _edge_bundles(graph)
-    total = 0
-    for vmap in _vertex_automorphism_maps(graph):
-        count = 1
-        for idxs in bundles.values():
-            m = len(idxs)
-            for i in range(2, m + 1):
-                count *= i
-        for idxs in loops.values():
-            l = len(idxs)
-            for i in range(2, l + 1):
-                count *= i
-            count *= 2 ** l
-        total += count
-    return total
+    count = len(_vertex_automorphism_maps(graph))
+    for idxs in bundles.values():
+        count *= factorial(len(idxs))
+    for idxs in loops.values():
+        count *= factorial(len(idxs)) * 2 ** len(idxs)
+    return count
 
 
 # ---------------------------------------------------------------------------

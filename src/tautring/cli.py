@@ -180,8 +180,12 @@ def _load_complex(source):
     if source in fixtures:
         return fixtures[source]()
     if os.path.exists(source):
-        with open(source) as handle:
-            return cc.ConeComplex.from_json(handle.read())
+        try:
+            with open(source, encoding="utf-8") as handle:
+                text = handle.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DomainError("cannot read %r: %s" % (source, exc)) from None
+        return cc.ConeComplex.from_json(text)
     raise DomainError(
         "unknown fixture %r (use simplex1..simplex5, triangle-z3, or a file)"
         % source

@@ -172,14 +172,23 @@ def test_cone_accepts_a_file(capsys, tmp_path):
          '"gluings": [[[[1, 0]], [[0, 1]]]]}', "pp", "1"],
         ["cone", 'file:{"lattice_rank": 2, "cones": [{"rays": [[1, 0]]}], '
          '"gluings": [{"source": [[1, 0]]}]}', "pp", "1"],
+        # "latin-1:TEXT" is a file holding TEXT encoded as Latin-1, not UTF-8
+        ["cone", 'latin-1:{"lattice_rank": 2, "cones": [], "\xe9": 1}', "pp", "1"],
+        ["cone", "directory:", "pp", "1"],
     ],
 )
 def test_domain_errors_exit_2(capsys, tmp_path, argv):
     for k, arg in enumerate(argv):
+        path = tmp_path / ("input%d.json" % k)
         if arg.startswith("file:"):
-            path = tmp_path / ("input%d.json" % k)
             path.write_text(arg[len("file:"):])
-            argv = argv[:k] + [str(path)] + argv[k + 1:]
+        elif arg.startswith("latin-1:"):
+            path.write_bytes(arg[len("latin-1:"):].encode("latin-1"))
+        elif arg == "directory:":
+            path.mkdir()
+        else:
+            continue
+        argv = argv[:k] + [str(path)] + argv[k + 1:]
     code, out, err = _run(capsys, argv)
     assert code == 2
     assert err.startswith("error:")

@@ -103,23 +103,16 @@ def _excess(ends, budget):
     """Positions of each way to place one psi per shared edge, edge by
     edge where the vertex budget has room; ends holds each edge's
     (position, vertex) ends.  These are the terms of prod (-psi_h - psi_h')
-    up to sign."""
-    out, picked = [], []
-
-    def walk(i):
-        if i == len(ends):
-            out.append(tuple(picked))
-            return
-        for pos, v in ends[i]:
-            if budget[v] > 0:
-                budget[v] -= 1
-                picked.append(pos)
-                walk(i + 1)
-                picked.pop()
-                budget[v] += 1
-
-    walk(0)
-    return out
+    up to sign, in the order of the choices made edge by edge."""
+    partial = [((), tuple(budget))]
+    for edge in ends:
+        partial = [
+            (picked + (pos,), left[:v] + (left[v] - 1,) + left[v + 1:])
+            for picked, left in partial
+            for pos, v in edge
+            if left[v] > 0
+        ]
+    return [picked for picked, _ in partial]
 
 
 def _ends(layout, graph, shared):
@@ -132,7 +125,7 @@ def _placements(dims, ends, deg_a, deg_b, fits):
     budget = tuple(map(sub, dims, map(add, deg_a, deg_b)))
     picks = fits.get(budget)
     if picks is None:
-        fits[budget] = picks = min(budget) >= 0 and _excess(ends, list(budget))
+        fits[budget] = picks = min(budget) >= 0 and _excess(ends, budget)
     return picks
 
 

@@ -19,9 +19,10 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cache
+from operator import gt
 
 from .errors import DomainError, json_field, json_ints, json_loads
-from .rationals import QQ, format_rat, parse_rat
+from .rationals import ONE, QQ, format_rat, parse_rat
 from .stable_graphs import (
     StableGraph,
     automorphisms,
@@ -126,28 +127,34 @@ def trivial_decoration(graph: StableGraph) -> Decoration:
     return Decoration((), ((),) * graph.n_vertices)
 
 
+@cache
+def _vertex_data(graph: StableGraph):
+    """(home, dims): home[m] is the vertex of leg m (home[0] unused) and
+    dims[v] the dimension of vertex v's moduli space."""
+    home = [0] * (graph.n_markings + 1)
+    valence = [len(legs) for legs in graph.legs]
+    for v, legs in enumerate(graph.legs):
+        for m in legs:
+            home[m] = v
+    for (v1, _), (v2, _) in graph.edges:
+        valence[v1] += 1
+        valence[v2] += 1
+    dims = tuple(map(dim_moduli, graph.genera, valence))
+    return tuple(home), dims
+
+
 def vertex_degrees(graph: StableGraph, dec: Decoration) -> list[int]:
     """Decoration degree accumulated at each vertex."""
+    home = _vertex_data(graph)[0]
     degs = [sum(ks) for ks in dec.kappa]
-    leg_home = {}
-    for v in range(graph.n_vertices):
-        for m in graph.legs[v]:
-            leg_home[m] = v
     for key, e in dec.psi:
-        if key[0] == PSI_LEG:
-            degs[leg_home[key[1]]] += e
-        else:
-            degs[key[1]] += e
+        degs[home[key[1]] if key[0] == PSI_LEG else key[1]] += e
     return degs
 
 
 def term_is_zero_class(graph: StableGraph, dec: Decoration) -> bool:
     """True when some vertex decoration exceeds that vertex's dimension."""
-    for v, deg in enumerate(vertex_degrees(graph, dec)):
-        nv = len(graph.legs[v]) + len(graph.edge_ends(v))
-        if deg > dim_moduli(graph.genera[v], nv):
-            return True
-    return False
+    return any(map(gt, vertex_degrees(graph, dec), _vertex_data(graph)[1]))
 
 
 @cache
@@ -383,22 +390,57 @@ def _partitions(k: int, max_part: int | None = None):
             yield (part,) + rest
 
 
+def _capped_compositions(total: int, caps):
+    """Tuples t with 0 <= t[i] <= caps[i] summing to total."""
+    if not caps:
+        if total == 0:
+            yield ()
+        return
+    room = sum(caps[1:])
+    for first in range(max(0, total - room), min(total, caps[0]) + 1):
+        for rest in _capped_compositions(total - first, caps[1:]):
+            yield (first,) + rest
+
+
+@cache
+def _vertex_shapes(keys: int, degree: int):
+    """(psi exponents over `keys` psi keys, kappa indices) of each
+    monomial of the given degree on one vertex."""
+    return tuple(
+        (combo[:-1], kappa)
+        for combo in _compositions(degree, keys + 1)
+        for kappa in _partitions(combo[-1])
+    )
+
+
+def _vertex_monomials(keys, top: int):
+    """Per degree j <= top, the (psi items, kappa indices) of degree j on
+    one vertex whose psi keys are `keys`."""
+    return [
+        [
+            (tuple((key, e) for key, e in zip(keys, exps) if e), kappa)
+            for exps, kappa in _vertex_shapes(len(keys), j)
+        ]
+        for j in range(top + 1)
+    ]
+
+
 def _decorations_of_degree(graph: StableGraph, m: int):
-    """All decorations of total degree m on `graph`, before orbit reduction."""
-    psi_keys = [(PSI_LEG, i) for i in graph.markings()]
-    psi_keys += [(PSI_HE, v, s) for (v, s) in sorted(graph.half_edges())]
-    V = graph.n_vertices
-    slots = len(psi_keys) + V
-    for combo in _compositions(m, slots):
-        psi_part = combo[: len(psi_keys)]
-        kappa_budget = combo[len(psi_keys):]
-        psi = tuple(
-            sorted((key, e) for key, e in zip(psi_keys, psi_part) if e)
-        )
-        for kappa_parts in itertools.product(
-            *[_partitions(k) for k in kappa_budget]
-        ):
-            yield Decoration(psi, tuple(kappa_parts))
+    """The decorations of total degree m on `graph` that push forward to
+    nonzero classes: m is split over the vertices with each share at most
+    that vertex's dimension, and each share over the psi keys and the
+    kappa monomial of its vertex."""
+    home, dims = _vertex_data(graph)
+    keys = [[] for _ in dims]
+    for i in graph.markings():
+        keys[home[i]].append((PSI_LEG, i))
+    for v, s in graph.half_edges():
+        keys[v].append((PSI_HE, v, s))
+    local = [_vertex_monomials(k, min(dim, m)) for k, dim in zip(keys, dims)]
+    for shares in _capped_compositions(m, dims):
+        for parts in itertools.product(*map(list.__getitem__, local, shares)):
+            psi = tuple(sorted(item for items, _ in parts for item in items))
+            yield Decoration(psi, tuple(kappa for _, kappa in parts))
 
 
 @cache
@@ -406,20 +448,23 @@ def generators(g: int, n: int, d: int) -> tuple[TautClass, ...]:
     """The decorated-stratum generating set of degree d on (g, n).
 
     One class per automorphism orbit of (graph, decoration) with
-    #edges + decoration degree = d, skipping decorations that exceed a
-    vertex dimension (those push forward to zero).  The kappa monomials are
-    included in full, so the set is deliberately redundant.  The order is
-    deterministic.
+    #edges + decoration degree = d; decorations that exceed a vertex
+    dimension (those push forward to zero) are never built.  The kappa
+    monomials are included in full, so the set is deliberately redundant.
+    The order is deterministic, and each class is its canonical term with
+    coefficient 1.
     """
     if d < 0 or d > dim_moduli(g, n):
         raise DomainError("degree outside 0..3g-3+n")
     seen = set()
     for graph in enumerate_stable_graphs(g, n):
-        if graph.n_edges > d:
-            continue
-        for dec in _decorations_of_degree(graph, d - graph.n_edges):
-            if term_is_zero_class(graph, dec):
-                continue
-            seen.add(canonical_term(graph, dec))
+        if graph.n_edges <= d:
+            for dec in _decorations_of_degree(graph, d - graph.n_edges):
+                seen.add(canonical_term(graph, dec))
     ordered = sorted(seen, key=lambda t: (t[0].sort_key(), t[1].sort_key()))
-    return tuple(class_of_graph(graph, dec) for (graph, dec) in ordered)
+    out = []
+    for term in ordered:
+        cls = TautClass(g, n, d)
+        cls.terms[term] = ONE
+        out.append(cls)
+    return tuple(out)

@@ -7,7 +7,8 @@ of generators of complementary degree of a few small spaces, the kernel
 must give the same product class term for term, the same integral
 without building the class, and the same degeneration records.  Sums of
 terms with rational coefficients, on several graphs, and the zero class
-are multiplied against it too.
+are multiplied against it too.  The excess placements are checked
+against the recursive walk of `tests/pairing_oracle.py`.
 """
 
 import itertools
@@ -15,6 +16,7 @@ from collections import Counter
 
 import pytest
 
+from pairing_oracle import _excess as block_excess
 from product_oracle import (
     oracle_degeneration_base_pairs,
     oracle_multiply,
@@ -23,9 +25,13 @@ from product_oracle import (
 from tautring.integration import integrate
 from tautring.membership import pair_integral
 from tautring.pixton import lambda_top
-from tautring.product import multiply
+from tautring.product import _ends, _excess, _layout, multiply
 from tautring.rationals import QQ
-from tautring.stable_graphs import StableGraph, degeneration_base_pairs
+from tautring.stable_graphs import (
+    StableGraph,
+    degeneration_base_pairs,
+    enumerate_stable_graphs,
+)
 from tautring.taut_classes import TautClass, class_of_graph, dim_moduli, generators
 
 SPACES = [(0, 5), (1, 2), (1, 3), (2, 0), (2, 1)]
@@ -98,3 +104,21 @@ def test_a_zero_factor_gives_the_zero_class():
     zero, x = TautClass(2, 1, 1), QQ(2, 3) * generators(2, 1, 2)[1]
     assert multiply(zero, x) == multiply(x, zero) == TautClass(2, 1, 3)
     assert oracle_multiply(zero, x) == TautClass(2, 1, 3)
+
+
+@pytest.mark.parametrize("g, n", [(2, 2), (3, 0)])
+def test_excess_placements_match_the_recursive_walk(g, n):
+    """`_excess` gives the placements of the recursive walk of the block
+    kernel, in its order, for every set of shared edges of every graph
+    and for tight vertex budgets."""
+    for graph in enumerate_stable_graphs(g, n):
+        layout = _layout(graph)
+        dims = layout[2]
+        budgets = {dims, (1,) * len(dims)}
+        budgets |= {dims[:v] + (b,) + dims[v + 1:] for v in range(len(dims)) for b in (0, 1)}
+        for k in range(graph.n_edges + 1):
+            for shared in itertools.combinations(range(graph.n_edges), k):
+                ends = _ends(layout, graph, shared)
+                for budget in budgets:
+                    walked = [picked for _, picked in block_excess(ends, list(budget))]
+                    assert _excess(ends, budget) == walked, (graph, shared, budget)

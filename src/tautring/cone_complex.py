@@ -21,6 +21,7 @@ import json
 import math
 import operator
 
+from .combinatorics import union_find
 from .errors import DomainError, json_field, json_ints, json_loads
 from .exact_linalg import QMatrix
 from .rationals import QQ, ZERO, ONE, rat
@@ -461,18 +462,6 @@ def _substitute(poly, forms):
     return {exps: QQ(num, denominator) for exps, num in out.items() if num}
 
 
-def _cone_monomials(m, d):
-    if d == 0:
-        return ((0,) * m,)
-    out = []
-    for combo in itertools.combinations_with_replacement(range(m), d):
-        exps = [0] * m
-        for i in combo:
-            exps[i] += 1
-        out.append(tuple(exps))
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # piecewise polynomials
 
@@ -648,25 +637,6 @@ def _ray_multisets(complex, d):
     return sorted(out)
 
 
-def _union_find(n, pairs):
-    """Root of each of 0..n-1 after joining every pair (a, b).
-
-    Joining hangs the root of a under the root of b, so the roots, and
-    the degree-0 basis order that follows them, depend on the pair order.
-    """
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a, b in pairs:
-        parent[find(a)] = find(b)
-    return [find(a) for a in range(n)]
-
-
 def _touching_cones(complex):
     """Pairs of maximal cones that share a ray or that a gluing meets."""
     cones = complex.cones
@@ -701,7 +671,7 @@ def pp_space(complex, d):
         raise DomainError("degree must be nonnegative")
     cones = complex.cones
     if d == 0:
-        labels = _union_find(len(cones), _touching_cones(complex))
+        labels = union_find(len(cones), _touching_cones(complex))
         roots = sorted(set(labels))
     else:
         multisets = _ray_multisets(complex, d)
@@ -715,16 +685,15 @@ def pp_space(complex, d):
                     if image not in index:
                         raise DomainError("gluing image of a monomial is missing")
                     pairs.append((index[multiset], index[image]))
-        labels = _union_find(len(multisets), pairs)
+        labels = union_find(len(multisets), pairs)
         largest = {root: k for k, root in enumerate(labels)}
         roots = sorted(largest, key=largest.get)
     position = {root: p for p, root in enumerate(roots)}
     polys = [[{} for _ in cones] for _ in roots]
     for i, cone in enumerate(cones):
-        rays = itertools.combinations_with_replacement(cone, d)
-        for multiset, exps in zip(rays, _cone_monomials(len(cone), d)):
+        for multiset in itertools.combinations_with_replacement(cone, d):
             label = labels[index[multiset]] if d else labels[i]
-            polys[position[label]][i][exps] = ONE
+            polys[position[label]][i][tuple(map(multiset.count, cone))] = ONE
     return [PPFunction(complex, d, p) for p in polys]
 
 
@@ -744,9 +713,8 @@ def _multiset_vector(f):
     """Coefficients of f indexed by ray multisets (assumes compatibility)."""
     values = {}
     for cone, poly in zip(f.complex.cones, f.polys):
-        rays = itertools.combinations_with_replacement(cone, f.degree)
-        for multiset, exps in zip(rays, _cone_monomials(len(cone), f.degree)):
-            values.setdefault(multiset, poly.get(exps, ZERO))
+        for multiset in itertools.combinations_with_replacement(cone, f.degree):
+            values.setdefault(multiset, poly.get(tuple(map(multiset.count, cone)), ZERO))
     return [values[m] for m in _ray_multisets(f.complex, f.degree)]
 
 

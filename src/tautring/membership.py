@@ -14,6 +14,7 @@ lower bounds, which callers must request explicitly.
 import itertools
 from dataclasses import dataclass
 
+from .combinatorics import partitions
 from .errors import DomainError
 from .exact_linalg import AffineSolutionSet, QMatrix, feasible, solve_affine
 from .product import multiply, pairing_matrix
@@ -21,7 +22,6 @@ from .rationals import QQ
 from .stable_graphs import StableGraph
 from .taut_classes import (
     TautClass,
-    _partitions,
     class_of_graph,
     dim_moduli,
     generators,
@@ -57,7 +57,7 @@ def _degree_monomials(g: int, n: int, d: int, k: int):
     if k < 1:
         raise DomainError("generator degree bound must be positive")
     out = []
-    for partition in _partitions(d, k):
+    for partition in partitions(d, k):
         choices = []
         for part in sorted(set(partition)):
             gens = generators(g, n, part)

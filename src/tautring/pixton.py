@@ -25,6 +25,7 @@ import math
 from collections import Counter
 from functools import cache
 
+from .combinatorics import compositions, union_find
 from .errors import ConsistencyError, DomainError
 from .exact_linalg import QPolynomial, lagrange_interpolate
 from .rationals import QQ, ZERO, ONE
@@ -34,7 +35,6 @@ from .taut_classes import (
     PSI_LEG,
     Decoration,
     TautClass,
-    _compositions,
     canonical_term,
     dim_moduli,
     term_is_zero_class,
@@ -106,24 +106,17 @@ def _edge_forms(graph: StableGraph, a: tuple):
         const, coeffs = half[h1]
         forms.append((const, tuple(sorted(coeffs.items()))))
 
-    # Union-find over the free weights that share a form.
-    root = list(range(len(free_idxs)))
-
-    def find(j):
-        while root[j] != j:
-            root[j] = root[root[j]]
-            j = root[j]
-        return j
-
-    for _, coeffs in forms:
-        for j, _ in coeffs[1:]:
-            root[find(j)] = find(coeffs[0][0])
+    # Union-find over the free weights that share a form; the blocks are
+    # numbered in order of their least weight.
+    labels = union_find(
+        len(free_idxs), ((j, coeffs[0][0]) for _, coeffs in forms for j, _ in coeffs[1:])
+    )
     groups = {}
-    for j in range(len(free_idxs)):
-        groups.setdefault(find(j), ([], []))[0].append(j)
+    for j, label in enumerate(labels):
+        groups.setdefault(label, ([], []))[0].append(j)
     for e, (_, coeffs) in enumerate(forms):
         if coeffs:
-            groups[find(coeffs[0][0])][1].append(e)
+            groups[labels[coeffs[0][0]]][1].append(e)
     blocks = tuple((tuple(js), tuple(es)) for js, es in groups.values())
     return tuple(forms), blocks
 
@@ -161,36 +154,19 @@ def weightings_mod_r(graph: StableGraph, a, r: int):
     return results
 
 
-def _multi_indices(n_edges: int, max_total: int):
-    """Tuples (m_1..m_E), every m_e >= 1, summing to at most max_total."""
-    if n_edges == 0:
-        return [()]
-    out = []
-
-    def rec(prefix, remaining):
-        slot = len(prefix)
-        if slot == n_edges:
-            out.append(tuple(prefix))
-            return
-        most = remaining - (n_edges - slot - 1)
-        for m in range(1, most + 1):
-            rec(prefix + [m], remaining - m)
-
-    rec([], max_total)
-    return out
-
-
 def _power_sums(graph: StableGraph, a, d: int, r: int):
     """S_M(r) = sum over weightings mod r of prod_e t_e^{m_e}, per M.
 
     t_e = w(r - w) for the weight w on the first half of edge e (the
     product of its two half weights).  Returns a dict over the
-    multi-indices M of `_multi_indices(E, d)`.  Each block of
-    `_edge_forms` contributes a Counter of its t-tuples over its
-    r**h1(block) weightings, and S_M is the product over blocks of
-    sum n * prod t^m, times the fixed t^m of the bridges.
+    multi-indices M = (m_1..m_E) with every m_e >= 1 and sum at most d,
+    in lexicographic order.  Each block of `_edge_forms` contributes a
+    Counter of its t-tuples over its r**h1(block) weightings, and S_M is
+    the product over blocks of sum n * prod t^m, times the fixed t^m of
+    the bridges.
     """
-    indices = _multi_indices(graph.n_edges, d)
+    E = graph.n_edges
+    indices = [tuple(m + 1 for m in c[:-1]) for c in compositions(d - E, (d - E,) * (E + 1))]
     if sum(a) % r != 0:
         return {M: 0 for M in indices}
     forms, blocks = _edge_forms(graph, a)
@@ -244,11 +220,13 @@ def _expansion(graph: StableGraph, a, d: int):
     """
     aut = QQ(1, automorphism_count(graph))
     out = {}
-    for M in _multi_indices(graph.n_edges, d):
+    E = graph.n_edges
+    # M = excess + 1 on each edge; the remaining degree goes to the legs
+    for *excess, rest in compositions(d - E, (d - E,) * (E + 1)):
+        M = tuple(m + 1 for m in excess)
         edge_coeff = aut
         for m in M:
             edge_coeff *= QQ((-1) ** (m + 1), math.factorial(m))
-        rest = d - sum(M)
         # psi splits (psi_h + psi_h')^{m-1} on each edge
         for splits in itertools.product(*(range(m) for m in M)):
             split_coeff = edge_coeff
@@ -264,7 +242,7 @@ def _expansion(graph: StableGraph, a, d: int):
                     key = (PSI_HE, vb, sb)
                     psi_base[key] = psi_base.get(key, 0) + (m - 1 - i)
             # leg exponents absorb the remaining degree
-            for ks in _compositions(rest, len(a)):
+            for ks in compositions(rest, (rest,) * len(a)):
                 if any(k and not x for k, x in zip(ks, a)):
                     continue
                 coeff = split_coeff

@@ -34,6 +34,7 @@ from .taut_classes import (
     TautClass,
     dim_moduli,
     fundamental_class,
+    vertex_data,
 )
 
 @cache
@@ -60,8 +61,7 @@ def _layout(graph):
     keys += [(v, (PSI_HE, v, s)) for edge in graph.edges for v, s in edge]
     slot = {key: i for i, (_, key) in enumerate(keys)}
     owner = [v for v, _ in keys]
-    dims = tuple(dim_moduli(gv, owner.count(v)) for v, gv in enumerate(graph.genera))
-    return slot, owner, dims, {}
+    return slot, owner, vertex_data(graph)[1], {}
 
 
 def _pull(layout, vmap, he_inv, orbit):

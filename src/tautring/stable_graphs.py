@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import cache
 from math import factorial
 
+from .combinatorics import union_find
 from .errors import DomainError, json_field, json_ints, json_loads
 
 HalfEdge = tuple[int, int]
@@ -84,21 +85,8 @@ class StableGraph:
         return len(self.edge_ends(v)) + len(self.legs[v])
 
     def is_connected(self) -> bool:
-        if self.n_vertices == 0:
-            return False
-        seen = {0}
-        frontier = [0]
-        adj = [[] for _ in range(self.n_vertices)]
-        for ((v1, _), (v2, _)) in self.edges:
-            adj[v1].append(v2)
-            adj[v2].append(v1)
-        while frontier:
-            v = frontier.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return len(seen) == self.n_vertices
+        labels = union_find(self.n_vertices, ((v1, v2) for (v1, _), (v2, _) in self.edges))
+        return len(set(labels)) == 1
 
     def validate(self) -> None:
         """Raise DomainError unless this is a valid stable graph."""
@@ -420,44 +408,24 @@ def contract_edges(graph: StableGraph, subset):
     connected subgraph adds its first Betti number.
     """
     subset = frozenset(subset)
-    V = graph.n_vertices
-    parent = list(range(V))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for idx in subset:
-        (v1, _), (v2, _) = graph.edges[idx]
-        r1, r2 = find(v1), find(v2)
-        if r1 != r2:
-            parent[max(r1, r2)] = min(r1, r2)
-
-    comp_members: dict[int, list[int]] = {}
-    for v in range(V):
-        comp_members.setdefault(find(v), []).append(v)
-    roots = sorted(comp_members)
-    vmap = [0] * V
-    for new_v, root in enumerate(roots):
-        for v in comp_members[root]:
-            vmap[v] = new_v
-
+    ends = [(graph.edges[idx][0][0], graph.edges[idx][1][0]) for idx in subset]
+    labels = union_find(graph.n_vertices, ends)
+    # Components are numbered in order of their least vertex.
+    number = {label: w for w, label in enumerate(dict.fromkeys(labels))}
+    vmap = [number[label] for label in labels]
+    members = [[] for _ in number]
+    for v, w in enumerate(vmap):
+        members[w].append(v)
+    inner = [0] * len(members)
+    for v1, _ in ends:
+        inner[vmap[v1]] += 1
     genera = []
     legs = []
-    for root in roots:
-        members = comp_members[root]
-        inner = sum(
-            1
-            for idx in subset
-            if find(graph.edges[idx][0][0]) == root
-        )
-        h1_local = inner - (len(members) - 1)
-        genera.append(sum(graph.genera[v] for v in members) + h1_local)
-        legs.append(tuple(sorted(m for v in members for m in graph.legs[v])))
+    for w, vs in enumerate(members):
+        genera.append(sum(graph.genera[v] for v in vs) + inner[w] - (len(vs) - 1))
+        legs.append(tuple(sorted(m for v in vs for m in graph.legs[v])))
 
-    next_slot = [0] * len(roots)
+    next_slot = [0] * len(members)
     new_edges = []
     hemap = {}
     for idx, (h1, h2) in enumerate(graph.edges):

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from operator import gt
 
+from .combinatorics import compositions, partitions
 from .errors import DomainError, json_field, json_ints, json_loads
 from .rationals import ONE, QQ, format_rat, parse_rat
 from .stable_graphs import (
@@ -128,7 +129,7 @@ def trivial_decoration(graph: StableGraph) -> Decoration:
 
 
 @cache
-def _vertex_data(graph: StableGraph):
+def vertex_data(graph: StableGraph):
     """(home, dims): home[m] is the vertex of leg m (home[0] unused) and
     dims[v] the dimension of vertex v's moduli space."""
     home = [0] * (graph.n_markings + 1)
@@ -145,7 +146,7 @@ def _vertex_data(graph: StableGraph):
 
 def vertex_degrees(graph: StableGraph, dec: Decoration) -> list[int]:
     """Decoration degree accumulated at each vertex."""
-    home = _vertex_data(graph)[0]
+    home = vertex_data(graph)[0]
     degs = [sum(ks) for ks in dec.kappa]
     for key, e in dec.psi:
         degs[home[key[1]] if key[0] == PSI_LEG else key[1]] += e
@@ -154,7 +155,7 @@ def vertex_degrees(graph: StableGraph, dec: Decoration) -> list[int]:
 
 def term_is_zero_class(graph: StableGraph, dec: Decoration) -> bool:
     """True when some vertex decoration exceeds that vertex's dimension."""
-    return any(map(gt, vertex_degrees(graph, dec), _vertex_data(graph)[1]))
+    return any(map(gt, vertex_degrees(graph, dec), vertex_data(graph)[1]))
 
 
 @cache
@@ -366,50 +367,14 @@ def kappa_class(g: int, n: int, a: int) -> TautClass:
 # generators
 
 
-def _compositions(total: int, parts: int):
-    """Tuples of `parts` nonnegative ints summing to total, in
-    lexicographic order."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def _partitions(k: int, max_part: int | None = None):
-    """Partitions of k into parts between 1 and max_part (default k), as
-    descending tuples in reverse lexicographic order."""
-    if k == 0:
-        yield ()
-        return
-    top = k if max_part is None else min(k, max_part)
-    for part in range(top, 0, -1):
-        for rest in _partitions(k - part, part):
-            yield (part,) + rest
-
-
-def _capped_compositions(total: int, caps):
-    """Tuples t with 0 <= t[i] <= caps[i] summing to total."""
-    if not caps:
-        if total == 0:
-            yield ()
-        return
-    room = sum(caps[1:])
-    for first in range(max(0, total - room), min(total, caps[0]) + 1):
-        for rest in _capped_compositions(total - first, caps[1:]):
-            yield (first,) + rest
-
-
 @cache
 def _vertex_shapes(keys: int, degree: int):
     """(psi exponents over `keys` psi keys, kappa indices) of each
     monomial of the given degree on one vertex."""
     return tuple(
         (combo[:-1], kappa)
-        for combo in _compositions(degree, keys + 1)
-        for kappa in _partitions(combo[-1])
+        for combo in compositions(degree, (degree,) * (keys + 1))
+        for kappa in partitions(combo[-1])
     )
 
 
@@ -430,14 +395,14 @@ def _decorations_of_degree(graph: StableGraph, m: int):
     nonzero classes: m is split over the vertices with each share at most
     that vertex's dimension, and each share over the psi keys and the
     kappa monomial of its vertex."""
-    home, dims = _vertex_data(graph)
+    home, dims = vertex_data(graph)
     keys = [[] for _ in dims]
     for i in graph.markings():
         keys[home[i]].append((PSI_LEG, i))
     for v, s in graph.half_edges():
         keys[v].append((PSI_HE, v, s))
     local = [_vertex_monomials(k, min(dim, m)) for k, dim in zip(keys, dims)]
-    for shares in _capped_compositions(m, dims):
+    for shares in compositions(m, dims):
         for parts in itertools.product(*map(list.__getitem__, local, shares)):
             psi = tuple(sorted(item for items, _ in parts for item in items))
             yield Decoration(psi, tuple(kappa for _, kappa in parts))

@@ -23,7 +23,6 @@ from tautring.taut_classes import (
     PSI_LEG,
     Decoration,
     TautClass,
-    _compositions,
     dim_moduli,
 )
 
@@ -97,6 +96,18 @@ def weightings_mod_r(graph: StableGraph, a, r: int):
             raise ConsistencyError("root vertex condition failed")
         results.append(w)
     return results
+
+
+def _compositions(total: int, parts: int):
+    """Tuples of `parts` nonnegative ints summing to total, in
+    lexicographic order."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
 
 
 def _multi_indices(n_edges: int, max_total: int):

@@ -43,12 +43,14 @@ def _term(cls):
 
 
 def _check_rows(rows, cols):
-    """pairing_vector over a shared basis equals the oracle, pair by pair."""
+    """One pairing_matrix over a shared basis equals the oracle, pair by
+    pair."""
     col_terms = [_term(b) for b in cols]
-    for a in rows:
+    matrix = pairing_matrix(rows, cols)
+    assert len(matrix) == len(rows)
+    for a, row in zip(rows, matrix):
         ta = _term(a)
-        expected = [product_integral(ta, tb) for tb in col_terms]
-        assert pairing_vector(a, cols) == expected
+        assert row == [product_integral(ta, tb) for tb in col_terms]
 
 
 @pytest.mark.parametrize("g, n", SPACES)

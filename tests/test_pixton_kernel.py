@@ -152,7 +152,7 @@ def test_every_power_sum_is_checked(monkeypatch):
         (graph, M)
         for graph in enumerate_stable_graphs(g, len(a))
         if graph.n_edges <= d
-        for M in pixton._multi_indices(graph.n_edges, d)
+        for M in oracle._multi_indices(graph.n_edges, d)
     ]
     assert len(pairs) > 20
     for graph, M in pairs:

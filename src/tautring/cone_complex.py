@@ -266,16 +266,32 @@ class SubdivisionMap:
     """Records which coarse cone each fine maximal cone lands in.
 
     ray_coords[i][r] holds the coordinates of ray r of fine cone i in the
-    rays of its coarse cone cone_targets[i].
+    rays of its coarse cone cone_targets[i].  The same coordinates are
+    kept once more as integer linear forms, computed here so that every
+    pullback reuses them: scales[i] is the least common denominator of
+    the coordinates of fine cone i, and forms[i][k][r] is the integer
+    scales[i] * ray_coords[i][r][k].  So coarse coordinate k restricts to
+    fine cone i as sum_r forms[i][k][r] * y_r / scales[i].
     """
 
-    __slots__ = ("source", "target", "cone_targets", "ray_coords")
+    __slots__ = ("source", "target", "cone_targets", "ray_coords", "forms", "scales")
 
     def __init__(self, source, target, cone_targets, ray_coords):
         self.source = source
         self.target = target
         self.cone_targets = tuple(cone_targets)
         self.ray_coords = tuple(ray_coords)
+        forms, scales = [], []
+        for coords in self.ray_coords:
+            scale = math.lcm(1, *(c.denominator for ray in coords for c in ray))
+            scales.append(scale)
+            forms.append(
+                tuple(
+                    tuple(c.numerator * (scale // c.denominator) for c in column)
+                    for column in zip(*coords)
+                )
+            )
+        self.forms, self.scales = tuple(forms), tuple(scales)
 
     def __repr__(self):
         return "SubdivisionMap(%d -> %d maximal cones)" % (
@@ -427,25 +443,40 @@ def _poly_eval(p, values):
     return total
 
 
-def _substitute(poly, forms):
-    """Replace variable k of poly by the linear form forms[k].
+def _packed_mul(p, q):
+    """_poly_mul for polynomials keyed by packed exponents (see _substitute)."""
+    out = {}
+    for k1, c1 in p.items():
+        for k2, c2 in q.items():
+            key = k1 + k2
+            c = out.get(key, 0) + c1 * c2
+            if c:
+                out[key] = c
+            else:
+                out.pop(key, None)
+    return out
 
-    forms[k] lists one coefficient per new variable.  The work is done in
-    integers: the denominators of the forms and of the coefficients are
-    cleared once, each power of each form is expanded once, and each
-    output coefficient becomes one rational at the end.
+
+def _substitute(poly, forms, scale):
+    """Replace variable k of poly by the linear form forms[k] / scale.
+
+    forms[k] lists one integer coefficient per new variable and scale is a
+    positive integer.  The work is done in integers: the denominators of
+    the coefficients are cleared once, each power of each form is expanded
+    once, and each output coefficient becomes one rational at the end.
+    Exponent tuples in the new variables are packed into integers in base
+    top + 1, top the largest degree in poly, digit t holding the exponent
+    of variable t.  No exponent exceeds top, so multiplying two monomials
+    adds their keys, and a key is unpacked only when its output
+    coefficient is built.
     """
     n_new = len(forms[0])
-    scale = math.lcm(1, *(c.denominator for form in forms for c in form))
-    units = [tuple(int(t == i) for t in range(n_new)) for i in range(n_new)]
-    linear = [
-        {units[i]: c.numerator * (scale // c.denominator) for i, c in enumerate(form) if c}
-        for form in forms
-    ]
-    one = {(0,) * n_new: 1}
-    powers = [[one] for _ in forms]
     common = math.lcm(1, *(c.denominator for c in poly.values()))
     top = max(map(sum, poly), default=0)
+    base = top + 1
+    linear = [{base**t: a for t, a in enumerate(form) if a} for form in forms]
+    one = {0: 1}
+    powers = [[one] for _ in forms]
     out = {}
     for exps, c in poly.items():
         # c * prod (form_k / scale)^e_k over the denominator common * scale^top
@@ -454,16 +485,50 @@ def _substitute(poly, forms):
         for table, form, e in zip(powers, linear, exps):
             if e:
                 while len(table) <= e:
-                    table.append(_poly_mul(table[-1], form))
-                term = table[e] if term is one else _poly_mul(term, table[e])
+                    table.append(_packed_mul(table[-1], form))
+                term = table[e] if term is one else _packed_mul(term, table[e])
         for key, value in term.items():
             out[key] = out.get(key, 0) + factor * value
     denominator = common * scale**top
-    return {exps: QQ(num, denominator) for exps, num in out.items() if num}
+    result = {}
+    for key, num in out.items():
+        if num:
+            exps = []
+            for _ in range(n_new):
+                key, e = divmod(key, base)
+                exps.append(e)
+            result[tuple(exps)] = QQ(num) if denominator == 1 else QQ(num, denominator)
+    return result
 
 
 # ---------------------------------------------------------------------------
 # piecewise polynomials
+
+
+def _clean_poly(poly, n_vars, degree=None):
+    """poly as {exponent tuple: rational}, zero terms dropped.
+
+    Every exponent tuple must hold n_vars nonnegative integers, summing to
+    degree unless that is None, and every coefficient must be readable by
+    rat.
+    """
+    clean = {}
+    for exps, c in poly.items():
+        exps = tuple(exps)
+        if len(exps) != n_vars:
+            raise DomainError("exponent tuple %r does not have %d entries" % (exps, n_vars))
+        try:
+            total = sum(exps)  # a float or Fraction if an entry is one
+        except TypeError:  # an entry that is no number
+            total = None
+        if type(total) is not int or min(exps) < 0:
+            raise DomainError("exponents must be nonnegative integers")
+        if degree is not None and total != degree:
+            raise DomainError("polynomial is not homogeneous")
+        c = rat(c)
+        if c:
+            clean[exps] = c
+    return clean
 
 
 class PPFunction:
@@ -481,19 +546,23 @@ class PPFunction:
         self.degree = degree
         fixed = []
         for cone, poly in zip(complex.cones, polys):
-            clean = {}
-            for exps, c in poly.items():
-                c = rat(c)
-                if len(exps) != len(cone):
-                    raise DomainError("exponent tuple does not match the cone")
-                if sum(exps) != degree:
-                    raise DomainError("polynomial is not homogeneous")
-                if c:
-                    clean[tuple(exps)] = c
-            fixed.append(clean)
+            fixed.append(_clean_poly(poly, len(cone), degree))
         if len(fixed) != len(complex.cones):
             raise DomainError("need one polynomial per maximal cone")
         self.polys = tuple(fixed)
+
+    @classmethod
+    def _unchecked(cls, complex, degree, polys):
+        """A function from polynomials already in the form __init__ makes:
+        exponent tuples that pass its checks, nonzero rational values.
+        pp_space, pullback_pp and the arithmetic of functions build their
+        results through it, so that the terms they make are not checked
+        again one by one."""
+        self = object.__new__(cls)
+        self.complex = complex
+        self.degree = degree
+        self.polys = tuple(polys)
+        return self
 
     @classmethod
     def constant(cls, complex, value):
@@ -509,17 +578,19 @@ class PPFunction:
         """Restrict a polynomial in the lattice coordinates to each cone.
 
         On a cone with rays r_1..r_m the lattice coordinate x_j restricts
-        to sum_i r_i[j] * y_i.
+        to sum_i r_i[j] * y_i.  The exponent tuples of poly have one entry
+        per lattice coordinate, like those of PPFunction per cone ray.
         """
+        poly = _clean_poly(poly, complex.lattice_rank)
         return cls(
             complex,
             degree,
-            [_substitute(poly, list(zip(*cone))) for cone in complex.cones],
+            [_substitute(poly, tuple(zip(*cone)), 1) for cone in complex.cones],
         )
 
     def __add__(self, other):
         self._check_other(other)
-        return PPFunction(
+        return PPFunction._unchecked(
             self.complex,
             self.degree,
             [_poly_add(p, q) for p, q in zip(self.polys, other.polys)],
@@ -529,7 +600,7 @@ class PPFunction:
         return self + (-1) * other
 
     def __rmul__(self, scalar):
-        return PPFunction(
+        return PPFunction._unchecked(
             self.complex,
             self.degree,
             [_poly_scale(p, scalar) for p in self.polys],
@@ -540,7 +611,7 @@ class PPFunction:
             return NotImplemented
         if other.complex != self.complex:
             raise DomainError("functions live on different complexes")
-        return PPFunction(
+        return PPFunction._unchecked(
             self.complex,
             self.degree + other.degree,
             [_poly_mul(p, q) for p, q in zip(self.polys, other.polys)],
@@ -694,19 +765,20 @@ def pp_space(complex, d):
         for multiset in itertools.combinations_with_replacement(cone, d):
             label = labels[index[multiset]] if d else labels[i]
             polys[position[label]][i][tuple(map(multiset.count, cone))] = ONE
-    return [PPFunction(complex, d, p) for p in polys]
+    return [PPFunction._unchecked(complex, d, p) for p in polys]
 
 
 def pullback_pp(sub_map, f):
     """Restrict a piecewise polynomial along a subdivision map."""
     if f.complex != sub_map.target:
         raise DomainError("function does not live on the coarse complex")
-    # coarse coordinate k restricts to sum_i ray_coords[i][k] * y_i
+    # f passed the checks of PPFunction, and substituting linear forms
+    # keeps its polynomials homogeneous of the same degree
     polys = [
-        _substitute(f.polys[j], list(zip(*ray_coords)))
-        for j, ray_coords in zip(sub_map.cone_targets, sub_map.ray_coords)
+        _substitute(f.polys[j], forms, scale)
+        for j, forms, scale in zip(sub_map.cone_targets, sub_map.forms, sub_map.scales)
     ]
-    return PPFunction(sub_map.source, f.degree, polys)
+    return PPFunction._unchecked(sub_map.source, f.degree, polys)
 
 
 def _multiset_vector(f):

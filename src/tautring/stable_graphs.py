@@ -329,7 +329,8 @@ def _vertex_automorphism_maps(graph: StableGraph):
 
 @cache
 def automorphisms(graph: StableGraph) -> tuple:
-    """All automorphisms as (vmap, hemap) pairs, legs fixed pointwise."""
+    """All automorphisms as (vmap, hemap) pairs, legs fixed pointwise,
+    the identity first."""
     bundles, loops = _edge_bundles(graph)
     result = []
     for vmap in _vertex_automorphism_maps(graph):

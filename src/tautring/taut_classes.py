@@ -160,14 +160,21 @@ def term_is_zero_class(graph: StableGraph, dec: Decoration) -> bool:
 
 @cache
 def canonical_term(graph: StableGraph, dec: Decoration):
-    """Canonical (graph, decoration) representative of a decorated stratum."""
+    """Canonical (graph, decoration) representative of a decorated stratum.
+
+    The representative is the least transport of the decoration along the
+    automorphisms of the canonical graph.  A graph that is already
+    canonical keeps its decoration: its map to the canonical form is one
+    of those automorphisms, so the orbit is the same.  The identity, which
+    `automorphisms` lists first, moves no decoration.  A transport also
+    sorts psi, so a decoration built by hand with unsorted psi is still
+    transported once.
+    """
     canon, vmap, hemap = canonical_form_with_map(graph)
-    moved = dec.transport(vmap, hemap)
-    best = min(
-        (moved.transport(av, ah) for av, ah in automorphisms(canon)),
-        key=Decoration.sort_key,
-    )
-    return canon, best
+    if canon != graph or list(dec.psi) != sorted(dec.psi):
+        dec = dec.transport(vmap, hemap)
+    others = (dec.transport(av, ah) for av, ah in automorphisms(canon)[1:])
+    return canon, min(itertools.chain((dec,), others), key=Decoration.sort_key)
 
 
 class TautClass:

@@ -6,19 +6,25 @@ zero classes included, and then dropped if some vertex exceeds its
 dimension; the zero test re-sorts the half-edges of every vertex on each
 call, and each kept orbit becomes a class through `class_of_graph`, which
 re-validates the graph and runs the zero test and `canonical_term` again.
-It is slow but follows the definition as written, so `generators`,
+The orbit representative comes from `oracle_canonical_term`, which
+transports every decoration to the canonical graph and then along every
+automorphism of it, the identity maps included.  It is slow but follows
+the definition as written, so `generators`, `canonical_term`,
 `vertex_degrees` and `term_is_zero_class` are checked against it.
 """
 
 import itertools
 
 from tautring.errors import DomainError
-from tautring.stable_graphs import enumerate_stable_graphs
+from tautring.stable_graphs import (
+    automorphisms,
+    canonical_form_with_map,
+    enumerate_stable_graphs,
+)
 from tautring.taut_classes import (
     PSI_HE,
     PSI_LEG,
     Decoration,
-    canonical_term,
     class_of_graph,
     dim_moduli,
 )
@@ -71,6 +77,17 @@ def oracle_term_is_zero_class(graph, dec):
     return False
 
 
+def oracle_canonical_term(graph, dec):
+    """Canonical (graph, decoration) representative of a decorated stratum."""
+    canon, vmap, hemap = canonical_form_with_map(graph)
+    moved = dec.transport(vmap, hemap)
+    best = min(
+        (moved.transport(av, ah) for av, ah in automorphisms(canon)),
+        key=Decoration.sort_key,
+    )
+    return canon, best
+
+
 def oracle_decorations_of_degree(graph, m):
     """All decorations of total degree m on `graph`, before orbit reduction."""
     psi_keys = [(PSI_LEG, i) for i in graph.markings()]
@@ -100,6 +117,6 @@ def oracle_generators(g, n, d):
         for dec in oracle_decorations_of_degree(graph, d - graph.n_edges):
             if oracle_term_is_zero_class(graph, dec):
                 continue
-            seen.add(canonical_term(graph, dec))
+            seen.add(oracle_canonical_term(graph, dec))
     ordered = sorted(seen, key=lambda t: (t[0].sort_key(), t[1].sort_key()))
     return tuple(class_of_graph(graph, dec) for (graph, dec) in ordered)

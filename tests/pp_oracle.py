@@ -7,9 +7,15 @@ space as the exact nullspace of the gluing conditions on ray multisets
 connected components of the complex, and substitution of linear forms by
 repeated multiplication of rational polynomial dictionaries.  They follow
 the definitions as written, so the library is checked against them.
+
+`integer_substitute` is the integer substitution kernel on exponent
+tuples that the packed-exponent kernel replaced; it is much faster than
+the rational substitution, so it checks the library on larger inputs.
 """
 
 import itertools
+import math
+import operator
 
 from tautring.cone_complex import PPFunction, _ray_multisets
 from tautring.errors import DomainError
@@ -175,4 +181,61 @@ def pullback_pp(sub_map, f):
                 if c:
                     forms[k][exps] = c
         polys.append(_poly_substitute(f.polys[j], forms, m))
+    return PPFunction(sub_map.source, f.degree, polys)
+
+
+def _tuple_mul(p, q):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            exps = tuple(map(operator.add, e1, e2))
+            c = out.get(exps, 0) + c1 * c2
+            if c:
+                out[exps] = c
+            else:
+                out.pop(exps, None)
+    return out
+
+
+def integer_substitute(poly, forms):
+    """Replace variable k of poly by the linear form forms[k].
+
+    forms[k] lists one coefficient (int or rational) per new variable.  The
+    denominators of the forms and of the coefficients are cleared once,
+    each power of each form is expanded once on exponent tuples, and each
+    output coefficient becomes one rational at the end.
+    """
+    n_new = len(forms[0])
+    scale = math.lcm(1, *(c.denominator for form in forms for c in form))
+    units = [tuple(int(t == i) for t in range(n_new)) for i in range(n_new)]
+    linear = [
+        {units[i]: c.numerator * (scale // c.denominator) for i, c in enumerate(form) if c}
+        for form in forms
+    ]
+    one = {(0,) * n_new: 1}
+    powers = [[one] for _ in forms]
+    common = math.lcm(1, *(c.denominator for c in poly.values()))
+    top = max(map(sum, poly), default=0)
+    out = {}
+    for exps, c in poly.items():
+        # c * prod (form_k / scale)^e_k over the denominator common * scale^top
+        factor = c.numerator * (common // c.denominator) * scale ** (top - sum(exps))
+        term = one
+        for table, form, e in zip(powers, linear, exps):
+            if e:
+                while len(table) <= e:
+                    table.append(_tuple_mul(table[-1], form))
+                term = table[e] if term is one else _tuple_mul(term, table[e])
+        for key, value in term.items():
+            out[key] = out.get(key, 0) + factor * value
+    denominator = common * scale**top
+    return {exps: QQ(num, denominator) for exps, num in out.items() if num}
+
+
+def integer_pullback(sub_map, f):
+    """pullback_pp through `integer_substitute` on the rational ray coordinates."""
+    polys = [
+        integer_substitute(f.polys[j], list(zip(*ray_coords)))
+        for j, ray_coords in zip(sub_map.cone_targets, sub_map.ray_coords)
+    ]
     return PPFunction(sub_map.source, f.degree, polys)

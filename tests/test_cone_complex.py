@@ -202,6 +202,31 @@ def test_from_global_restricts_a_polynomial():
     assert g.evaluate((2, 9)) == 5
 
 
+@pytest.mark.parametrize(
+    "exps", [(-1, 2), (2, -1), (QQ(1, 2), QQ(1, 2)), (0.5, 0.5), (1.0, 0), ("1", 0), (None, 1)]
+)
+def test_pp_function_rejects_negative_and_non_integer_exponents(exps):
+    """Every number sum is 1, so only the entries themselves are wrong."""
+    with pytest.raises(DomainError, match="nonnegative integers"):
+        PPFunction(simplex_cone_complex(2), 1, [{exps: 1}])
+    with pytest.raises(DomainError, match="nonnegative integers"):
+        PPFunction.from_global(simplex_cone_complex(2), {exps: 1}, 1)
+
+
+@pytest.mark.parametrize("exps", [(1,), (1, 0, 0), (0, 0, 1)])
+def test_from_global_rejects_exponent_tuples_of_another_length(exps):
+    with pytest.raises(DomainError, match="does not have 2 entries"):
+        PPFunction.from_global(simplex_cone_complex(2), {exps: 1}, 1)
+
+
+def test_from_global_reads_coefficients_like_pp_function():
+    s2 = simplex_cone_complex(2)
+    f = PPFunction.from_global(s2, {(1, 0): "1/2", (0, 1): 3}, 1)
+    # the cone's rays are sorted, (0, 1) first
+    assert f == PPFunction(s2, 1, [{(0, 1): "1/2", (1, 0): 3}])
+    assert f.evaluate((2, 4)) == 13
+
+
 def test_pullback_along_barycentric():
     tz = triangle_z3_complex()
     fine, mapping = barycentric(tz)

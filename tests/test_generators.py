@@ -8,21 +8,22 @@ every (g, n, d) with 3g - 3 + n <= 4 and n <= 6 and on the spaces the
 benchmark session integrates over.  (0, 7) is left out only for time: its
 enumeration and the oracle's 25,023 classes at d = 4 take about 10 s.
 The checks that `class_of_graph` made on each generator are made here
-instead, and the zero test is compared with the oracle's on random
-decorations of relabeled graphs.
+instead, and the zero test and `canonical_term` are compared with the
+oracle's on random decorations of relabeled graphs.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from generators_oracle import (
+    oracle_canonical_term,
     oracle_decorations_of_degree,
     oracle_generators,
     oracle_term_is_zero_class,
     oracle_vertex_degrees,
 )
 from tautring.rationals import QQ
-from tautring.stable_graphs import StableGraph, enumerate_stable_graphs
+from tautring.stable_graphs import StableGraph, automorphisms, enumerate_stable_graphs
 from tautring.taut_classes import (
     PSI_HE,
     PSI_LEG,
@@ -119,3 +120,32 @@ def test_zero_test_matches_the_oracle(case):
     dec.validate(graph)
     assert vertex_degrees(graph, dec) == oracle_vertex_degrees(graph, dec)
     assert term_is_zero_class(graph, dec) == oracle_term_is_zero_class(graph, dec)
+
+
+@settings(max_examples=300, deadline=None)
+@given(relabeled_decorations())
+def test_canonical_term_matches_the_oracle(case):
+    graph, dec = case
+    assert canonical_term(graph, dec) == oracle_canonical_term(graph, dec)
+    vmap, hemap = automorphisms(graph)[0]
+    assert list(vmap) == list(range(graph.n_vertices))
+    assert all(hemap[h] == h for h in graph.half_edges())
+
+
+@pytest.mark.parametrize("g, n", [(1, 2), (2, 1), (0, 5), (2, 2), (3, 0)])
+def test_canonical_term_keeps_decorations_of_canonical_graphs_like_the_oracle(g, n):
+    """Every decoration on every canonical graph, where the transports to
+    the canonical form and along the identity automorphism are skipped."""
+    for graph in enumerate_stable_graphs(g, n):
+        for m in range(dim_moduli(g, n) - graph.n_edges + 1):
+            for dec in oracle_decorations_of_degree(graph, m):
+                assert canonical_term(graph, dec) == oracle_canonical_term(graph, dec)
+
+
+def test_canonical_term_sorts_the_psi_of_a_decoration_built_by_hand():
+    """On a canonical graph no transport is needed, but psi still comes
+    out sorted, so equal terms merge."""
+    (graph,) = [g for g in enumerate_stable_graphs(0, 4) if g.n_edges == 0]
+    dec = Decoration((((PSI_LEG, 2), 1), ((PSI_LEG, 1), 1)), ((),))
+    assert canonical_term(graph, dec) == oracle_canonical_term(graph, dec)
+    assert canonical_term(graph, dec)[1].psi == (((PSI_LEG, 1), 1), ((PSI_LEG, 2), 1))

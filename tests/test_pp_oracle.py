@@ -3,7 +3,10 @@
 `tests/pp_oracle.py` keeps the nullspace `pp_space` and the rational
 substitution that the union-find basis and the integer substitution
 replace.  The library must give the same functions in the same order, and
-the same pullbacks and restrictions, coefficient for coefficient.
+the same pullbacks and restrictions, coefficient for coefficient.  It also
+keeps the integer kernel on exponent tuples that the packed-exponent
+kernel replaced, which must give the same polynomials with the same
+coefficients in the same key order.
 """
 
 import itertools
@@ -17,6 +20,7 @@ import pp_oracle
 from tautring.cone_complex import (
     ConeComplex,
     PPFunction,
+    _substitute,
     barycentric,
     pp_space,
     pullback_pp,
@@ -205,3 +209,100 @@ def test_pp_space_matches_the_oracle_on_random_gluings(case, rng):
             for g in coarse_basis:
                 f = f + _random_rational(rng) * g
             assert pullback_pp(sub_map, f) == pp_oracle.pullback_pp(sub_map, f)
+
+
+# ---------------------------------------------------------------------------
+# the packed-exponent kernel against the kernel on exponent tuples
+
+
+def _assert_same_poly(got, want):
+    assert list(got.items()) == list(want.items())
+    assert all(type(c) is QQ for c in got.values())
+
+
+def _assert_same_function(got, want):
+    assert got == want
+    for p, q in zip(got.polys, want.polys):
+        _assert_same_poly(p, q)
+
+
+def test_packed_kernel_matches_the_tuple_kernel_on_random_polynomials():
+    """Integer forms over a scale, with zero and negative entries, against
+    the same forms as rationals."""
+    rng = random.Random(5)
+    for _ in range(300):
+        n_old, n_new, d = rng.randint(1, 4), rng.randint(1, 5), rng.randint(0, 5)
+        scale = rng.choice((1, 1, 2, 6, 35))
+        forms = [tuple(rng.randint(-4, 4) for _ in range(n_new)) for _ in range(n_old)]
+        poly = _random_global(rng, n_old, d)
+        rational = [[QQ(a, scale) for a in form] for form in forms]
+        _assert_same_poly(
+            _substitute(poly, forms, scale), pp_oracle.integer_substitute(poly, rational)
+        )
+
+
+@pytest.mark.parametrize("d", range(6))
+def test_packed_kernel_when_one_variable_carries_the_whole_degree(d):
+    """Each variable of the form's power alone reaches exponent d, the
+    largest digit in base d + 1."""
+    forms = [(1, -2, 0), (0, 3, 5), (-1, 0, 1)]
+    for k in range(3):
+        exps = tuple(d if t == k else 0 for t in range(3))
+        for poly in ({exps: QQ(-7, 3)}, {exps: QQ(1)}):
+            _assert_same_poly(
+                _substitute(poly, forms, 1), pp_oracle.integer_substitute(poly, forms)
+            )
+            _assert_same_poly(
+                _substitute(poly, forms, 4),
+                pp_oracle.integer_substitute(poly, [[QQ(a, 4) for a in f] for f in forms]),
+            )
+
+
+def test_packed_kernel_in_degree_zero():
+    forms = [(2, -1), (0, 3)]
+    for poly in ({}, {(0, 0): QQ(5, 2)}, {(0, 0): QQ(-3)}):
+        _assert_same_poly(_substitute(poly, forms, 1), pp_oracle.integer_substitute(poly, forms))
+        _assert_same_poly(
+            _substitute(poly, forms, 3),
+            pp_oracle.integer_substitute(poly, [[QQ(a, 3) for a in f] for f in forms]),
+        )
+
+
+@pytest.mark.parametrize("name", sorted(NON_UNIMODULAR))
+def test_packed_kernel_on_fractional_ray_coordinates(name):
+    rng = random.Random(name)
+    coarse = NON_UNIMODULAR[name]()
+    maps = [sub_map for _, sub_map in _subdivisions(coarse)]
+    assert max(scale for sub_map in maps for scale in sub_map.scales) > 1
+    for sub_map in maps:
+        for d in range(5):
+            f = _random_function(rng, coarse, d)
+            _assert_same_function(pullback_pp(sub_map, f), pp_oracle.integer_pullback(sub_map, f))
+
+
+@pytest.mark.parametrize("name", sorted(NON_UNIMODULAR))
+def test_from_global_matches_the_tuple_kernel_on_negative_ray_entries(name):
+    """The rays of these complexes have negative entries (wide2) or
+    entries above one (wide3); so do the forms of from_global."""
+    rng = random.Random(name)
+    coarse = NON_UNIMODULAR[name]()
+    for complex in [coarse] + [fine for fine, _ in _subdivisions(coarse)]:
+        for d in range(5):
+            # from_global drops zero terms first
+            poly = {e: c for e, c in _random_global(rng, complex.lattice_rank, d).items() if c}
+            got = PPFunction.from_global(complex, poly, d)
+            for cone, p in zip(complex.cones, got.polys):
+                _assert_same_poly(p, pp_oracle.integer_substitute(poly, list(zip(*cone))))
+
+
+def test_pullbacks_of_the_benchmark_shape_match_the_oracles():
+    """The barycentric subdivision of the glued 5-orthant: every coarse
+    basis function in degree 3 against the rational oracle, in degree 4
+    against the kernel on exponent tuples."""
+    coarse = FIXTURES["cycle5"]()
+    fine, sub_map = barycentric(coarse)
+    assert len(fine.cones) == 120
+    for g in pp_space(coarse, 3):
+        _assert_same_function(pullback_pp(sub_map, g), pp_oracle.pullback_pp(sub_map, g))
+    for g in pp_space(coarse, 4):
+        _assert_same_function(pullback_pp(sub_map, g), pp_oracle.integer_pullback(sub_map, g))

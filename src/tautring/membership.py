@@ -12,11 +12,11 @@ lower bounds, which callers must request explicitly.
 """
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .combinatorics import partitions
 from .errors import DomainError
-from .exact_linalg import AffineSolutionSet, QMatrix, feasible, solve_affine
+from .exact_linalg import QMatrix, feasible, solve_affine
 from .product import multiply, pairing_matrix
 from .rationals import QQ
 from .stable_graphs import StableGraph
@@ -81,15 +81,12 @@ def _degree_monomials(g: int, n: int, d: int, k: int):
     return out
 
 
-@dataclass
-class SpanReport:
-    g: int
-    n: int
-    degree: int
-    generator_degree: int
-    rank: int
-    ambient_rank: int
-    monomial_count: int
+class SpanReport(
+    namedtuple(
+        "SpanReport", "g n degree generator_degree rank ambient_rank monomial_count"
+    )
+):
+    __slots__ = ()
 
 
 def subalgebra_span(g: int, n: int, d: int, k: int = 1) -> SpanReport:
@@ -114,16 +111,14 @@ def subalgebra_span(g: int, n: int, d: int, k: int = 1) -> SpanReport:
     )
 
 
-@dataclass
-class MembershipReport:
-    g: int
-    n: int
-    degree: int
-    in_span: bool
-    certified: bool
-    rank: int
-    rank_with_class: int
-    ambient_rank: int | None = None
+class MembershipReport(
+    namedtuple(
+        "MembershipReport",
+        "g n degree in_span certified rank rank_with_class ambient_rank",
+        defaults=(None,),
+    )
+):
+    __slots__ = ()
 
     @property
     def verdict(self) -> str:
@@ -181,10 +176,10 @@ def _genus2_graphs():
     return L, B, C
 
 
-@dataclass
-class ThetaReport:
-    solutions: AffineSolutionSet
-    sign_constrained_feasible: bool
+class ThetaReport(namedtuple("ThetaReport", "solutions sign_constrained_feasible")):
+    """solutions is an `exact_linalg.AffineSolutionSet`."""
+
+    __slots__ = ()
 
 
 def theta_solve() -> ThetaReport:

@@ -29,7 +29,12 @@ from .combinatorics import compositions, union_find
 from .errors import ConsistencyError, DomainError
 from .exact_linalg import QPolynomial, lagrange_interpolate
 from .rationals import QQ, ZERO, ONE
-from .stable_graphs import StableGraph, automorphism_count, enumerate_stable_graphs
+from .stable_graphs import (
+    StableGraph,
+    automorphism_count,
+    check_stable_type,
+    enumerate_stable_graphs,
+)
 from .taut_classes import (
     PSI_HE,
     PSI_LEG,
@@ -373,8 +378,7 @@ def lambda_top(g: int, n: int = 0, start: int = None) -> TautClass:
     """lambda_g expressed in decorated strata, via weights all zero."""
     if g < 1:
         raise DomainError("lambda_g needs positive genus")
-    if 2 * g - 2 + n <= 0:
-        raise DomainError("unstable moduli space")
+    check_stable_type(g, n)
     sign = -ONE if g % 2 else ONE
     return sign * dr_cycle(g, (0,) * n, start=start)
 

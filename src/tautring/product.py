@@ -26,7 +26,7 @@ from operator import add, le, sub
 from . import stable_graphs as sg
 from .errors import DomainError
 from .integration import vertex_integral
-from .rationals import QQ
+from .rationals import QQ, ZERO
 from .taut_classes import (
     PSI_HE,
     PSI_LEG,
@@ -67,7 +67,10 @@ def _layout(graph):
 def _pull(layout, vmap, he_inv, orbit):
     """Pull (decoration, multiplicity) pairs back along a contraction.
 
-    `vmap` and `he_inv` are as in `stable_graphs._degeneration_index`.
+    `vmap` and `he_inv` are those of an entry of
+    `stable_graphs.common_degenerations`: where each vertex of the
+    degeneration lands, and which of its half-edges sits over each
+    half-edge of the term's graph.
     Returns {degrees: {(psi, kappa): multiplicity}}, kappa None or
     per-vertex sorted tuples.  A kappa class pulls back to the sum over
     the preimages; a choice is dropped if a vertex exceeds its dimension.
@@ -316,7 +319,7 @@ def pairing_matrix(rows, basis) -> list:
                     for j, c in use:
                         row[j] += num if c == 1 else num * c
         total *= scale
-        out.append([QQ(v, total) for v in row])
+        out.append([QQ(v, total) if v else ZERO for v in row])
     return out
 
 

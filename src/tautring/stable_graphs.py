@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from functools import cache
 from math import factorial
 
@@ -23,31 +22,72 @@ from .combinatorics import union_find
 from .errors import DomainError, json_field, json_ints, json_loads
 
 HalfEdge = tuple[int, int]
-Edge = tuple[HalfEdge, HalfEdge]
 
 
-@dataclass(frozen=True)
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _fill(graph, genera, legs, edges):
+    """Set the fields of a new graph from normalized genera, legs and
+    oriented edges (h1 <= h2 in each), sorting the edges; hash once."""
+    edges = tuple(sorted(edges))
+    _set(graph, "genera", genera)
+    _set(graph, "legs", legs)
+    _set(graph, "edges", edges)
+    _set(graph, "_hash", hash((genera, legs, edges)))
+
+
 class StableGraph:
-    genera: tuple[int, ...]
-    legs: tuple[tuple[int, ...], ...]
-    edges: tuple[Edge, ...]
+    """An immutable stable graph, equal by its three fields.
 
-    def __post_init__(self):
-        genera = tuple(int(x) for x in self.genera)
-        legs = tuple(tuple(sorted(int(m) for m in lv)) for lv in self.legs)
-        edges = []
-        for (h1, h2) in self.edges:
+    genera holds each vertex genus, legs each vertex's sorted marking
+    labels, and edges the sorted pairs (h1, h2) of half-edges with
+    h1 <= h2.  The constructor normalizes any input to that form.
+    """
+
+    __slots__ = ("genera", "legs", "edges", "_hash")
+
+    def __init__(self, genera, legs, edges):
+        oriented = []
+        for (h1, h2) in edges:
             a = (int(h1[0]), int(h1[1]))
             b = (int(h2[0]), int(h2[1]))
-            edges.append((a, b) if a <= b else (b, a))
-        edges = tuple(sorted(edges))
-        object.__setattr__(self, "genera", genera)
-        object.__setattr__(self, "legs", legs)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "_hash", hash((genera, legs, edges)))
+            oriented.append((a, b) if a <= b else (b, a))
+        _fill(
+            self,
+            tuple(int(x) for x in genera),
+            tuple(tuple(sorted(int(m) for m in lv)) for lv in legs),
+            oriented,
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return StableGraph, (self.genera, self.legs, self.edges)
+
+    def __eq__(self, other):
+        if other.__class__ is not StableGraph:
+            return NotImplemented
+        return self is other or (
+            self._hash == other._hash
+            and self.edges == other.edges
+            and self.genera == other.genera
+            and self.legs == other.legs
+        )
 
     def __hash__(self):
         return self._hash
+
+    def __repr__(self):
+        return (
+            f"StableGraph(genera={self.genera!r}, legs={self.legs!r}, "
+            f"edges={self.edges!r})"
+        )
 
     @property
     def n_vertices(self) -> int:
@@ -160,6 +200,14 @@ class StableGraph:
         return StableGraph.from_json_dict(json_loads(text))
 
 
+def _graph(genera, legs, edges) -> StableGraph:
+    """A graph from int tuples with sorted legs and oriented edges, as
+    this module's builders hold them: no normalization but the edge sort."""
+    graph = _new(StableGraph)
+    _fill(graph, genera, legs, edges)
+    return graph
+
+
 def stable_graph(genera, legs, edges) -> StableGraph:
     """Build and validate a stable graph."""
     graph = StableGraph(tuple(genera), tuple(tuple(l) for l in legs),
@@ -168,10 +216,15 @@ def stable_graph(genera, legs, edges) -> StableGraph:
     return graph
 
 
+def check_stable_type(g: int, n: int) -> None:
+    """Raise DomainError unless g >= 0, n >= 0 and 2g - 2 + n > 0."""
+    if g < 0 or n < 0 or 2 * g - 2 + n <= 0:
+        raise DomainError(f"({g},{n}) is not a stable type")
+
+
 def smooth_graph(g: int, n: int) -> StableGraph:
     """The one-vertex graph with no edges (the open stratum)."""
-    if 2 * g - 2 + n <= 0:
-        raise DomainError(f"({g},{n}) is not stable")
+    check_stable_type(g, n)
     return StableGraph((g,), (tuple(range(1, n + 1)),), ())
 
 
@@ -227,8 +280,8 @@ def _candidate(graph: StableGraph, new_of_old: list[int]):
         (h1, h2) = graph.edges[idx]
         if swapped:
             h1, h2 = h2, h1
-        # h1 now sits over new vertex a, h2 over b (for loops a == b and the
-        # normalized order of the dataclass already gives h1 < h2).
+        # h1 now sits over new vertex a, h2 over b (for loops a == b and
+        # the normalized edges of the graph already give h1 < h2).
         sa = next_slot[a]
         next_slot[a] += 1
         sb = next_slot[b]
@@ -236,6 +289,7 @@ def _candidate(graph: StableGraph, new_of_old: list[int]):
         hemap[h1] = (a, sa)
         hemap[h2] = (b, sb)
         new_edges.append(((a, sa), (b, sb)))
+    # sorted and oriented: by (a, b), and by slot within one (a, b)
     return tuple(new_edges), hemap
 
 
@@ -271,7 +325,7 @@ def canonical_form_with_map(graph: StableGraph):
     for old_v in range(graph.n_vertices):
         genera[vmap[old_v]] = graph.genera[old_v]
         legs[vmap[old_v]] = graph.legs[old_v]
-    canon = StableGraph(tuple(genera), tuple(legs), cand_edges)
+    canon = _graph(tuple(genera), tuple(legs), cand_edges)
     result = (canon, vmap, hemap)
     _CANONICAL_CACHE[graph] = result
     if canon not in _CANONICAL_CACHE:
@@ -440,8 +494,9 @@ def contract_edges(graph: StableGraph, subset):
         next_slot[b] += 1
         hemap[h1] = (a, sa)
         hemap[h2] = (b, sb)
-        new_edges.append(((a, sa), (b, sb)))
-    new_graph = StableGraph(tuple(genera), tuple(legs), tuple(new_edges))
+        # vmap need not keep the order of vertices: orient the edge
+        new_edges.append(((a, sa), (b, sb)) if a <= b else ((b, sb), (a, sa)))
+    new_graph = _graph(tuple(genera), tuple(legs), new_edges)
     return new_graph, tuple(vmap), hemap
 
 
@@ -479,7 +534,7 @@ def _splits(graph: StableGraph):
         if gv:
             new = ((v, len(ends)), (v, len(ends) + 1))
             genera = graph.genera[:v] + (gv - 1,) + graph.genera[v + 1:]
-            yield StableGraph(genera, graph.legs, graph.edges + (new,)), new
+            yield _graph(genera, graph.legs, graph.edges + (new,)), new
         for sides in itertools.product((0, 1), repeat=len(legs) + len(ends)):
             parts = ([], [])
             for m, side in zip(legs, sides):
@@ -489,9 +544,11 @@ def _splits(graph: StableGraph):
                 rename[(v, s)] = (V if side else v, slots[side])
                 slots[side] += 1
             new = ((v, slots[0]), (V, slots[1]))
-            edges = tuple(
-                (rename.get(a, a), rename.get(b, b)) for (a, b) in graph.edges
-            ) + (new,)
+            edges = [new]
+            for a, b in graph.edges:
+                a, b = rename.get(a, a), rename.get(b, b)
+                # an end moved to the new last vertex V can swap the order
+                edges.append((a, b) if a <= b else (b, a))
             legs_out = (graph.legs[:v] + (tuple(parts[0]),) + graph.legs[v + 1:]
                         + (tuple(parts[1]),))
             for g_new in range(gv + 1):
@@ -501,7 +558,7 @@ def _splits(graph: StableGraph):
                     continue
                 genera = (graph.genera[:v] + (gv - g_new,) + graph.genera[v + 1:]
                           + (g_new,))
-                yield StableGraph(genera, legs_out, edges), new
+                yield _graph(genera, legs_out, edges), new
 
 
 # A dict, not functools.cache: perfbench/spans.py reads it by name.
@@ -520,8 +577,7 @@ def enumerate_stable_graphs(g: int, n: int) -> tuple[StableGraph, ...]:
     key = (g, n)
     if key in _ENUM_CACHE:
         return _ENUM_CACHE[key]
-    if g < 0 or n < 0 or 2 * g - 2 + n <= 0:
-        raise DomainError(f"({g},{n}) is not a stable type")
+    check_stable_type(g, n)
     layer = {canonical_form(smooth_graph(g, n))}
     found = set(layer)
     for _ in range(3 * g - 3 + n):
@@ -539,8 +595,9 @@ def enumerate_stable_graphs(g: int, n: int) -> tuple[StableGraph, ...]:
 
 
 @cache
-def _degeneration_index(g: int, n: int, E: int) -> dict:
-    """Contractions of the E-edge graphs of (g, n), inverted by target.
+def _degeneration_index(g: int, n: int, E: int, k: int) -> dict:
+    """The contractions of k edges of the E-edge graphs of (g, n), inverted
+    by target: the slice of the index onto the (E - k)-edge graphs.
 
     Maps every canonical contracted graph to {graph: [(bits, vmap, he_inv)]}
     with graphs in enumeration order and subsets in increasing order: bits
@@ -549,10 +606,11 @@ def _degeneration_index(g: int, n: int, E: int) -> dict:
     graph half-edge sitting over it.
     """
     index = {}
+    subsets = [bits for bits in range(1 << E) if bits.bit_count() == k]
     for graph in enumerate_stable_graphs(g, n):
         if graph.n_edges != E:
             continue
-        for bits in range(1 << E):
+        for bits in subsets:
             subset = [i for i in range(E) if bits >> i & 1]
             contracted, vmap, hemap = contract_edges(graph, subset)
             canon, cvmap, chemap = canonical_form_with_map(contracted)
@@ -563,12 +621,14 @@ def _degeneration_index(g: int, n: int, E: int) -> dict:
     return index
 
 
-def _over(index, targets, fewest):
-    """{graph: [(bits, vmap, he_inv, payload)]} of the contractions in index
-    onto the targets with at least `fewest` edges, with their payloads."""
+def _over(g, n, E, targets, fewest):
+    """{graph: [(bits, vmap, he_inv, payload)]} of the contractions of the
+    E-edge graphs onto the targets with at least `fewest` edges, with their
+    payloads; each target reads the index slice of its edge count."""
     out: dict = {}
     for target, payload in targets.items():
-        if target.n_edges >= fewest:
+        if fewest <= target.n_edges <= E:
+            index = _degeneration_index(g, n, E, E - target.n_edges)
             for graph, entries in index.get(target, {}).items():
                 out.setdefault(graph, []).extend((*entry, payload) for entry in entries)
     return out
@@ -586,16 +646,16 @@ def common_degenerations(g: int, n: int, left: dict, right: dict):
     an entry (bits, vmap, he_inv, payload) is a contraction as in
     `_degeneration_index` that has a disjoint partner.  Such a graph has
     between max(|E(a)|, |E(b)|) and |E(a)| + |E(b)| edges, so only those
-    edge counts are read, each inverted once per side."""
+    edge counts E are read, and for each target t only the index slice
+    that contracts E - |E(t)| edges."""
     if not left or not right:
         return
     most_left = max(a.n_edges for a in left)
     most_right = max(b.n_edges for b in right)
     low = max(min(a.n_edges for a in left), min(b.n_edges for b in right))
     for E in range(low, min(most_left + most_right, 3 * g - 3 + n) + 1):
-        index = _degeneration_index(g, n, E)
-        over_right = _over(index, right, E - most_left)
-        for graph, entries in _over(index, left, E - most_right).items():
+        over_right = _over(g, n, E, right, E - most_left)
+        for graph, entries in _over(g, n, E, left, E - most_right).items():
             rights = over_right.get(graph, [])
             lefts = _partnered(entries, rights)
             if lefts:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
 from functools import cache
 from operator import gt
 
@@ -40,19 +39,42 @@ def dim_moduli(g: int, n: int) -> int:
     return 3 * g - 3 + n
 
 
-@dataclass(frozen=True, slots=True)
+_set = object.__setattr__
+
+
 class Decoration:
-    """A psi-kappa monomial on a stable graph."""
+    """A psi-kappa monomial on a stable graph; immutable, equal by fields."""
 
-    psi: tuple  # sorted tuple of (key, exponent), exponent > 0
-    kappa: tuple  # per-vertex sorted tuples of kappa indices (each >= 1)
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("psi", "kappa", "_hash")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.psi, self.kappa)))
+    def __init__(self, psi: tuple, kappa: tuple):
+        _set(self, "psi", psi)  # sorted tuple of (key, exponent), exponent > 0
+        _set(self, "kappa", kappa)  # per-vertex sorted tuples of kappa indices (each >= 1)
+        _set(self, "_hash", hash((psi, kappa)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Decoration, (self.psi, self.kappa)
+
+    def __eq__(self, other):
+        if other.__class__ is not Decoration:
+            return NotImplemented
+        return self is other or (
+            self._hash == other._hash
+            and self.psi == other.psi
+            and self.kappa == other.kappa
+        )
 
     def __hash__(self):
         return self._hash
+
+    def __repr__(self):
+        return f"Decoration(psi={self.psi!r}, kappa={self.kappa!r})"
 
     def degree(self) -> int:
         return sum(e for _, e in self.psi) + sum(

@@ -175,6 +175,9 @@ def test_cone_accepts_a_file(capsys, tmp_path):
         # "latin-1:TEXT" is a file holding TEXT encoded as Latin-1, not UTF-8
         ["cone", 'latin-1:{"lattice_rank": 2, "cones": [], "\xe9": 1}', "pp", "1"],
         ["cone", "directory:", "pp", "1"],
+        ["lambda", "2", "-1"],  # negative marking counts
+        ["div-membership", "2", "-1", "2"],
+        ["div-membership", "3", "-1", "3"],
     ],
 )
 def test_domain_errors_exit_2(capsys, tmp_path, argv):

@@ -14,6 +14,7 @@ from tautring.stable_graphs import (
     automorphism_count,
     automorphisms,
     canonical_form,
+    check_stable_type,
     degeneration_base_pairs,
     contract_edges,
     enumerate_stable_graphs,
@@ -21,6 +22,8 @@ from tautring.stable_graphs import (
     separating_edges,
     smooth_graph,
 )
+from tautring.pixton import lambda_top
+from tautring.taut_classes import fundamental_class, kappa_class, psi_class
 
 THETA = StableGraph((0, 0), ((), ()), (((0, 0), (1, 0)), ((0, 1), (1, 1)), ((0, 2), (1, 2))))
 DUMBBELL = StableGraph((0, 0), ((), ()), (((0, 0), (0, 1)), ((1, 0), (1, 1)), ((0, 2), (1, 2))))
@@ -309,6 +312,34 @@ def test_json_round_trip():
 def test_validate_rejects(genera, legs, edges):
     with pytest.raises(DomainError):
         StableGraph(genera, legs, edges).validate()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        check_stable_type,
+        smooth_graph,
+        enumerate_stable_graphs,
+        fundamental_class,
+        lambda_top,
+        lambda g, n: kappa_class(g, n, 1),
+        lambda g, n: psi_class(g, n, 1),
+    ],
+    ids=["check", "smooth", "enumerate", "fundamental", "lambda", "kappa", "psi"],
+)
+@pytest.mark.parametrize("g, n", [(2, -1), (3, -1), (1, -2), (4, -3)])
+def test_negative_marking_counts_are_rejected(build, g, n):
+    """Each has 2g - 2 + n > 0 and was once read as n = 0."""
+    with pytest.raises(DomainError, match="is not a stable type"):
+        build(g, n)
+
+
+def test_the_stable_type_check():
+    for g, n in [(0, 3), (1, 1), (2, 0), (3, 5)]:
+        assert check_stable_type(g, n) is None
+    for g, n in [(0, 2), (1, 0), (-1, 5), (2, -1), (0, -3)]:
+        with pytest.raises(DomainError, match=r"\(%d,%d\) is not a stable type" % (g, n)):
+            check_stable_type(g, n)
 
 
 GRAPH_PROBES = {

@@ -44,16 +44,14 @@ def _vector_sum(vectors):
 
 
 def _cone_coords(rays, vector):
-    """Coordinates of vector in the span of the rays, or None."""
+    """Coordinates of vector in the rays if it lies in their closed cone, or None."""
     if not rays:
         return None
     matrix = QMatrix([[QQ(r[i]) for r in rays] for i in range(len(rays[0]))])
-    return matrix.solve([rat(x) for x in vector])
-
-
-def _in_cone(rays, vector):
-    coords = _cone_coords(rays, vector)
-    return coords is not None and all(c >= 0 for c in coords)
+    coords = matrix.solve([rat(x) for x in vector])
+    if coords is None or any(c < 0 for c in coords):
+        return None
+    return coords
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +110,7 @@ class ConeComplex:
                 if matrix.rank() != len(rays):
                     raise DomainError("gluing face rays are dependent")
                 for ray in rays:
-                    if not any(ray in cone for cone in self.cones) and not any(
-                        _in_cone(cone, ray) for cone in self.cones
-                    ):
+                    if all(ray not in c for c in self.cones) and self.find_cone(ray) is None:
                         raise DomainError(
                             "gluing references %r outside the support" % (ray,)
                         )
@@ -139,21 +135,22 @@ class ConeComplex:
         return sorted(faces, key=lambda f: (len(f), f))
 
     def contains(self, point):
-        return any(_in_cone(cone, point) for cone in self.cones)
+        return self.find_cone(point) is not None
 
     def find_cone(self, point):
         """Index of a maximal cone containing the point, or None."""
         for i, cone in enumerate(self.cones):
-            if _in_cone(cone, point):
+            if _cone_coords(cone, point) is not None:
                 return i
         return None
 
     def _ray_image_map(self, src, dst):
-        """Image of every complex ray inside cone(src) under the gluing."""
+        """Image of every complex ray inside cone(src) under the gluing, the
+        linear map taking src[i] to dst[i]; all code applies gluings here."""
         out = {}
         for ray in self.rays():
             coords = _cone_coords(src, ray)
-            if coords is None or any(c < 0 for c in coords):
+            if coords is None:
                 continue
             image = [ZERO] * self.lattice_rank
             for c, target in zip(coords, dst):
@@ -306,10 +303,7 @@ def _subdivision_map(fine, coarse):
     def coords(j, ray):
         key = (j, ray)
         if key not in coords_in:
-            found = _cone_coords(coarse.cones[j], ray)
-            if found is not None and any(c < 0 for c in found):
-                found = None
-            coords_in[key] = found
+            coords_in[key] = _cone_coords(coarse.cones[j], ray)
         return coords_in[key]
 
     targets, ray_coords = [], []
@@ -325,17 +319,19 @@ def _subdivision_map(fine, coarse):
 
 
 def _gluing_orbit(complex, face):
-    """All faces identified with the given one by the gluing groupoid."""
-    orbit = {tuple(sorted(face))}
-    queue = [tuple(sorted(face))]
+    """All faces identified with the sorted face by the gluing groupoid,
+    each gluing acting both ways through its linear ray map, so that a face
+    of subdivision rays inside a glued face moves with it."""
+    ray_maps = []
+    for src, dst in complex.gluings:
+        ray_maps += [complex._ray_image_map(src, dst), complex._ray_image_map(dst, src)]
+    orbit = {face}
+    queue = [face]
     while queue:
         current = queue.pop()
-        for src, dst in complex.gluings:
-            for a, b in ((src, dst), (dst, src)):
-                if not set(current) <= set(a):
-                    continue
-                position = {ray: i for i, ray in enumerate(a)}
-                image = tuple(sorted(b[position[r]] for r in current))
+        for ray_map in ray_maps:
+            if all(r in ray_map for r in current):
+                image = tuple(sorted(ray_map[r] for r in current))
                 if image not in orbit:
                     orbit.add(image)
                     queue.append(image)
@@ -646,7 +642,7 @@ class PPFunction:
     def evaluate(self, point):
         for cone, poly in zip(self.complex.cones, self.polys):
             coords = _cone_coords(cone, point)
-            if coords is not None and all(c >= 0 for c in coords):
+            if coords is not None:
                 return _poly_eval(poly, coords)
         raise DomainError("point %r lies outside the support" % (point,))
 
@@ -659,30 +655,14 @@ class PPFunction:
 
     def validate(self):
         """Check agreement on shared faces and invariance under gluings."""
-        cones = self.complex.cones
-        for i, j in itertools.combinations(range(len(cones)), 2):
-            shared = sorted(set(cones[i]) & set(cones[j]))
-            if not shared:
-                continue
-            if self._restrict(i, shared) != self._restrict(j, shared):
+        for i, face, j, image in _matched_faces(self.complex):
+            if j is None:
+                raise DomainError("gluing image face missing")
+            if self._restrict(i, face) != self._restrict(j, image):
                 raise DomainError(
-                    "polynomials disagree on a face shared by cones %d, %d"
+                    "polynomials of cones %d, %d disagree on a shared or glued face"
                     % (i, j)
                 )
-        for src, dst in self.complex.gluings:
-            ray_map = self.complex._ray_image_map(src, dst)
-            for i, cone in enumerate(cones):
-                face = sorted(r for r in cone if r in ray_map)
-                if not face:
-                    continue
-                image = [ray_map[r] for r in face]
-                for j, other in enumerate(cones):
-                    if set(image) <= set(other):
-                        break
-                else:
-                    raise DomainError("gluing image face missing")
-                if self._restrict(i, face) != self._restrict(j, image):
-                    raise DomainError("function is not gluing-invariant")
 
     def _restrict(self, cone_index, face_rays):
         """Coefficients supported on the given rays, keyed by their order."""
@@ -708,20 +688,28 @@ def _ray_multisets(complex, d):
     return sorted(out)
 
 
-def _touching_cones(complex):
-    """Pairs of maximal cones that share a ray or that a gluing meets."""
+def _matched_faces(complex):
+    """(i, face, j, image) for every face on which maximal cones must agree.
+
+    First each face shared by cones i < j, in `combinations` order, with
+    image the same face; then, per gluing and per cone i, the rays of cone
+    i that the gluing moves and their images, j the first cone holding
+    the images or None.  The degree-0 `pp_space` basis follows this order.
+    """
     cones = complex.cones
+    raysets = [set(cone) for cone in cones]
     for i, j in itertools.combinations(range(len(cones)), 2):
-        if set(cones[i]) & set(cones[j]):
-            yield i, j
+        shared = [r for r in cones[i] if r in raysets[j]]
+        if shared:
+            yield i, shared, j, shared
     for src, dst in complex.gluings:
         ray_map = complex._ray_image_map(src, dst)
         for i, cone in enumerate(cones):
-            image = {ray_map[r] for r in cone if r in ray_map}
-            for j, other in enumerate(cones):
-                if image and image <= set(other):
-                    yield i, j
-                    break
+            face = [r for r in cone if r in ray_map]
+            if face:
+                image = [ray_map[r] for r in face]
+                j = next((j for j, rays in enumerate(raysets) if rays.issuperset(image)), None)
+                yield i, face, j, image
 
 
 def pp_space(complex, d):
@@ -742,7 +730,8 @@ def pp_space(complex, d):
         raise DomainError("degree must be nonnegative")
     cones = complex.cones
     if d == 0:
-        labels = union_find(len(cones), _touching_cones(complex))
+        pairs = ((i, j) for i, _, j, _ in _matched_faces(complex) if j is not None)
+        labels = union_find(len(cones), pairs)
         roots = sorted(set(labels))
     else:
         multisets = _ray_multisets(complex, d)

@@ -502,11 +502,13 @@ def contract_edges(graph: StableGraph, subset):
 
 def separating_edges(graph: StableGraph) -> list[int]:
     """Indices of edges whose removal disconnects the graph."""
+    ends = [(v1, v2) for (v1, _), (v2, _) in graph.edges]
     out = []
-    for idx, ((v1, _), (v2, _)) in enumerate(graph.edges):
-        rest = graph.edges[:idx] + graph.edges[idx + 1:]
-        if v1 != v2 and not StableGraph(graph.genera, graph.legs, rest).is_connected():
-            out.append(idx)
+    for idx, (v1, v2) in enumerate(ends):
+        if v1 != v2:
+            labels = union_find(graph.n_vertices, ends[:idx] + ends[idx + 1:])
+            if len(set(labels)) > 1:
+                out.append(idx)
     return out
 
 

@@ -214,6 +214,14 @@ class TautClass:
             for (graph, dec), coeff in terms.items():
                 self._insert(graph, dec, coeff)
 
+    def __getstate__(self):
+        return self.g, self.n, self.d, self.terms, self.virtual
+
+    def __setstate__(self, state):
+        # verbatim, not through _insert: a kappa_to_psi class keeps keys
+        # that are not canonical terms
+        self.g, self.n, self.d, self.terms, self.virtual = state
+
     def _insert(self, graph: StableGraph, dec: Decoration, coeff):
         coeff = QQ(coeff)
         if not coeff:

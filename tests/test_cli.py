@@ -136,6 +136,20 @@ def test_cone_accepts_a_file(capsys, tmp_path):
     assert payload["maximal_cones"] == 1
 
 
+def test_star_of_a_subdivided_glued_face_keeps_the_gluing(capsys, tmp_path):
+    """Face 15 of the barycentric triangle-z3 complex is made of subdivision
+    rays inside the glued cone.  Its star subdivides the three faces the
+    rotation carries it to (6 + 3 maximal cones), and `pp 1` accepts it."""
+    fine = _run_json(capsys, ["cone", "triangle-z3", "barycentric"])["complex"]
+    assert fine["cones"][15]["rays"] == [[1, 0, 0], [1, 1, 0]]
+    path = tmp_path / "fine.json"
+    path.write_text(json.dumps(fine))
+    star = _run_json(capsys, ["cone", str(path), "star", "15"])
+    assert star["maximal_cones"] == 9
+    path.write_text(json.dumps(star["complex"]))
+    assert _run_json(capsys, ["cone", str(path), "pp", "1"])["dimension"] > 0
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -178,6 +192,10 @@ def test_cone_accepts_a_file(capsys, tmp_path):
         ["lambda", "2", "-1"],  # negative marking counts
         ["div-membership", "2", "-1", "2"],
         ["div-membership", "3", "-1", "3"],
+        # the gluing swaps the axes but the complex has no ray (1, 2)
+        ["cone", 'file:{"lattice_rank": 2, "cones": [{"rays": [[1, 0], [2, 1]]}, '
+         '{"rays": [[0, 1], [2, 1]]}], "gluings": [{"source": [[1, 0], [0, 1]], '
+         '"target": [[0, 1], [1, 0]]}]}', "star", "0"],
     ],
 )
 def test_domain_errors_exit_2(capsys, tmp_path, argv):

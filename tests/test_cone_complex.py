@@ -124,13 +124,32 @@ def test_star_respects_gluings():
 
 def test_star_subdivides_identified_faces_in_different_cones():
     """Two quadrants glued one onto the other share the ray (0, 1) but no
-    cone, so a star at one subdivides both."""
+    cone, so a star at either one subdivides both: the gluing acts in both
+    directions."""
     x, y, w = (1, 0), (0, 1), (-1, 0)
     quadrants = ConeComplex(2, [(x, y), (w, y)], [((x, y), (y, w))])
-    fine, _ = star_subdivision(quadrants, (x, y))
-    assert len(fine.cones) == 4
-    for f in pp_space(fine, 1):
-        f.validate()
+    for face in ((x, y), (w, y)):
+        fine, _ = star_subdivision(quadrants, sorted(face))
+        assert len(fine.cones) == 4
+        for f in pp_space(fine, 1):
+            f.validate()
+
+
+def test_validate_checks_shared_and_glued_faces():
+    tz = triangle_z3_complex()
+    total = {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}
+    assert PPFunction.from_global(tz, total, 1).is_compatible()
+    with pytest.raises(DomainError, match="cones 0, 0 disagree"):
+        PPFunction(tz, 1, [{(1, 0, 0): 1}]).validate()  # the rotation moves e1 to e2
+    halves, _ = barycentric(simplex_cone_complex(2))
+    assert halves.cones == (((0, 1), (1, 1)), ((1, 0), (1, 1)))
+    with pytest.raises(DomainError, match="cones 0, 1 disagree"):
+        PPFunction(halves, 1, [{(0, 1): 1}, {}]).validate()  # on the ray (1, 1)
+    # the gluing carries the face of e1, e2 onto rays that share no cone
+    e1, e2, e3, diagonal = (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)
+    apart = ConeComplex(3, [(e1, e2), (e3,), (diagonal,)], [((e1, e2), (e3, diagonal))])
+    with pytest.raises(DomainError, match="gluing image face missing"):
+        PPFunction.constant(apart, 1).validate()
 
 
 def test_json_round_trip():

@@ -1,7 +1,10 @@
 """Pixton's formula: weightings, interpolation in r, and lambda_g."""
 
+import math
+
 import pytest
 
+from tautring.combinatorics import compositions
 from tautring.errors import DomainError
 from tautring.integration import integrate
 from tautring.pixton import (
@@ -83,6 +86,32 @@ def test_hodge_integral_psi2_lambda2():
     lam2 = lambda_top(2, 1)
     value = integrate(multiply(psi_class(2, 1, 1, 2), lam2))
     assert value == QQ(7, 5760)
+
+
+def _bernoulli(m):
+    """B_m from B_0 = 1 and sum_{k <= j} binom(j + 1, k) B_k = 0 for j >= 1."""
+    b = [QQ(1)]
+    for j in range(1, m + 1):
+        b.append(-sum(math.comb(j + 1, k) * b[k] for k in range(j)) / (j + 1))
+    return b[m]
+
+
+@pytest.mark.parametrize("g, n", [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2)])
+def test_psi_lambda_g_integrals_match_the_closed_form(g, n):
+    """The lambda_g formula, a closed form independent of the code:
+    int psi_1^a_1 ... psi_n^a_n lambda_g = binom(2g - 3 + n; a) b_g with
+    b_g = (2^(2g-1) - 1) / 2^(2g-1) * |B_2g| / (2g)!, for every a."""
+    b_g = QQ(2 ** (2 * g - 1) - 1, 2 ** (2 * g - 1)) * abs(_bernoulli(2 * g))
+    b_g /= math.factorial(2 * g)
+    lam = lambda_top(g, n)
+    top = 2 * g - 3 + n
+    for a in compositions(top, (top,) * n):
+        product = lam
+        for i, e in enumerate(a, 1):
+            if e:
+                product = multiply(psi_class(g, n, i, e), product)
+        multinomial = math.factorial(top) // math.prod(map(math.factorial, a))
+        assert integrate(product) == multinomial * b_g
 
 
 def test_polynomiality_two_windows():

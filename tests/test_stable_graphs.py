@@ -210,6 +210,30 @@ def test_separating_edges():
     assert not has_separating_edge(smooth_graph(2, 1))
 
 
+def _separating_edges_by_rebuilding(graph):
+    """The construction that `separating_edges` replaced: rebuild the graph
+    without each edge and ask whether it is still connected."""
+    out = []
+    for idx, ((v1, _), (v2, _)) in enumerate(graph.edges):
+        rest = graph.edges[:idx] + graph.edges[idx + 1:]
+        if v1 != v2 and not StableGraph(graph.genera, graph.legs, rest).is_connected():
+            out.append(idx)
+    return out
+
+
+def test_separating_edges_match_the_rebuilding_oracle():
+    """Every stable graph with 2g - 2 + n <= 4, many with separating edges."""
+    graphs = with_bridges = 0
+    for g, n in itertools.product(range(4), range(7)):
+        if 0 < 2 * g - 2 + n <= 4:
+            for graph in enumerate_stable_graphs(g, n):
+                want = _separating_edges_by_rebuilding(graph)
+                assert separating_edges(graph) == want
+                graphs += 1
+                with_bridges += bool(want)
+    assert 0 < with_bridges < graphs
+
+
 @dataclass(frozen=True)
 class ContractionPair:
     """A common degeneration of two stable graphs.

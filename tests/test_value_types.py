@@ -11,9 +11,19 @@ import pickle
 
 import pytest
 
+from tautring.integration import kappa_to_psi
 from tautring.membership import MembershipReport, SpanReport, ThetaReport
 from tautring.stable_graphs import StableGraph, smooth_graph
-from tautring.taut_classes import PSI_HE, PSI_LEG, Decoration, psi_class
+from tautring.taut_classes import (
+    PSI_HE,
+    PSI_LEG,
+    Decoration,
+    TautClass,
+    canonical_term,
+    class_of_graph,
+    decoration,
+    psi_class,
+)
 
 # legs and edges given out of order: the constructor normalizes them
 GRAPH = StableGraph((1, 0), ((), (2, 1)), (((1, 0), (0, 0)), ((0, 2), (0, 1))))
@@ -89,11 +99,26 @@ def test_round_trips_keep_the_value(value, how):
 
 @pytest.mark.parametrize("how", ["pickle", "copy", "deepcopy"])
 def test_round_trips_keep_a_class(how):
-    """Graphs and decorations as the keys of a class's terms (a slotted
-    `TautClass` itself pickles from protocol 2 on)."""
+    """Graphs and decorations as the keys of a class's terms."""
     cls = psi_class(1, 2, 1) + psi_class(1, 2, 2)
     out = ROUND_TRIPS[how](cls)
     assert out == cls and list(out.terms) == list(cls.terms)
+
+
+@pytest.mark.parametrize("protocol", range(6))
+@pytest.mark.parametrize("virtual", [False, True], ids=["plain", "virtual"])
+def test_a_class_pickles_verbatim_at_every_protocol(virtual, protocol):
+    """Every field comes back as it was, the terms in their order; the keys
+    of a `kappa_to_psi` class are not canonical and must not be re-keyed."""
+    cls = psi_class(1, 2, 1) + psi_class(1, 2, 2)
+    if virtual:
+        bridge = StableGraph((1, 1), ((), (1,)), (((0, 0), (1, 0)),))
+        cls = kappa_to_psi(class_of_graph(bridge, decoration(bridge, kappa={0: (1,)})))
+        assert any(canonical_term(*key) != key for key in cls.terms)
+    out = pickle.loads(pickle.dumps(cls, protocol=protocol))
+    assert type(out) is TautClass
+    assert (out.g, out.n, out.d, out.virtual) == (cls.g, cls.n, cls.d, virtual)
+    assert list(out.terms.items()) == list(cls.terms.items())
 
 
 class _NaiveGraph:

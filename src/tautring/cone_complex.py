@@ -538,14 +538,13 @@ class PPFunction:
     __slots__ = ("complex", "degree", "polys")
 
     def __init__(self, complex, degree, polys):
+        if len(polys) != len(complex.cones):
+            raise DomainError("need one polynomial per maximal cone")
         self.complex = complex
         self.degree = degree
-        fixed = []
-        for cone, poly in zip(complex.cones, polys):
-            fixed.append(_clean_poly(poly, len(cone), degree))
-        if len(fixed) != len(complex.cones):
-            raise DomainError("need one polynomial per maximal cone")
-        self.polys = tuple(fixed)
+        self.polys = tuple(
+            _clean_poly(poly, len(cone), degree) for cone, poly in zip(complex.cones, polys)
+        )
 
     @classmethod
     def _unchecked(cls, complex, degree, polys):

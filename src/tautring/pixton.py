@@ -265,7 +265,9 @@ def _expansion(graph: StableGraph, a, d: int):
 
 
 def _summed_graphs(g: int, a, d: int):
-    """The stable graphs with at most d edges, after checking d."""
+    """The stable graphs with at most d edges, after checking the type
+    (g, len(a)) and d."""
+    check_stable_type(g, len(a))
     if d < 0 or d > dim_moduli(g, len(a)):
         raise DomainError("degree out of range")
     return [graph for graph in enumerate_stable_graphs(g, len(a)) if graph.n_edges <= d]
@@ -313,17 +315,18 @@ def pixton_r_polynomial(g: int, a, d: int, start: int = None) -> RPolynomialClas
     """Interpolate the class as a polynomial in the modulus r.
 
     Samples the power sums S_M(r) of every graph at 2d+2 consecutive
-    values of r beginning at `start` (by default just past d and every
-    |a_i|) and fits S_M(r) / r**h1 exactly for each (graph, M).  Every
-    fit is verified against one further sample; disagreement raises
-    ConsistencyError.  Each stratum coefficient is then the matching
-    combination of the fitted polynomials.
+    values of r beginning at `start` (by default just past d and the sum
+    of the positive a_i, the largest weight a bridge can carry) and fits
+    S_M(r) / r**h1 exactly for each (graph, M).  Every fit is verified
+    against one further sample; disagreement raises ConsistencyError.
+    Each stratum coefficient is then the matching combination of the
+    fitted polynomials.
     """
     a = tuple(int(x) for x in a)
     if sum(a) != 0:
         raise DomainError("weights must sum to zero")
     if start is None:
-        start = max([d] + [abs(x) for x in a]) + 2
+        start = max(d, sum(x for x in a if x > 0)) + 2
     if start < 2:
         start = 2
     n_samples = 2 * d + 2
@@ -368,8 +371,6 @@ def dr_cycle(g: int, a, start: int = None) -> TautClass:
     a = tuple(int(x) for x in a)
     if sum(a) != 0:
         raise DomainError("double ramification weights must sum to zero")
-    if g == 0 and len(a) < 3:
-        raise DomainError("unstable moduli space")
     cls = pixton_class(g, a, g, start=start)
     return QQ(1, 2**g) * cls
 

@@ -215,6 +215,14 @@ def test_domain_errors_exit_2(capsys, tmp_path, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("genus", ["-1", "0"])
+def test_dr_checks_the_type_before_the_degree(capsys, genus):
+    """Like every constructor that takes a type, through check_stable_type."""
+    code, out, err = _run(capsys, ["dr", genus, "--weights", "1,-1"])
+    assert (code, out) == (2, "")
+    assert err == "error: (%s,2) is not a stable type\n" % genus
+
+
 def test_consistency_failures_exit_3(capsys, monkeypatch):
     def boom(args):
         raise ConsistencyError("sample check failed")

@@ -232,6 +232,14 @@ def test_pp_function_rejects_negative_and_non_integer_exponents(exps):
         PPFunction.from_global(simplex_cone_complex(2), {exps: 1}, 1)
 
 
+@pytest.mark.parametrize("count", [0, 2, 3])
+def test_pp_function_needs_one_polynomial_per_maximal_cone(count):
+    """A second polynomial on the one cone of simplex1 is refused, not dropped."""
+    polys = [{(0,): k + 1} for k in range(count)]
+    with pytest.raises(DomainError, match="one polynomial per maximal cone"):
+        PPFunction(simplex_cone_complex(1), 0, polys)
+
+
 @pytest.mark.parametrize("exps", [(1,), (1, 0, 0), (0, 0, 1)])
 def test_from_global_rejects_exponent_tuples_of_another_length(exps):
     with pytest.raises(DomainError, match="does not have 2 entries"):

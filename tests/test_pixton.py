@@ -3,10 +3,12 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tautring.combinatorics import compositions
 from tautring.errors import DomainError
-from tautring.integration import integrate
+from tautring.integration import integrate, term_integral
 from tautring.pixton import (
     dr_cycle,
     lambda_top,
@@ -24,7 +26,13 @@ from tautring.stable_graphs import (
     has_separating_edge,
     smooth_graph,
 )
-from tautring.taut_classes import class_of_graph, fundamental_class, psi_class
+from tautring.taut_classes import (
+    PSI_LEG,
+    Decoration,
+    class_of_graph,
+    fundamental_class,
+    psi_class,
+)
 
 THETA = StableGraph((0, 0), ((), ()), (((0, 0), (1, 0)), ((0, 1), (1, 1)), ((0, 2), (1, 2))))
 LOOP = StableGraph((1,), ((),), (((0, 0), (0, 1)),))
@@ -112,6 +120,79 @@ def test_psi_lambda_g_integrals_match_the_closed_form(g, n):
                 product = multiply(psi_class(g, n, i, e), product)
         multinomial = math.factorial(top) // math.prod(map(math.factorial, a))
         assert integrate(product) == multinomial * b_g
+
+
+def _bssz(g, a, j):
+    """[z^2g] prod_{i != j} S(a_i z) / S(z) with S(z) = sinh(z/2) / (z/2),
+    on the coefficients of z^0, z^2, ..., z^2g."""
+
+    def S(x):
+        return [QQ(x ** (2 * k), 4**k * math.factorial(2 * k + 1)) for k in range(g + 1)]
+
+    series = [QQ(1)] + [QQ(0)] * g
+    for i, x in enumerate(a, 1):
+        if i != j:
+            s = S(x)
+            series = [sum(series[t] * s[k - t] for t in range(k + 1)) for k in range(g + 1)]
+    quotient = []  # series / S(1), term by term since S(1) starts with 1
+    for k in range(g + 1):
+        quotient.append(series[k] - sum(quotient[t] * S(1)[k - t] for t in range(k)))
+    return quotient[g]
+
+
+def _dr_psi_integrals(g, a, j):
+    """int_{DR_g(a)} psi_j^(2g-3+n) through multiply and integrate, and term
+    by term with the exponent added on leg j at its vertex."""
+    dr = dr_cycle(g, a)
+    e = 2 * g - 3 + len(a)
+    through_multiply = integrate(multiply(dr, psi_class(g, len(a), j, e)))
+    by_terms = 0
+    for (graph, dec), coeff in dr.terms.items():
+        psi = dict(dec.psi)
+        if e:
+            psi[(PSI_LEG, j)] = psi.get((PSI_LEG, j), 0) + e
+        by_terms += coeff * term_integral(graph, Decoration(tuple(sorted(psi.items())), dec.kappa))
+    return through_multiply, by_terms
+
+
+@pytest.mark.parametrize(
+    "g, a, j, value",
+    [
+        (1, (2, -2), 1, QQ(1, 8)),
+        (2, (3, -3), 1, QQ(1, 36)),
+        (2, (2, -1, -1), 1, QQ(1, 1920)),
+        (2, (2, -1, -1), 2, QQ(1, 120)),
+        (1, (3, -1, -2), 3, QQ(3, 8)),
+        (2, (0, 0), 1, QQ(7, 5760)),
+        (2, (4, -1, -3), 1, QQ(27, 640)),
+        # a bridge carries weight 6 > max |a_i|: the samples start past it
+        (1, (3, 3, -3, -3), 1, QQ(13, 12)),
+    ],
+)
+def test_dr_psi_integrals_of_known_value(g, a, j, value):
+    assert _bssz(g, a, j) == value
+    assert _dr_psi_integrals(g, a, j) == (value, value)
+
+
+@st.composite
+def _dr_integrands(draw):
+    """(g, a, j): g <= 1 with n <= 4 or g = 2 with n <= 3, |a_i| <= 4."""
+    g, n = draw(st.sampled_from([(0, 3), (0, 4), (1, 1), (1, 2), (1, 3), (1, 4),
+                                 (2, 1), (2, 2), (2, 3)]))
+    head = draw(
+        st.lists(st.integers(-4, 4), min_size=n - 1, max_size=n - 1)
+        .filter(lambda h: abs(sum(h)) <= 4)
+    )
+    return g, tuple(head) + (-sum(head),), draw(st.integers(1, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_dr_integrands())
+def test_dr_psi_integrals_match_the_closed_form(case):
+    """The BSSZ formula (arXiv 1211.5273), independent of the code: the
+    product leaves out the leg j that carries psi."""
+    value = _bssz(*case)
+    assert _dr_psi_integrals(*case) == (value, value)
 
 
 def test_polynomiality_two_windows():

@@ -53,6 +53,12 @@ def _three_parts():
     return ConeComplex(4, cones, [(((1, 0, 0, 0),), ((0, 0, 1, 0),))])
 
 
+def _face_onto_face():
+    """A proper face of the orthant glued onto another: (e1, e2) -> (e2, e3)."""
+    e1, e2, e3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    return ConeComplex(3, [(e1, e2, e3)], [((e1, e2), (e2, e3))])
+
+
 FIXTURES = {
     "simplex1": lambda: simplex_cone_complex(1),
     "simplex2": lambda: simplex_cone_complex(2),
@@ -60,14 +66,14 @@ FIXTURES = {
     "simplex4": lambda: simplex_cone_complex(4),
     "simplex5": lambda: simplex_cone_complex(5),
     "triangle-z3": triangle_z3_complex,
-    "cycle3": lambda: _glued_orthant((1, 2, 0)),
+    "face-onto-face": _face_onto_face,
     "cycle4": lambda: _glued_orthant((1, 2, 3, 0)),
     "cycle5": lambda: _glued_orthant((2, 4, 1, 0, 3)),
     "transposition4": lambda: _glued_orthant((1, 0, 2, 3)),
     "three-parts": _three_parts,
     # glued complexes whose glued faces are already subdivided
     "barycentric-triangle-z3": lambda: barycentric(triangle_z3_complex())[0],
-    "barycentric-cycle3": lambda: barycentric(_glued_orthant((1, 2, 0)))[0],
+    "barycentric-face-onto-face": lambda: barycentric(_face_onto_face())[0],
 }
 
 # Non-unimodular cones: the barycenter (1, 0) of (1, -1), (1, 1) has
@@ -106,6 +112,11 @@ def _assert_same_space(complex, d):
     got = _outcome(pp_space, complex, d)
     assert got == want
     return want
+
+
+def test_no_two_fixtures_are_equal():
+    complexes = [build() for build in FIXTURES.values()]
+    assert all(a != b for a, b in itertools.combinations(complexes, 2))
 
 
 @pytest.mark.parametrize("d", [0, 1, 2, 3])
@@ -154,7 +165,7 @@ def _random_global(rng, rank, d):
 
 
 PULLBACK_CASES = dict(NON_UNIMODULAR)
-for _name in ("simplex1", "simplex2", "simplex3", "triangle-z3", "cycle3"):
+for _name in ("simplex1", "simplex2", "simplex3", "triangle-z3", "face-onto-face"):
     PULLBACK_CASES[_name] = FIXTURES[_name]
 
 

@@ -2,18 +2,22 @@
 
 import itertools
 import json
+import random
 from dataclasses import dataclass
 
 import pytest
 
+import canonical_oracle
 from enum_oracle import oracle_stable_graphs
 from tautring.errors import DomainError
 from tautring.stable_graphs import (
     _splits,
+    _vertex_automorphism_maps,
     StableGraph,
     automorphism_count,
     automorphisms,
     canonical_form,
+    canonical_form_with_map,
     check_stable_type,
     degeneration_base_pairs,
     contract_edges,
@@ -176,6 +180,39 @@ def test_canonical_form_is_relabeling_invariant():
             ]
             other = _relabeled(graph, vperm, slot_perms)
             assert canonical_form(other) == base
+
+
+def _oracle_inputs():
+    """Every graph with 2g - 2 + n <= 4 and every graph of (2,3) and (3,1),
+    each also under two seeded relabelings of its vertices and slots."""
+    rng = random.Random(1301)
+    for g, n in itertools.product(range(4), range(7)):
+        if 0 < 2 * g - 2 + n <= 4 or (g, n) in ((2, 3), (3, 1)):
+            for graph in enumerate_stable_graphs(g, n):
+                yield graph
+                for _ in range(2):
+                    vperm = rng.sample(range(graph.n_vertices), graph.n_vertices)
+                    slot_perms = []
+                    for v in range(graph.n_vertices):
+                        ends = graph.edge_ends(v)
+                        slot_perms.append(dict(zip(ends, rng.sample(ends, len(ends)))))
+                    yield _relabeled(graph, vperm, slot_perms)
+
+
+def test_search_matches_the_two_sweeps_of_the_oracle():
+    """One search gives the canonical forms and the automorphisms that the
+    two sweeps of `canonical_oracle` give, in the same order."""
+    relabeled = 0
+    for graph in _oracle_inputs():
+        assert canonical_form_with_map(graph) == canonical_oracle.canonical_form_with_map(graph)
+        maps = canonical_oracle.vertex_automorphism_maps(graph)
+        assert list(_vertex_automorphism_maps(graph)) == maps
+        auts = canonical_oracle.automorphisms(graph, maps)
+        assert list(automorphisms(graph)) == auts
+        assert auts[0] == (tuple(range(graph.n_vertices)), {h: h for h in graph.half_edges()})
+        assert automorphism_count(graph) == len(auts)
+        relabeled += canonical_form(graph) != graph
+    assert relabeled > 1000
 
 
 def test_contraction_closure():

@@ -7,14 +7,15 @@ systems, and Lagrange interpolation.
 
 Every rank, nullspace, solve and infeasibility certificate goes through
 one elimination kernel, `_echelon`.  It clears the denominators of each
-row, keeps the row as a sparse ``{column: int}`` dict, and eliminates
-fraction-free: ``r <- a*r - b*p`` with ``a, b`` coprime, then divides the
-row by its content.  A rational appears again only when a result is
-written out, as an entry divided by its row's pivot.  The pivot of each
-column is the first remaining row, in swapped order, that is nonzero
-there (the Gauss-Jordan rule), and the reduced row echelon form is
-unique, so every result equals the one of a dense rational Gauss-Jordan
-reduction.
+row, keeps the row as a sparse ``{column: int}`` dict, and its loop
+`_reduce` eliminates fraction-free: ``r <- a*r - b*p`` with ``a, b``
+coprime, then divides the row by its content.  `pivot_columns` runs the
+same loop on rows that are integer from the start.  A rational appears
+again only when a result is written out, as an entry divided by its
+row's pivot.  The pivot of each column is the first remaining row, in
+swapped order, that is nonzero there (the Gauss-Jordan rule), and the
+reduced row echelon form is unique, so every result equals the one of a
+dense rational Gauss-Jordan reduction.
 """
 
 from math import gcd, lcm, prod
@@ -74,11 +75,19 @@ def _echelon(matrix, record=False, back_substitute=True):
     ``n_cols + j`` of every row holds the multiple of matrix row j that
     went into it; pivots are chosen among the matrix's own columns only.
     """
-    n_cols, n = matrix.n_cols, matrix.n_rows
     if record:
-        rows = [_integer_row(row, (n_cols + i, ONE)) for i, row in enumerate(matrix.rows)]
+        rows = [
+            _integer_row(row, (matrix.n_cols + i, ONE)) for i, row in enumerate(matrix.rows)
+        ]
     else:
         rows = [_integer_row(row) for row in matrix.rows]
+    return _reduce(rows, matrix.n_cols, back_substitute)
+
+
+def _reduce(rows, n_cols, back_substitute):
+    """The loop of `_echelon` on sparse primitive integer rows, in place:
+    pivots are chosen among columns below n_cols."""
+    n = len(rows)
     origin = list(range(n))
     pivots = []
     r = 0
@@ -312,6 +321,14 @@ def infeasibility_certificate(matrix, b):
         return None
     row = rows[pivots.index(n)]
     return [QQ(row.get(n + 1 + j, 0), row[n]) for j in range(matrix.n_rows)]
+
+
+def pivot_columns(rows):
+    """Pivot columns of a row echelon form of integer rows, lists of one
+    length, by the loop of the elimination kernel; the rank of the rows is
+    the length of the result."""
+    sparse = [_divide_content({c: v for c, v in enumerate(row) if v}) for row in rows]
+    return _reduce(sparse, len(rows[0]) if rows else 0, back_substitute=False)[1]
 
 
 def rank_of_rows(vectors, n_cols=None):

@@ -2,28 +2,50 @@
 
 Classes of complementary degree pair to a rational number, the integral
 of their product, computed without building the product by
-`product.pairing_matrix`, which pairs all rows of a question with the
-full decorated-stratum generating set in one walk over the common
-degenerations.  That turns span and membership questions into exact
-linear algebra.  For genus up to 3 the pairing between
+`product.term_pairing`, which pairs every distinct term of a question
+with the full decorated-stratum generating set in one walk over the
+common degenerations.  That turns span and membership questions into
+exact linear algebra.  For genus up to 3 the pairing between
 complementary degrees of these rings is perfect, so answers both ways are
 certified; beyond that only refutations are certain and span ranks are
 lower bounds, which callers must request explicitly.
+
+The ranks of `pairing_rank`, `subalgebra_span` and `div_membership` are
+found on small integer matrices, never on a full-width rational one.
+Let T be the integer matrix of the distinct row terms of all classes of
+a question against the basis columns.  Every class row is a rational
+combination of rows of T, so it lies in rowspace(T).
+
+- A zero column of T, or a column that is a rational multiple of a kept
+  one over all rows of T, carries no information on rowspace(T): every
+  vector there has the same relation between those entries.  A zero row
+  or a repeated primitive row does not change rowspace(T) either.
+- Let P be the pivot columns of any echelon form of what is left.  The
+  restriction v -> v[P] is injective on rowspace(T): the rows of the
+  reduced form restrict to the unit vectors on P, so v is their
+  combination with the coefficients v[P].
+
+So the rank of each block of classes (the monomials; the monomials and
+x; the generators) is the rank of its rows restricted to P, which has as
+many columns as the ambient rank: 14, 12 and 10 for (2,2,2), (1,4,1) and
+(3,0,3), against 161, 551 and 40 basis columns.
 """
 
 import itertools
 from collections import namedtuple
+from math import gcd
 
 from .combinatorics import partitions
 from .errors import DomainError
-from .exact_linalg import QMatrix, feasible, solve_affine
-from .product import multiply, pairing_matrix
+from .exact_linalg import QMatrix, feasible, pivot_columns, solve_affine
+from .product import multiply, pairing_matrix, summed_row, term_pairing
 from .rationals import QQ
 from .stable_graphs import StableGraph
 from .taut_classes import (
     TautClass,
     class_of_graph,
     dim_moduli,
+    fundamental_class,
     generators,
 )
 from .pixton import lambda_top
@@ -42,14 +64,54 @@ def pairing_vector(x: TautClass, basis=None):
     return pairing_matrix((x,), basis)[0]
 
 
+def _primitive(vector):
+    """vector divided by its content, the first nonzero entry positive;
+    None for a zero vector."""
+    content = gcd(*vector)
+    if not content:
+        return None
+    if next(v for v in vector if v) < 0:
+        content = -content
+    return tuple(v // content for v in vector)
+
+
+def _term_pivots(term_rows):
+    """Pivot columns of an echelon form of the integer term rows, found on
+    their distinct primitive rows and columns: a zero column, or one that
+    is a multiple of an earlier one, is never a pivot there."""
+    rows = list(dict.fromkeys(filter(None, map(_primitive, term_rows))))
+    kept: dict = {}
+    for c, column in enumerate(zip(*rows)):
+        key = _primitive(column)
+        if key is not None:
+            kept.setdefault(key, c)
+    cols = list(kept.values())
+    return [cols[k] for k in pivot_columns([[row[c] for c in cols] for row in rows])]
+
+
+def _ranks(g, n, d, classes, blocks):
+    """The pairing rank of each block, a slice of classes of degree d,
+    against the degree top-d generating set.
+
+    One integer matrix T holds the pairing rows of the distinct terms of
+    all classes; its pivot columns P are found once, and each block is
+    ranked on its rows restricted to P (see the module docstring).
+    """
+    cols = generators(g, n, dim_moduli(g, n) - d)
+    pairs = term_pairing(classes, cols)
+    pivots = _term_pivots([nums for _, nums in pairs.values()])
+    rows = [summed_row(x, pairs, pivots)[1] for x in classes]
+    return [len(pivot_columns(rows[block])) for block in blocks]
+
+
 def pairing_rank(g: int, n: int, d: int) -> int:
     """Rank of the pairing between degrees d and top-d.
 
     Equals dim R^d whenever the pairing is perfect; in any case it is a
     lower bound.
     """
-    cols = generators(g, n, dim_moduli(g, n) - d)
-    return QMatrix(pairing_matrix(generators(g, n, d), cols), n_cols=len(cols)).rank()
+    [rank] = _ranks(g, n, d, generators(g, n, d), [slice(None)])
+    return rank
 
 
 def _degree_monomials(g: int, n: int, d: int, k: int):
@@ -77,7 +139,7 @@ def _degree_monomials(g: int, n: int, d: int, k: int):
                 gens = generators(g, n, part)
                 for i in combo:
                     cls = gens[i] if cls is None else multiply(cls, gens[i])
-            out.append((label, cls))
+            out.append((label, fundamental_class(g, n) if cls is None else cls))
     return out
 
 
@@ -94,19 +156,20 @@ def subalgebra_span(g: int, n: int, d: int, k: int = 1) -> SpanReport:
 
     Ranks are computed in pairing coordinates against the full degree
     top-d generating set, alongside the ambient pairing rank of degree d
-    itself; the monomials and the generators are paired in one matrix.
+    itself; the monomials and the generators are paired in one walk.
     """
-    cols = generators(g, n, dim_moduli(g, n) - d)
     monomials = [cls for _, cls in _degree_monomials(g, n, d, k)]
-    matrix = pairing_matrix(monomials + list(generators(g, n, d)), cols)
     m = len(monomials)
+    rank, ambient = _ranks(
+        g, n, d, monomials + list(generators(g, n, d)), [slice(m), slice(m, None)]
+    )
     return SpanReport(
         g=g,
         n=n,
         degree=d,
         generator_degree=k,
-        rank=QMatrix(matrix[:m], n_cols=len(cols)).rank(),
-        ambient_rank=QMatrix(matrix[m:], n_cols=len(cols)).rank(),
+        rank=rank,
+        ambient_rank=ambient,
         monomial_count=m,
     )
 
@@ -139,7 +202,7 @@ def div_membership(
     pairing cannot tell the class apart from the subring; that weaker
     mode must be requested with unverified_extended.  The report also
     carries the ambient pairing rank of degree d: the monomials, x and the
-    degree-d generators are paired in one matrix.
+    degree-d generators are paired in one walk.
     """
     g, n, d = x.g, x.n, x.d
     certified = g <= 3
@@ -148,11 +211,15 @@ def div_membership(
             "perfect pairing is only known here for g <= 3; "
             "pass unverified_extended=True for lower-bound analysis"
         )
-    cols = generators(g, n, dim_moduli(g, n) - d)
     monomials = [cls for _, cls in _degree_monomials(g, n, d, max_gen_degree)]
-    matrix = pairing_matrix([*monomials, x, *generators(g, n, d)], cols)
     m = len(monomials)
-    rank, rank_with = QMatrix(matrix[:m], n_cols=len(cols)).rank_with(matrix[m])
+    rank, rank_with, ambient = _ranks(
+        g,
+        n,
+        d,
+        [*monomials, x, *generators(g, n, d)],
+        [slice(m), slice(m + 1), slice(m + 1, None)],
+    )
     return MembershipReport(
         g=g,
         n=n,
@@ -161,7 +228,7 @@ def div_membership(
         certified=certified,
         rank=rank,
         rank_with_class=rank_with,
-        ambient_rank=QMatrix(matrix[m + 1:], n_cols=len(cols)).rank(),
+        ambient_rank=ambient,
     )
 
 

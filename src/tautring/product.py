@@ -15,7 +15,8 @@ per-vertex kappa tuples, grouped by degree at each vertex; a kappa
 preimage or excess factor goes only where its vertex has room below its
 dimension, since a term beyond it is zero.  `multiply` sums integer
 counts per stratum term and builds each `Decoration` once;
-`pairing_matrix` sums the integrals in integers and builds none.
+`term_pairing` sums the integrals of each distinct row term in integers
+and builds none, and `pairing_matrix` sums its rows from those.
 """
 
 import itertools
@@ -64,39 +65,61 @@ def _layout(graph):
     return slot, owner, vertex_data(graph)[1], {}
 
 
-def _pull(layout, vmap, he_inv, orbit):
-    """Pull (decoration, multiplicity) pairs back along a contraction.
+def _plan(layout, vmap, he_inv):
+    """(position, preimages) of a contraction onto a term's graph: the
+    exponent-vector position of each psi key of that graph, and the
+    degeneration vertices over each of its vertices.
 
     `vmap` and `he_inv` are those of an entry of
     `stable_graphs.common_degenerations`: where each vertex of the
     degeneration lands, and which of its half-edges sits over each
     half-edge of the term's graph.
+    """
+    slot = layout[0]
+    # legs keep their keys; every half-edge key of the term's graph is
+    # overwritten, so the degeneration's own half-edge keys are never read
+    position = slot.copy()
+    for h, k in he_inv.items():
+        position[(PSI_HE, *h)] = slot[(PSI_HE, *k)]
+    preimages = [[] for _ in range(max(vmap) + 1)]
+    for v, w in enumerate(vmap):
+        preimages[w].append(v)
+    return position, preimages
+
+
+def _pull(layout, plan, orbit):
+    """Pull (decoration, multiplicity) pairs back along a contraction, given
+    by its `_plan`.
+
     Returns {degrees: {(psi, kappa): multiplicity}}, kappa None or
     per-vertex sorted tuples.  A kappa class pulls back to the sum over
     the preimages; a choice is dropped if a vertex exceeds its dimension.
     """
-    slot, owner, dims, _ = layout
-    preimages: dict = {}
-    for v, w in enumerate(vmap):
-        preimages.setdefault(w, []).append(v)
+    _, owner, dims, _ = layout
+    position, preimages = plan
     out: dict = {}
     for dec, mult in orbit:
         psi = [0] * len(owner)
         degrees = [0] * len(dims)
         for key, e in dec.psi:
-            i = slot[key if key[0] == PSI_LEG else (PSI_HE, *he_inv[key[1:]])]
+            i = position[key]
             psi[i] += e
             degrees[owner[i]] += e
         psi = tuple(psi)
+        if not any(dec.kappa):  # the one choice: psi alone
+            if all(map(le, degrees, dims)):
+                monos = out.setdefault(tuple(degrees), {})
+                monos[psi, None] = monos.get((psi, None), 0) + mult
+            continue
         factors = [(a, preimages[w]) for w, ks in enumerate(dec.kappa) for a in ks]
         for choice in itertools.product(*(vertices for _, vertices in factors)):
-            kappa = [[] for _ in dims] if factors else None
+            kappa = [[] for _ in dims]
             at = degrees[:]
             for (a, _), v in zip(factors, choice):
                 at[v] += a
                 kappa[v].append(a)
             if all(map(le, at, dims)):
-                key = (psi, kappa and tuple(map(tuple, map(sorted, kappa))))
+                key = (psi, tuple(map(tuple, map(sorted, kappa))))
                 monos = out.setdefault(tuple(at), {})
                 monos[key] = monos.get(key, 0) + mult
     return out
@@ -214,12 +237,14 @@ def _by_graph(terms):
 
 def _pulls(layout, entries):
     """(bits, {degrees: [(position, monomials)]}) per entry, with each
-    term pulled back once and its monomials grouped by vertex degrees."""
+    term pulled back once along the entry's one plan and its monomials
+    grouped by vertex degrees."""
     out = []
     for bits, vmap, he_inv, terms in entries:
+        plan = _plan(layout, vmap, he_inv)
         by_degrees: dict = {}
         for i, orbit in terms:
-            for degrees, monos in _pull(layout, vmap, he_inv, orbit).items():
+            for degrees, monos in _pull(layout, plan, orbit).items():
                 by_degrees.setdefault(degrees, []).append((i, monos))
         if by_degrees:
             out.append((bits, by_degrees))
@@ -280,45 +305,68 @@ def _term_sums(row_terms, col_terms, g, n):
     return sums
 
 
-def pairing_matrix(rows, basis) -> list:
-    """Integrals of each class of rows times each class of basis.
+def term_pairing(rows, basis) -> dict:
+    """{term: (denominator, numerators)} of every distinct term of rows, in
+    order of first appearance: the integral of the term times basis[j] is
+    numerators[j] / denominator.
 
     Every distinct row term is paired with every distinct column term in
-    one walk over the common degenerations (`_term_sums`); each row is
-    then summed from its terms in integers over one denominator.
+    one walk over the common degenerations (`_term_sums`), and each term's
+    integer sums are carried onto the basis classes once.
     """
     rows, basis = tuple(rows), tuple(basis)
-    if not rows or not basis:
-        return [[] for _ in rows]
+    terms = list(dict.fromkeys(t for x in rows for t in x.terms))
+    if not basis:
+        return {term: (1, []) for term in terms}
     for x in rows:
         _check_product(x, basis[0], top=True)
-    for b in basis:
+    for b in basis if rows else ():
         _check_product(rows[0], b, top=True)
-    where = {term: i for i, term in enumerate(dict.fromkeys(t for x in rows for t in x.terms))}
+    if not terms:
+        return {}
     uses: dict = {}
     for j, b in enumerate(basis):
         for term, coeff in b.terms.items():
             uses.setdefault(term, []).append((j, coeff))
-    sums = _term_sums(list(where), list(uses), rows[0].g, rows[0].n)
+    sums = _term_sums(terms, list(uses), rows[0].g, rows[0].n)
     scale = lcm(*(c.denominator for use in uses.values() for _, c in use))
     uses = [[(j, int(c * scale)) for j, c in use] for use in uses.values()]
+    out = {}
+    for term, (den, nums) in zip(terms, sums):
+        row = [0] * len(basis)
+        for num, use in zip(nums, uses):
+            if num:
+                for j, c in use:
+                    row[j] += num if c == 1 else num * c
+        out[term] = (den * scale, row)
+    return out
+
+
+def summed_row(x, pairs, columns):
+    """(denominator, numerators) of the integrals of x times the basis
+    classes at the given columns, summed in integers from the
+    `term_pairing` rows of its terms."""
+    total, row = 1, [0] * len(columns)
+    for term, coeff in x.terms.items():
+        den, nums = pairs[term]
+        den *= coeff.denominator
+        if total % den:
+            factor = den // gcd(total, den)
+            total *= factor
+            row = [v * factor for v in row]
+        factor = coeff.numerator * (total // den)
+        row = [v + nums[c] * factor for v, c in zip(row, columns)]
+    return total, row
+
+
+def pairing_matrix(rows, basis) -> list:
+    """Integrals of each class of rows times each class of basis, each row
+    a `summed_row` over one denominator."""
+    rows, basis = tuple(rows), tuple(basis)
+    pairs = term_pairing(rows, basis)
     out = []
     for x in rows:
-        total, row = 1, [0] * len(basis)
-        for term, coeff in x.terms.items():
-            den, nums = sums[where[term]]
-            den *= coeff.denominator
-            if total % den:
-                factor = den // gcd(total, den)
-                total *= factor
-                row = [v * factor for v in row]
-            factor = coeff.numerator * (total // den)
-            for num, use in zip(nums, uses):
-                if num:
-                    num *= factor
-                    for j, c in use:
-                        row[j] += num if c == 1 else num * c
-        total *= scale
+        total, row = summed_row(x, pairs, range(len(basis)))
         out.append([QQ(v, total) if v else ZERO for v in row])
     return out
 

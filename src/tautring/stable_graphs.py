@@ -253,48 +253,51 @@ def _color_classes(graph: StableGraph) -> list[list[int]]:
     return classes
 
 
-def _candidate(graph: StableGraph, new_of_old: list[int]):
+def _candidate(graph: StableGraph, new_of_old, hemap=None):
     """Relabel along a vertex permutation with greedy slot assignment.
 
-    Returns (edge tuple, hemap).  The edge tuple depends only on the
+    Returns the edge tuple, and fills hemap, when one is given, with the
+    new name of every old half-edge.  The edge tuple depends only on the
     underlying multigraph and the permutation, which makes min-over-
     permutations a true canonical form.
     """
     items = []
-    for idx, ((v1, s1), (v2, s2)) in enumerate(graph.edges):
+    for idx, ((v1, _), (v2, _)) in enumerate(graph.edges):
         a, b = new_of_old[v1], new_of_old[v2]
         if a > b:
             items.append(((b, a), idx, True))
         else:
             items.append(((a, b), idx, False))
-    items.sort(key=lambda t: (t[0], t[1]))
+    items.sort()
     next_slot = [0] * graph.n_vertices
     new_edges = []
-    hemap = {}
     for (a, b), idx, swapped in items:
-        (h1, h2) = graph.edges[idx]
-        if swapped:
-            h1, h2 = h2, h1
-        # h1 now sits over new vertex a, h2 over b (for loops a == b and
-        # the normalized edges of the graph already give h1 < h2).
         sa = next_slot[a]
         next_slot[a] += 1
         sb = next_slot[b]
         next_slot[b] += 1
-        hemap[h1] = (a, sa)
-        hemap[h2] = (b, sb)
         new_edges.append(((a, sa), (b, sb)))
+        if hemap is not None:
+            (h1, h2) = graph.edges[idx]
+            if swapped:
+                h1, h2 = h2, h1
+            # h1 now sits over new vertex a, h2 over b (for loops a == b and
+            # the normalized edges of the graph already give h1 < h2).
+            hemap[h1] = (a, sa)
+            hemap[h2] = (b, sb)
     # sorted and oriented: by (a, b), and by slot within one (a, b)
-    return tuple(new_edges), hemap
+    return tuple(new_edges)
 
 
 def _search(graph: StableGraph):
     """The one sweep over the vertex permutations within colour classes:
     the least `_candidate` edge tuple, the hemap of the first permutation
     that reaches it, and every new_of_old that reaches it, the first one
-    first.  Two permutations tie when they differ by an automorphism."""
+    first.  Two permutations tie when they differ by an automorphism; the
+    sweep compares edge tuples only, and the hemap is built once, for the
+    first tie."""
     classes = _color_classes(graph)
-    best = hemap = None
+    best = None
     ties = []
     for perms in itertools.product(*[itertools.permutations(c) for c in classes]):
         new_of_old = [0] * graph.n_vertices
@@ -303,11 +306,13 @@ def _search(graph: StableGraph):
             for old_v in perm:
                 new_of_old[old_v] = pos
                 pos += 1
-        cand_edges, cand_hemap = _candidate(graph, new_of_old)
+        cand_edges = _candidate(graph, new_of_old)
         if best is None or cand_edges < best:
-            best, hemap, ties = cand_edges, cand_hemap, [tuple(new_of_old)]
+            best, ties = cand_edges, [tuple(new_of_old)]
         elif cand_edges == best:
             ties.append(tuple(new_of_old))
+    hemap: dict = {}
+    _candidate(graph, ties[0], hemap)
     return best, hemap, ties
 
 

@@ -1,30 +1,83 @@
-"""Reference block pairing kernel (tests only).
+"""Reference block pairing kernel and membership ranks (tests only).
 
 This is the top pairing that `product.pairing_matrix` replaced: it walks
 the common degenerations of one (row term, column graph) block at a
 time, pulls every column orbit back again for each row term with the
 same row graph, keeps the last basis in one slot with the blocks of
 every row term paired against it, and in the self-dual degree reuses the
-values of (b, a) for (a, b).  Each row is checked against it.  `_excess`
-and `_products` are the helpers it was written against, kept here as
-they were.  Its degeneration records come from the scan of
+values of (b, a) for (a, b).  Each row is checked against it.  `_excess`,
+`_products` and `_pull` are the helpers it was written against, kept
+here as they were.  Its degeneration records come from the scan of
 `product_oracle`, not from the library walk it checks.
+
+`pairing_rank`, `subalgebra_span` and `div_membership` are the
+membership ranks as `tautring.membership` computed them before they
+moved onto the integer term pairing: the full `pairing_matrix` of every
+class, ranked by `QMatrix.rank` and `QMatrix.rank_with` over all its
+columns.
 """
 
+import itertools
 from math import gcd, lcm
-from operator import add, sub
+from operator import add, le, sub
 
 from product_oracle import oracle_degeneration_base_pairs
+from tautring.exact_linalg import QMatrix
+from tautring.membership import MembershipReport, SpanReport, _degree_monomials
 from tautring.product import (
     _aut_orbit_sum,
     _check_product,
     _ends,
     _layout,
-    _pull,
     _term_value,
+    pairing_matrix,
 )
 from tautring.rationals import QQ
-from tautring.taut_classes import TautClass, dim_moduli, vertex_degrees
+from tautring.taut_classes import (
+    PSI_HE,
+    PSI_LEG,
+    TautClass,
+    dim_moduli,
+    generators,
+    vertex_degrees,
+)
+
+
+def _pull(layout, vmap, he_inv, orbit):
+    """Pull (decoration, multiplicity) pairs back along a contraction.
+
+    `vmap` and `he_inv` are those of a degeneration record: where each
+    vertex of the degeneration lands, and which of its half-edges sits
+    over each half-edge of the term's graph.
+    Returns {degrees: {(psi, kappa): multiplicity}}, kappa None or
+    per-vertex sorted tuples.  A kappa class pulls back to the sum over
+    the preimages; a choice is dropped if a vertex exceeds its dimension.
+    """
+    slot, owner, dims, _ = layout
+    preimages: dict = {}
+    for v, w in enumerate(vmap):
+        preimages.setdefault(w, []).append(v)
+    out: dict = {}
+    for dec, mult in orbit:
+        psi = [0] * len(owner)
+        degrees = [0] * len(dims)
+        for key, e in dec.psi:
+            i = slot[key if key[0] == PSI_LEG else (PSI_HE, *he_inv[key[1:]])]
+            psi[i] += e
+            degrees[owner[i]] += e
+        psi = tuple(psi)
+        factors = [(a, preimages[w]) for w, ks in enumerate(dec.kappa) for a in ks]
+        for choice in itertools.product(*(vertices for _, vertices in factors)):
+            kappa = [[] for _ in dims] if factors else None
+            at = degrees[:]
+            for (a, _), v in zip(factors, choice):
+                at[v] += a
+                kappa[v].append(a)
+            if all(map(le, at, dims)):
+                key = (psi, kappa and tuple(map(tuple, map(sorted, kappa))))
+                monos = out.setdefault(tuple(at), {})
+                monos[key] = monos.get(key, 0) + mult
+    return out
 
 
 def _excess(ends, budget):
@@ -213,3 +266,48 @@ def pairing_row(x: TautClass, basis) -> list:
                         out[j] += num if c == 1 else num * c
     total *= cols.scale
     return [QQ(v, total) for v in out]
+
+
+# ---------------------------------------------------------------------------
+# membership ranks on the full pairing matrix
+
+
+def pairing_rank(g, n, d):
+    cols = generators(g, n, dim_moduli(g, n) - d)
+    return QMatrix(pairing_matrix(generators(g, n, d), cols), n_cols=len(cols)).rank()
+
+
+def subalgebra_span(g, n, d, k=1):
+    cols = generators(g, n, dim_moduli(g, n) - d)
+    monomials = [cls for _, cls in _degree_monomials(g, n, d, k)]
+    matrix = pairing_matrix(monomials + list(generators(g, n, d)), cols)
+    m = len(monomials)
+    return SpanReport(
+        g=g,
+        n=n,
+        degree=d,
+        generator_degree=k,
+        rank=QMatrix(matrix[:m], n_cols=len(cols)).rank(),
+        ambient_rank=QMatrix(matrix[m:], n_cols=len(cols)).rank(),
+        monomial_count=m,
+    )
+
+
+def div_membership(x, max_gen_degree=1):
+    """The report of `tautring.membership.div_membership`, any genus."""
+    g, n, d = x.g, x.n, x.d
+    cols = generators(g, n, dim_moduli(g, n) - d)
+    monomials = [cls for _, cls in _degree_monomials(g, n, d, max_gen_degree)]
+    matrix = pairing_matrix([*monomials, x, *generators(g, n, d)], cols)
+    m = len(monomials)
+    rank, rank_with = QMatrix(matrix[:m], n_cols=len(cols)).rank_with(matrix[m])
+    return MembershipReport(
+        g=g,
+        n=n,
+        degree=d,
+        in_span=rank_with == rank,
+        certified=g <= 3,
+        rank=rank,
+        rank_with_class=rank_with,
+        ambient_rank=QMatrix(matrix[m + 1:], n_cols=len(cols)).rank(),
+    )

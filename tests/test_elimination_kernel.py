@@ -5,6 +5,8 @@ Gauss-Jordan pivot-row rule, so every result must be identical to the
 dense reduction's, transform and certificate included.
 """
 
+from math import lcm
+
 from hypothesis import given, settings, strategies as st
 
 from dense_rref import (
@@ -13,7 +15,12 @@ from dense_rref import (
     dense_rref,
     dense_solve_affine,
 )
-from tautring.exact_linalg import QMatrix, infeasibility_certificate, solve_affine
+from tautring.exact_linalg import (
+    QMatrix,
+    infeasibility_certificate,
+    pivot_columns,
+    solve_affine,
+)
 from tautring.rationals import QQ
 
 entries = st.one_of(
@@ -133,6 +140,17 @@ def test_rank_with_matches_two_ranks(data):
     assert mat.rank_with(row) == expected
 
 
+@given(matrices())
+@settings(max_examples=100, deadline=None)
+def test_pivot_columns_of_integer_rows_match_the_oracle(mat):
+    """The kernel's loop started from integer rows, each row a multiple of
+    the matrix row, not divided by its content."""
+    rows = [[int(x * 6 * lcm(*(y.denominator for y in row))) for x in row] for row in mat.rows]
+    copies = [row[:] for row in rows]
+    assert pivot_columns(rows) == dense_rref(mat)[1]
+    assert rows == copies
+
+
 def test_empty_shapes():
     for rows, n_cols in (([], 0), ([], 3), ([[], []], 0)):
         mat = QMatrix(rows, n_cols=n_cols)
@@ -141,3 +159,4 @@ def test_empty_shapes():
         assert mat.rank() == 0
         assert mat.rank_with([QQ(1)] * n_cols) == (0, int(n_cols > 0))
         assert mat.nullspace() == dense_nullspace(mat)
+        assert pivot_columns([[0] * n_cols for _ in rows]) == []

@@ -16,7 +16,7 @@ from tautring.membership import (
 from tautring.pixton import reference_lambda_expansion
 from tautring.product import multiply
 from tautring.rationals import QQ
-from tautring.taut_classes import generators, kappa_class, psi_class
+from tautring.taut_classes import fundamental_class, generators, kappa_class, psi_class
 
 
 def test_pair_integral_matches_direct_product():
@@ -51,6 +51,14 @@ def test_divisor_products_span_genus2_degree2():
     rep = subalgebra_span(2, 0, 2, 1)
     assert rep.rank == rep.ambient_rank == 2
     assert rep.monomial_count == 6
+
+
+def test_degree_zero_is_the_empty_product():
+    rep = subalgebra_span(2, 0, 0, 1)
+    assert (rep.rank, rep.ambient_rank, rep.monomial_count) == (1, 1, 1)
+    rep = div_membership(fundamental_class(2, 0))
+    assert (rep.rank, rep.rank_with_class, rep.ambient_rank) == (1, 1, 1)
+    assert rep.verdict == "member"
 
 
 def test_lambda2_is_a_divisor_polynomial():

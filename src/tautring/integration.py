@@ -243,9 +243,7 @@ def kappa_to_psi(cls: TautClass) -> TautClass:
                     )
                     kappa = list(cur_dec.kappa)
                     kappa[v] = ()
-                    new_dec = Decoration(
-                        tuple(sorted(psi.items())), tuple(kappa)
-                    )
+                    new_dec = Decoration(psi.items(), kappa)
                     new_expansions.append(
                         (new_graph, new_dec, cur_coeff * factor)
                     )

@@ -43,6 +43,7 @@ from .taut_classes import (
     canonical_term,
     dim_moduli,
     term_is_zero_class,
+    term_sort_key,
 )
 
 
@@ -140,6 +141,10 @@ def weightings_mod_r(graph: StableGraph, a, r: int):
     if r < 1:
         raise DomainError("modulus r must be positive")
     a = tuple(int(x) for x in a)
+    if len(a) != graph.n_markings:
+        raise DomainError(
+            "%d leg values for a graph with %d markings" % (len(a), graph.n_markings)
+        )
     if sum(a) % r != 0:
         return []
     forms, _ = _edge_forms(graph, a)
@@ -256,7 +261,7 @@ def _expansion(graph: StableGraph, a, d: int):
                     if k:
                         coeff *= QQ(a[i] ** (2 * k), math.factorial(k))
                         psi[(PSI_LEG, i + 1)] = k
-                dec = Decoration(tuple(sorted(psi.items())), ((),) * graph.n_vertices)
+                dec = Decoration(psi.items(), ((),) * graph.n_vertices)
                 if term_is_zero_class(graph, dec):
                     continue
                 per_m = out.setdefault(canonical_term(graph, dec), {})
@@ -357,7 +362,7 @@ def pixton_r_polynomial(g: int, a, d: int, start: int = None) -> RPolynomialClas
             poly = QPolynomial(total)
             if poly.coeffs:
                 coeffs[key] = poly
-    ordered = sorted(coeffs, key=lambda k: (k[0].sort_key(), k[1].sort_key()))
+    ordered = sorted(coeffs, key=term_sort_key)
     return RPolynomialClass(g, len(a), d, {key: coeffs[key] for key in ordered})
 
 

@@ -203,7 +203,7 @@ def multiply(a: TautClass, b: TautClass) -> TautClass:
                     counts[key] = counts.get(key, 0) + k * count
     for (graph, psi, kappa), k in counts.items():
         names = tuple(_layout(graph)[0])
-        psi = tuple(sorted((names[i], e) for i, e in enumerate(psi) if e))
+        psi = ((names[i], e) for i, e in enumerate(psi) if e)
         dec = Decoration(psi, kappa or ((),) * graph.n_vertices)
         out._insert(graph, dec, QQ(k, sa * sb * sg.automorphism_count(graph)))
     return out

@@ -43,13 +43,21 @@ _set = object.__setattr__
 
 
 class Decoration:
-    """A psi-kappa monomial on a stable graph; immutable, equal by fields."""
+    """A psi-kappa monomial on a stable graph; immutable, equal by fields.
+
+    Like `StableGraph(...)`, the constructor normalizes its input: psi
+    becomes the sorted tuple of its (key, exponent) items and kappa the
+    tuple of each vertex's kappa indices in ascending order, so a
+    monomial has one form whatever order it is given in.
+    """
 
     __slots__ = ("psi", "kappa", "_hash")
 
-    def __init__(self, psi: tuple, kappa: tuple):
-        _set(self, "psi", psi)  # sorted tuple of (key, exponent), exponent > 0
-        _set(self, "kappa", kappa)  # per-vertex sorted tuples of kappa indices (each >= 1)
+    def __init__(self, psi, kappa):
+        psi = tuple(sorted(psi))  # (key, exponent) items, exponent > 0
+        kappa = tuple(map(tuple, map(sorted, kappa)))  # per vertex, each index >= 1
+        _set(self, "psi", psi)
+        _set(self, "kappa", kappa)
         _set(self, "_hash", hash((psi, kappa)))
 
     def __setattr__(self, name, value):
@@ -94,7 +102,7 @@ class Decoration:
         kappa = [()] * len(self.kappa)
         for v, ks in enumerate(self.kappa):
             kappa[vmap[v]] = ks
-        return Decoration(tuple(sorted(psi)), tuple(kappa))
+        return Decoration(psi, kappa)
 
     def sort_key(self):
         return (self.psi, self.kappa)
@@ -140,8 +148,8 @@ def decoration(graph: StableGraph, psi=None, kappa=None) -> Decoration:
     for v, ks in (kappa or {}).items():
         if not 0 <= v < graph.n_vertices:
             raise DomainError(f"kappa vertex {v} not in the graph")
-        kap[v] = tuple(sorted(int(a) for a in ks))
-    dec = Decoration(tuple(sorted(psi_items)), tuple(kap))
+        kap[v] = [int(a) for a in ks]
+    dec = Decoration(psi_items, kap)
     dec.validate(graph)
     return dec
 
@@ -188,15 +196,18 @@ def canonical_term(graph: StableGraph, dec: Decoration):
     automorphisms of the canonical graph.  A graph that is already
     canonical keeps its decoration: its map to the canonical form is one
     of those automorphisms, so the orbit is the same.  The identity, which
-    `automorphisms` lists first, moves no decoration.  A transport also
-    sorts psi, so a decoration built by hand with unsorted psi is still
-    transported once.
+    `automorphisms` lists first, moves no decoration.
     """
     canon, vmap, hemap = canonical_form_with_map(graph)
-    if canon != graph or list(dec.psi) != sorted(dec.psi):
+    if canon != graph:
         dec = dec.transport(vmap, hemap)
     others = (dec.transport(av, ah) for av, ah in automorphisms(canon)[1:])
     return canon, min(itertools.chain((dec,), others), key=Decoration.sort_key)
+
+
+def term_sort_key(term):
+    """The fixed total order on (graph, decoration) terms."""
+    return term[0].sort_key(), term[1].sort_key()
 
 
 class TautClass:
@@ -278,7 +289,8 @@ class TautClass:
         if not isinstance(other, TautClass):
             return NotImplemented
         return (
-            (self.g, self.n, self.d) == (other.g, other.n, other.d)
+            (self.g, self.n, self.d, self.virtual)
+            == (other.g, other.n, other.d, other.virtual)
             and self.terms == other.terms
         )
 
@@ -311,10 +323,7 @@ class TautClass:
     # -- serialization ----------------------------------------------------
 
     def sorted_terms(self):
-        return sorted(
-            self.terms.items(),
-            key=lambda kv: (kv[0][0].sort_key(), kv[0][1].sort_key()),
-        )
+        return sorted(self.terms.items(), key=lambda kv: term_sort_key(kv[0]))
 
     def to_json_dict(self) -> dict:
         terms = []
@@ -343,7 +352,7 @@ class TautClass:
             graph = StableGraph.from_json_dict(json_field(term, "graph", dict))
             psi = [_psi_entry(entry) for entry in json_field(term, "psi", list)]
             kappa = tuple(json_ints(ks) for ks in json_field(term, "kappa", list))
-            dec = Decoration(tuple(sorted(psi)), kappa)
+            dec = Decoration(psi, kappa)
             dec.validate(graph)
             coeff = json_field(term, "coeff", str)
             try:
@@ -441,8 +450,8 @@ def _decorations_of_degree(graph: StableGraph, m: int):
     local = [_vertex_monomials(k, min(dim, m)) for k, dim in zip(keys, dims)]
     for shares in compositions(m, dims):
         for parts in itertools.product(*map(list.__getitem__, local, shares)):
-            psi = tuple(sorted(item for items, _ in parts for item in items))
-            yield Decoration(psi, tuple(kappa for _, kappa in parts))
+            psi = (item for items, _ in parts for item in items)
+            yield Decoration(psi, (kappa for _, kappa in parts))
 
 
 @cache
@@ -463,7 +472,7 @@ def generators(g: int, n: int, d: int) -> tuple[TautClass, ...]:
         if graph.n_edges <= d:
             for dec in _decorations_of_degree(graph, d - graph.n_edges):
                 seen.add(canonical_term(graph, dec))
-    ordered = sorted(seen, key=lambda t: (t[0].sort_key(), t[1].sort_key()))
+    ordered = sorted(seen, key=term_sort_key)
     out = []
     for term in ordered:
         cls = TautClass(g, n, d)

@@ -26,6 +26,7 @@ from tautring.taut_classes import (
     dim_moduli,
     fundamental_class,
     kappa_class,
+    psi_class,
     trivial_decoration,
 )
 
@@ -164,6 +165,17 @@ def test_kappa_route_with_psi_factors():
     cls = class_of_graph(graph, dec)
     assert integrate(kappa_to_psi(cls)) == integrate(cls)
     assert integrate(cls) == vertex_integral(1, (1, 0), (1,))
+
+
+def test_a_virtual_class_never_equals_a_plain_one():
+    """The two live in different ambient groups, as `+` and `-` say."""
+    plain = psi_class(1, 1, 1)
+    virtual = kappa_to_psi(plain)
+    assert virtual.terms == plain.terms
+    assert virtual != plain and plain != virtual
+    assert virtual == kappa_to_psi(psi_class(1, 1, 1))
+    with pytest.raises(DomainError):
+        virtual - plain
 
 
 def test_pushforward_integration_convention():

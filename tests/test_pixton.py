@@ -61,6 +61,13 @@ def test_weightings_empty_when_weights_do_not_balance():
     assert len(weightings_mod_r(smooth_graph(1, 1), (3,), 3)) == 1
 
 
+def test_weightings_refuse_leg_values_that_do_not_fit_the_graph():
+    with pytest.raises(DomainError):
+        weightings_mod_r(smooth_graph(1, 2), (3,), 3)  # too few: sums to 0 mod 3
+    with pytest.raises(DomainError):
+        weightings_mod_r(smooth_graph(1, 1), (1, 2), 3)  # too many
+
+
 def test_lambda_expansions_match_reference():
     assert lambda_top(1, 1) == reference_lambda_expansion(1, 1)
     assert lambda_top(2, 0) == reference_lambda_expansion(2, 0)

@@ -23,7 +23,7 @@ import operator
 
 from .combinatorics import union_find
 from .errors import DomainError, json_field, json_ints, json_loads
-from .exact_linalg import QMatrix
+from .exact_linalg import in_span, pivot_columns, rank_of_rows
 from .rationals import QQ, ZERO, ONE, rat
 
 # ---------------------------------------------------------------------------
@@ -45,10 +45,7 @@ def _vector_sum(vectors):
 
 def _cone_coords(rays, vector):
     """Coordinates of vector in the rays if it lies in their closed cone, or None."""
-    if not rays:
-        return None
-    matrix = QMatrix([[QQ(r[i]) for r in rays] for i in range(len(rays[0]))])
-    coords = matrix.solve([rat(x) for x in vector])
+    coords = in_span(rays, vector)
     if coords is None or any(c < 0 for c in coords):
         return None
     return coords
@@ -97,8 +94,7 @@ class ConeComplex:
                     raise DomainError("rays must be integer vectors")
                 if _primitive(ray) != ray:
                     raise DomainError("ray %r is not primitive" % (ray,))
-            matrix = QMatrix([[QQ(x) for x in ray] for ray in cone])
-            if matrix.rank() != len(cone):
+            if len(pivot_columns(cone)) != len(cone):
                 raise DomainError("cone rays are linearly dependent")
         for src, dst in self.gluings:
             if len(src) != len(dst):
@@ -106,8 +102,9 @@ class ConeComplex:
             # After a subdivision the glued face is a union of cones, so
             # only require the spanning rays to sit inside the support.
             for rays in (src, dst):
-                matrix = QMatrix([[QQ(x) for x in ray] for ray in rays])
-                if matrix.rank() != len(rays):
+                if not all(isinstance(x, int) for ray in rays for x in ray):
+                    raise DomainError("rays must be integer vectors")
+                if len(pivot_columns(rays)) != len(rays):
                     raise DomainError("gluing face rays are dependent")
                 for ray in rays:
                     if all(ray not in c for c in self.cones) and self.find_cone(ray) is None:
@@ -794,7 +791,7 @@ def generated_by_degree_one(complex, d):
         vectors.append(_multiset_vector(product))
     if not vectors:
         return False
-    return QMatrix(vectors, n_cols=len(_ray_multisets(complex, d))).rank() == target
+    return rank_of_rows(vectors, len(_ray_multisets(complex, d))) == target
 
 
 # ---------------------------------------------------------------------------

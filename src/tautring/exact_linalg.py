@@ -5,17 +5,19 @@ tolerances): reduced row echelon form, rank, span membership, affine
 solution sets for linear systems, feasibility of linear inequality
 systems, and Lagrange interpolation.
 
-Every rank, nullspace, solve and infeasibility certificate goes through
-one elimination kernel, `_echelon`.  It clears the denominators of each
-row, keeps the row as a sparse ``{column: int}`` dict, and its loop
-`_reduce` eliminates fraction-free: ``r <- a*r - b*p`` with ``a, b``
-coprime, then divides the row by its content.  `pivot_columns` runs the
-same loop on rows that are integer from the start.  A rational appears
-again only when a result is written out, as an entry divided by its
-row's pivot.  The pivot of each column is the first remaining row, in
-swapped order, that is nonzero there (the Gauss-Jordan rule), and the
-reduced row echelon form is unique, so every result equals the one of a
-dense rational Gauss-Jordan reduction.
+Every result goes through one elimination loop, `_reduce`: forward
+elimination on sparse ``{column: int}`` rows, fraction-free, with
+``r <- a*r - b*p`` for coprime ``a, b`` followed by division of the row
+by its content.  The pivot of each column is the first remaining row, in
+swapped order, that is nonzero there (the Gauss-Jordan rule).
+`_echelon` clears the denominators of each matrix row, runs `_reduce`
+and back-substitutes; it serves rref, nullspace, the affine solves and
+the infeasibility certificate.  `pivot_columns` serves every rank: it
+keeps the distinct primitive rows and one column of each class of
+proportional columns, then runs `_reduce` on what is left.  A rational
+appears again only when a result is written out, as an entry divided by
+its row's pivot.  The reduced row echelon form is unique, so every
+result equals the one of a dense rational Gauss-Jordan reduction.
 """
 
 from math import gcd, lcm, prod
@@ -65,15 +67,15 @@ def _eliminate(row, pivot_row, column):
     _divide_content(row)
 
 
-def _echelon(matrix, record=False, back_substitute=True):
-    """The elimination kernel: ``(rows, pivots, origin)`` for a QMatrix.
+def _echelon(matrix, record=False):
+    """``(rows, pivots, origin)`` for a QMatrix: `_reduce`, then back
+    substitution.
 
     rows are sparse integer rows, each a multiple of the matching row of
-    the reduced row echelon form when back_substitute is set (otherwise
-    of a row echelon form with the same pivot rows and pivots); row i
-    started as row origin[i] of the matrix.  With record, column
-    ``n_cols + j`` of every row holds the multiple of matrix row j that
-    went into it; pivots are chosen among the matrix's own columns only.
+    the reduced row echelon form; row i started as row origin[i] of the
+    matrix.  With record, column ``n_cols + j`` of every row holds the
+    multiple of matrix row j that went into it; pivots are chosen among
+    the matrix's own columns only.
     """
     if record:
         rows = [
@@ -81,12 +83,19 @@ def _echelon(matrix, record=False, back_substitute=True):
         ]
     else:
         rows = [_integer_row(row) for row in matrix.rows]
-    return _reduce(rows, matrix.n_cols, back_substitute)
+    rows, pivots, origin = _reduce(rows, matrix.n_cols)
+    for k in range(len(pivots) - 1, 0, -1):
+        c = pivots[k]
+        for i in range(k):
+            if c in rows[i]:
+                _eliminate(rows[i], rows[k], c)
+    return rows, pivots, origin
 
 
-def _reduce(rows, n_cols, back_substitute):
-    """The loop of `_echelon` on sparse primitive integer rows, in place:
-    pivots are chosen among columns below n_cols."""
+def _reduce(rows, n_cols):
+    """Forward elimination of sparse integer rows, in place: a row echelon
+    form with the Gauss-Jordan pivot rows, pivots chosen among columns
+    below n_cols."""
     n = len(rows)
     origin = list(range(n))
     pivots = []
@@ -104,12 +113,6 @@ def _reduce(rows, n_cols, back_substitute):
                 _eliminate(rows[i], rows[r], c)
         pivots.append(c)
         r += 1
-    if back_substitute:
-        for k in range(len(pivots) - 1, 0, -1):
-            c = pivots[k]
-            for i in range(k):
-                if c in rows[i]:
-                    _eliminate(rows[i], rows[k], c)
     return rows, pivots, origin
 
 
@@ -233,23 +236,17 @@ class QMatrix:
         return reduced, pivots
 
     def rank(self):
-        return len(_echelon(self, back_substitute=False)[1])
+        rows = []
+        for row in self.rows:
+            scale = lcm(*(x.denominator for x in row))
+            rows.append([x.numerator * (scale // x.denominator) for x in row])
+        return len(pivot_columns(rows))
 
     def rank_with(self, row):
-        """``(rank, rank with row appended)`` from one elimination.
-
-        row is reduced against the forward echelon rows in pivot order
-        (each is zero left of its pivot); it adds one to the rank exactly
-        when a remainder is left.
-        """
+        """``(rank, rank with row appended)``, by two runs of `pivot_columns`."""
         if len(row) != self.n_cols:
             raise DomainError("row length does not match column count")
-        rows, pivots, _ = _echelon(self, back_substitute=False)
-        rest = _integer_row([rat(x) for x in row])
-        for pivot_row, c in zip(rows, pivots):
-            if c in rest:
-                _eliminate(rest, pivot_row, c)
-        return len(pivots), len(pivots) + bool(rest)
+        return self.rank(), QMatrix(self.rows + [row], n_cols=self.n_cols).rank()
 
     def nullspace(self):
         """Basis of the right kernel, one vector per free column."""
@@ -312,23 +309,48 @@ def infeasibility_certificate(matrix, b):
     Returns y with y^T * matrix = 0 and y^T * b != 0, or None when the
     system is consistent.  y is the transform row of the reduced row
     with its pivot in the b column; that pivot is the last one, so back
-    substitution would not change its row.
+    substitution leaves its row as forward elimination made it.
     """
     n = matrix.n_cols
     aug = matrix.augment(b)
-    rows, pivots, _ = _echelon(aug, record=True, back_substitute=False)
+    rows, pivots, _ = _echelon(aug, record=True)
     if n not in pivots:
         return None
     row = rows[pivots.index(n)]
     return [QQ(row.get(n + 1 + j, 0), row[n]) for j in range(matrix.n_rows)]
 
 
+def _primitive(vector):
+    """vector divided by its content, the first nonzero entry positive;
+    None for a zero vector."""
+    content = gcd(*vector)
+    if not content:
+        return None
+    if next(v for v in vector if v) < 0:
+        content = -content
+    return tuple(v // content for v in vector)
+
+
 def pivot_columns(rows):
     """Pivot columns of a row echelon form of integer rows, lists of one
-    length, by the loop of the elimination kernel; the rank of the rows is
-    the length of the result."""
-    sparse = [_divide_content({c: v for c, v in enumerate(row) if v}) for row in rows]
-    return _reduce(sparse, len(rows[0]) if rows else 0, back_substitute=False)[1]
+    length; the rank of the rows is the length of the result.
+
+    Only the distinct primitive nonzero rows and the first column of each
+    class of proportional nonzero columns are eliminated, and the pivots
+    are exactly those of the full matrix: a zero column, or a multiple of
+    an earlier one, lies in the span of the columns before it, so it is
+    never a pivot; dropping zero or repeated rows changes no column
+    relation.
+    """
+    rows = list(dict.fromkeys(filter(None, map(_primitive, rows))))
+    kept = {}
+    for c, column in enumerate(zip(*rows)):
+        key = _primitive(column)
+        if key is not None:
+            kept.setdefault(key, c)
+    cols = list(kept.values())
+    rows = [_divide_content({k: row[c] for k, c in enumerate(cols) if row[c]}) for row in rows]
+    return [cols[k] for k in _reduce(rows, len(cols))[1]]
 
 
 def rank_of_rows(vectors, n_cols=None):

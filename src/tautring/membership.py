@@ -16,12 +16,11 @@ Let T be the integer matrix of the distinct row terms of all classes of
 a question against the basis columns.  Every class row is a rational
 combination of rows of T, so it lies in rowspace(T).
 
-- A zero column of T, or a column that is a rational multiple of a kept
-  one over all rows of T, carries no information on rowspace(T): every
-  vector there has the same relation between those entries.  A zero row
-  or a repeated primitive row does not change rowspace(T) either.
-- Let P be the pivot columns of any echelon form of what is left.  The
-  restriction v -> v[P] is injective on rowspace(T): the rows of the
+- Zero and repeated primitive rows of T, and zero columns and columns
+  that are multiples of earlier ones, are dropped before elimination;
+  `exact_linalg.pivot_columns` does this for every rank, and its pivot
+  columns P are those of T itself.
+- The restriction v -> v[P] is injective on rowspace(T): the rows of the
   reduced form restrict to the unit vectors on P, so v is their
   combination with the coefficients v[P].
 
@@ -33,7 +32,6 @@ many columns as the ambient rank: 14, 12 and 10 for (2,2,2), (1,4,1) and
 
 import itertools
 from collections import namedtuple
-from math import gcd
 
 from .combinatorics import partitions
 from .errors import DomainError
@@ -64,31 +62,6 @@ def pairing_vector(x: TautClass, basis=None):
     return pairing_matrix((x,), basis)[0]
 
 
-def _primitive(vector):
-    """vector divided by its content, the first nonzero entry positive;
-    None for a zero vector."""
-    content = gcd(*vector)
-    if not content:
-        return None
-    if next(v for v in vector if v) < 0:
-        content = -content
-    return tuple(v // content for v in vector)
-
-
-def _term_pivots(term_rows):
-    """Pivot columns of an echelon form of the integer term rows, found on
-    their distinct primitive rows and columns: a zero column, or one that
-    is a multiple of an earlier one, is never a pivot there."""
-    rows = list(dict.fromkeys(filter(None, map(_primitive, term_rows))))
-    kept: dict = {}
-    for c, column in enumerate(zip(*rows)):
-        key = _primitive(column)
-        if key is not None:
-            kept.setdefault(key, c)
-    cols = list(kept.values())
-    return [cols[k] for k in pivot_columns([[row[c] for c in cols] for row in rows])]
-
-
 def _ranks(g, n, d, classes, blocks):
     """The pairing rank of each block, a slice of classes of degree d,
     against the degree top-d generating set.
@@ -99,7 +72,7 @@ def _ranks(g, n, d, classes, blocks):
     """
     cols = generators(g, n, dim_moduli(g, n) - d)
     pairs = term_pairing(classes, cols)
-    pivots = _term_pivots([nums for _, nums in pairs.values()])
+    pivots = pivot_columns([nums for _, nums in pairs.values()])
     rows = [summed_row(x, pairs, pivots)[1] for x in classes]
     return [len(pivot_columns(rows[block])) for block in blocks]
 

@@ -320,8 +320,9 @@ def pixton_r_polynomial(g: int, a, d: int, start: int = None) -> RPolynomialClas
     """Interpolate the class as a polynomial in the modulus r.
 
     Samples the power sums S_M(r) of every graph at 2d+2 consecutive
-    values of r beginning at `start` (by default just past d and the sum
-    of the positive a_i, the largest weight a bridge can carry) and fits
+    values of r beginning at `start`, which is by default and at least
+    just past d and the sum of the positive a_i, the largest weight a
+    bridge can carry (a smaller start raises DomainError), and fits
     S_M(r) / r**h1 exactly for each (graph, M).  Every fit is verified
     against one further sample; disagreement raises ConsistencyError.
     Each stratum coefficient is then the matching combination of the
@@ -330,10 +331,11 @@ def pixton_r_polynomial(g: int, a, d: int, start: int = None) -> RPolynomialClas
     a = tuple(int(x) for x in a)
     if sum(a) != 0:
         raise DomainError("weights must sum to zero")
+    least = max(d, sum(x for x in a if x > 0)) + 2
     if start is None:
-        start = max(d, sum(x for x in a if x > 0)) + 2
-    if start < 2:
-        start = 2
+        start = least
+    elif start < least:
+        raise DomainError("start must be at least %d here" % least)
     n_samples = 2 * d + 2
     rs = list(range(start, start + n_samples))
     r_check = start + n_samples

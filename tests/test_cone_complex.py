@@ -53,6 +53,17 @@ def test_triangle_fixture():
 def test_validation_rejects_bad_input():
     with pytest.raises(DomainError):
         ConeComplex(2, {((1, 0), (2, 0)),}, ())  # dependent rays
+    # r and -r have one primitive row up to sign, and are still dependent
+    with pytest.raises(DomainError, match="cone rays are linearly dependent"):
+        ConeComplex(2, {((1, 0), (-1, 0))})
+    with pytest.raises(DomainError, match="gluing face rays are dependent"):
+        ConeComplex(
+            2,
+            {((1, 0), (0, 1)), ((-1, 0), (0, 1))},
+            ((((1, 0), (-1, 0)), ((0, 1), (1, 0))),),
+        )
+    with pytest.raises(DomainError, match="rays must be integer vectors"):
+        ConeComplex(2, {((1, 0), (0, 1))}, ((((1.0, 0),), ((0, 1),)),))
     with pytest.raises(DomainError):
         ConeComplex(2, {((2, 0),)}, ())  # non-primitive ray
     with pytest.raises(DomainError):

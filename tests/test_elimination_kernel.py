@@ -2,7 +2,9 @@
 
 The reduced row echelon form is unique and the kernel keeps the
 Gauss-Jordan pivot-row rule, so every result must be identical to the
-dense reduction's, transform and certificate included.
+dense reduction's, transform and certificate included.  Every rank goes
+through `pivot_columns`, which drops zero and repeated rows and
+proportional columns first; its pivots must still be the dense ones.
 """
 
 from math import lcm
@@ -126,17 +128,21 @@ def test_solve_affine_and_certificate_match_oracle(data):
     assert infeasibility_certificate(mat, b) == dense_infeasibility_certificate(mat, b)
 
 
+def dense_rank(rows, n_cols):
+    return len(dense_rref(QMatrix(rows, n_cols=n_cols))[1])
+
+
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_rank_with_matches_two_ranks(data):
-    """One elimination gives both ranks, in and out of the span."""
+    """Both ranks, in and out of the span, are the dense oracle's."""
     mat = data.draw(matrices())
     if data.draw(st.booleans()):
         coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=mat.n_rows, max_size=mat.n_rows))
         row = [sum((c * r[j] for c, r in zip(coeffs, mat.rows)), QQ(0)) for j in range(mat.n_cols)]
     else:
         row = data.draw(vectors(mat.n_cols))
-    expected = (mat.rank(), QMatrix(mat.rows + [row], n_cols=mat.n_cols).rank())
+    expected = (dense_rank(mat.rows, mat.n_cols), dense_rank(mat.rows + [row], mat.n_cols))
     assert mat.rank_with(row) == expected
 
 
@@ -160,3 +166,67 @@ def test_empty_shapes():
         assert mat.rank_with([QQ(1)] * n_cols) == (0, int(n_cols > 0))
         assert mat.nullspace() == dense_nullspace(mat)
         assert pivot_columns([[0] * n_cols for _ in rows]) == []
+
+
+@st.composite
+def planted_columns(draw):
+    """An integer matrix whose later columns include zero columns and
+    multiples of earlier ones, by negative and by rational factors."""
+    n_rows = draw(st.integers(0, 6))
+    base = draw(st.integers(1, 5))
+    columns = [
+        [draw(st.integers(-4, 4)) for _ in range(n_rows)] for _ in range(base)
+    ]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("zero", "multiple", "rational")))
+        k = draw(st.integers(0, len(columns) - 1))
+        if kind == "zero":
+            columns.append([0] * n_rows)
+        elif kind == "multiple":
+            a = draw(st.sampled_from((-3, -1, 2)))
+            columns.append([a * v for v in columns[k]])
+        else:
+            # columns k and k' = (a/b) * column k, both integer
+            a, b = draw(st.sampled_from(((2, 3), (-1, 2), (5, -4))))
+            columns[k] = [b * v for v in columns[k]]
+            columns.append([a * v // b for v in columns[k]])
+    columns = draw(st.permutations(columns))
+    rows = [list(row) for row in zip(*columns)]
+    # a zero row, repeats, and a negated and a scaled repeat
+    rows += [[0] * len(columns)] + rows[:2] + [[-3 * v for v in row] for row in rows[:1]]
+    return draw(st.permutations(rows)), len(columns)
+
+
+@settings(max_examples=200, deadline=None)
+@given(planted_columns(), st.lists(st.integers(-2, 2), max_size=6))
+def test_planted_pivots_and_ranks_match_the_oracle(planted, combo):
+    """Dropping rows and columns before elimination leaves the pivots of
+    the full matrix, and `rank`/`rank_with` are the dense ranks."""
+    rows, n_cols = planted
+    mat = QMatrix(rows, n_cols=n_cols)
+    assert pivot_columns(rows) == dense_rref(mat)[1]
+    assert mat.rank() == dense_rank(rows, n_cols)
+    mixed = [sum(c * row[j] for c, row in zip(combo, rows)) for j in range(n_cols)]
+    outside = [v + (j == 0) for j, v in enumerate(mixed)]
+    for row in (mixed, outside):
+        expected = (dense_rank(rows, n_cols), dense_rank(rows + [row], n_cols))
+        assert mat.rank_with(row) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(planted_columns(), st.lists(st.integers(-2, 2), max_size=6))
+def test_pivot_columns_keep_the_rank_of_every_row_set(planted, combo):
+    rows, n_cols = planted
+    pivots = pivot_columns(rows)
+    assert len(pivots) == dense_rank(rows, n_cols)
+    # restriction to the pivots is injective on the row space: every
+    # subset of rows, and a combination of them, keeps its rank
+    for stop in range(len(rows) + 1):
+        subset = rows[:stop]
+        on_pivots = [[row[c] for c in pivots] for row in subset]
+        assert dense_rank(on_pivots, len(pivots)) == dense_rank(subset, n_cols)
+    mixed = [sum(c * row[j] for c, row in zip(combo, rows)) for j in range(n_cols)]
+    on_pivots = [[row[c] for c in pivots] for row in rows]
+    assert dense_rank(on_pivots + [[mixed[c] for c in pivots]], len(pivots)) == dense_rank(
+        rows + [mixed], n_cols
+    )

@@ -19,7 +19,6 @@ import pairing_oracle
 from tautring.exact_linalg import QMatrix
 from tautring.membership import (
     _degree_monomials,
-    _term_pivots,
     div_membership,
     pairing_rank,
     subalgebra_span,
@@ -134,54 +133,3 @@ def test_planted_members_and_non_members(data):
     assert report.in_span is member
     assert report.rank_with_class == rank + (not member)
     assert report.ambient_rank == ambient
-
-
-@st.composite
-def planted_columns(draw):
-    """An integer matrix whose later columns include zero columns and
-    multiples of earlier ones, by negative and by rational factors."""
-    n_rows = draw(st.integers(0, 6))
-    base = draw(st.integers(1, 5))
-    columns = [
-        [draw(st.integers(-4, 4)) for _ in range(n_rows)] for _ in range(base)
-    ]
-    for _ in range(draw(st.integers(0, 6))):
-        kind = draw(st.sampled_from(("zero", "multiple", "rational")))
-        k = draw(st.integers(0, len(columns) - 1))
-        if kind == "zero":
-            columns.append([0] * n_rows)
-        elif kind == "multiple":
-            a = draw(st.sampled_from((-3, -1, 2)))
-            columns.append([a * v for v in columns[k]])
-        else:
-            # columns k and k' = (a/b) * column k, both integer
-            a, b = draw(st.sampled_from(((2, 3), (-1, 2), (5, -4))))
-            columns[k] = [b * v for v in columns[k]]
-            columns.append([a * v // b for v in columns[k]])
-    columns = draw(st.permutations(columns))
-    return [list(row) for row in zip(*columns)], len(columns)
-
-
-@settings(max_examples=100, deadline=None)
-@given(planted_columns(), st.lists(st.integers(-2, 2), max_size=6))
-def test_term_pivots_keep_the_rank_of_every_row_set(planted, combo):
-    rows, n_cols = planted
-    rows = rows + [[0] * n_cols] + rows[:2]  # a zero row and repeats
-    pivots = _term_pivots(rows)
-    full = QMatrix(rows, n_cols=n_cols)
-    assert len(pivots) == full.rank()
-    # restriction to the pivots is injective on the row space: every
-    # subset of rows, and a combination of them, keeps its rank
-    for stop in range(len(rows) + 1):
-        subset = rows[:stop]
-        on_pivots = [[row[c] for c in pivots] for row in subset]
-        assert (
-            QMatrix(on_pivots, n_cols=len(pivots)).rank()
-            == QMatrix(subset, n_cols=n_cols).rank()
-        )
-    mixed = [sum(c * row[j] for c, row in zip(combo, rows)) for j in range(n_cols)]
-    on_pivots = [[row[c] for c in pivots] for row in rows]
-    assert (
-        QMatrix(on_pivots, n_cols=len(pivots)).rank_with([mixed[c] for c in pivots])
-        == full.rank_with(mixed)
-    )

@@ -202,6 +202,15 @@ def test_dr_psi_integrals_match_the_closed_form(case):
     assert _dr_psi_integrals(*case) == (value, value)
 
 
+def test_start_below_the_sampling_bound_is_a_domain_error():
+    """Below max(d, sum of positive a_i) + 2 the interpolation is not
+    guaranteed, so such a start is refused before any sample is taken."""
+    for g, a, least in ((1, (3, 3, -3, -3), 8), (2, (5, -5), 7)):
+        for start in (least - 3, least - 1):
+            with pytest.raises(DomainError, match="at least %d" % least):
+                dr_cycle(g, a, start=start)
+
+
 def test_polynomiality_two_windows():
     a = pixton_r_polynomial(2, (), 2, start=4)
     b = pixton_r_polynomial(2, (), 2, start=11)

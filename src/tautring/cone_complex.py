@@ -8,7 +8,9 @@ two faces given by matching up their rays; a gluing from a cone to
 itself with a nontrivial ray permutation encodes monodromy.  Because
 gluings are recorded as ray correspondences they survive subdivision
 unchanged: star and barycentric subdivisions are canonical, so the same
-correspondence keeps identifying the subdivided faces.
+correspondence keeps identifying the subdivided faces.  The constructor
+checks that every gluing identifies faces and stores its ray map; every
+later use of a gluing reads the stored map.
 
 Piecewise polynomials are per-maximal-cone polynomials in that cone's
 ray coordinates, agreeing on shared faces and invariant under all
@@ -30,7 +32,9 @@ from .rationals import QQ, ZERO, ONE, rat
 # vector helpers
 
 
-def _primitive(vector):
+def _primitive_ray(vector):
+    """The primitive integer vector on the ray of vector, same direction;
+    the zero vector raises DomainError."""
     g = 0
     for x in vector:
         g = math.gcd(g, abs(x))
@@ -62,10 +66,12 @@ class ConeComplex:
     vectors (kept sorted, and the list of cones is kept sorted, so equal
     complexes compare equal).  gluings: pairs (source_rays, target_rays)
     of equal-length ray tuples; the isomorphism maps source ray i to
-    target ray i and extends linearly.
+    target ray i and extends linearly.  validate() stores one ray map per
+    gluing in _ray_maps; being derived, the maps take no part in
+    equality, hashing, JSON or repr.
     """
 
-    __slots__ = ("lattice_rank", "cones", "gluings")
+    __slots__ = ("lattice_rank", "cones", "gluings", "_ray_maps")
 
     def __init__(self, lattice_rank, cones, gluings=()):
         self.lattice_rank = lattice_rank
@@ -92,7 +98,7 @@ class ConeComplex:
                     raise DomainError("ray does not match the lattice rank")
                 if not all(isinstance(x, int) for x in ray):
                     raise DomainError("rays must be integer vectors")
-                if _primitive(ray) != ray:
+                if _primitive_ray(ray) != ray:
                     raise DomainError("ray %r is not primitive" % (ray,))
             if len(pivot_columns(cone)) != len(cone):
                 raise DomainError("cone rays are linearly dependent")
@@ -111,10 +117,39 @@ class ConeComplex:
                         raise DomainError(
                             "gluing references %r outside the support" % (ray,)
                         )
+        rays = set(self.rays())
+        faces = set(self.all_faces())
+        self._ray_maps = tuple(
+            self._gluing_ray_map(src, dst, rays, faces) for src, dst in self.gluings
+        )
 
-    def _is_face(self, rays):
-        rayset = set(rays)
-        return any(rayset <= set(cone) for cone in self.cones)
+    def _gluing_ray_map(self, src, dst, rays, faces):
+        """The image of every complex ray inside cone(src) under the linear
+        map taking src[i] to dst[i], checked to identify faces: the images
+        are exactly the complex rays inside cone(dst), and the map takes
+        the faces inside cone(src) onto the faces inside cone(dst)."""
+        out = {}
+        for ray in sorted(rays):
+            coords = _cone_coords(src, ray)
+            if coords is None:
+                continue
+            image = [sum(c * t[k] for c, t in zip(coords, dst)) for k in range(len(ray))]
+            if any(x.denominator != 1 for x in image):
+                raise DomainError("gluing does not preserve the lattice")
+            image = tuple(int(x) for x in image)
+            if image not in rays:
+                raise DomainError("gluing maps ray %r outside the complex" % (ray,))
+            out[ray] = image
+        images = set(out.values())
+        # the images lie in cone(dst); no other ray may
+        for ray in sorted(rays - images):
+            if _cone_coords(dst, ray) is not None:
+                raise DomainError("gluing misses the ray %r of its target" % (ray,))
+        sources = {f for f in faces if all(r in out for r in f)}
+        targets = {f for f in faces if all(r in images for r in f)}
+        if {tuple(sorted(map(out.get, f))) for f in sources} != targets:
+            raise DomainError("gluing does not map faces onto faces")
+        return out
 
     def rays(self):
         out = set()
@@ -140,28 +175,6 @@ class ConeComplex:
             if _cone_coords(cone, point) is not None:
                 return i
         return None
-
-    def _ray_image_map(self, src, dst):
-        """Image of every complex ray inside cone(src) under the gluing, the
-        linear map taking src[i] to dst[i]; all code applies gluings here."""
-        out = {}
-        for ray in self.rays():
-            coords = _cone_coords(src, ray)
-            if coords is None:
-                continue
-            image = [ZERO] * self.lattice_rank
-            for c, target in zip(coords, dst):
-                for i, x in enumerate(target):
-                    image[i] += c * x
-            if any(x.denominator != 1 for x in image):
-                raise DomainError("gluing does not preserve the lattice")
-            image = tuple(int(x) for x in image)
-            if not any(image in cone for cone in self.cones):
-                raise DomainError(
-                    "gluing maps ray %r outside the complex" % (ray,)
-                )
-            out[ray] = image
-        return out
 
     def __eq__(self, other):
         return (
@@ -315,24 +328,21 @@ def _subdivision_map(fine, coarse):
     return SubdivisionMap(fine, coarse, targets, ray_coords)
 
 
-def _gluing_orbit(complex, face):
-    """All faces identified with the sorted face by the gluing groupoid,
-    each gluing acting both ways through its linear ray map, so that a face
-    of subdivision rays inside a glued face moves with it."""
-    ray_maps = []
-    for src, dst in complex.gluings:
-        ray_maps += [complex._ray_image_map(src, dst), complex._ray_image_map(dst, src)]
-    orbit = {face}
-    queue = [face]
-    while queue:
-        current = queue.pop()
-        for ray_map in ray_maps:
-            if all(r in ray_map for r in current):
-                image = tuple(sorted(ray_map[r] for r in current))
-                if image not in orbit:
-                    orbit.add(image)
-                    queue.append(image)
-    return sorted(orbit)
+def _gluing_classes(complex, items):
+    """Union-find label of each sorted ray tuple in items, each joined to
+    its image under every gluing.  The stored ray maps are bijections that
+    take faces onto faces, so joining along them one way gives the classes
+    of the whole identification groupoid, and the image of a face or of a
+    ray multiset on a face is again an item when items holds all of them.
+    """
+    index = {item: k for k, item in enumerate(items)}
+    pairs = [
+        (k, index[tuple(sorted(map(ray_map.get, item)))])
+        for ray_map in complex._ray_maps
+        for k, item in enumerate(items)
+        if all(r in ray_map for r in item)
+    ]
+    return dict(zip(items, union_find(len(items), pairs)))
 
 
 def star_subdivision(complex, rays):
@@ -345,9 +355,10 @@ def star_subdivision(complex, rays):
     refused.
     """
     face = tuple(sorted(tuple(r) for r in rays))
-    if not complex._is_face(face):
+    labels = _gluing_classes(complex, complex.all_faces())
+    if face not in labels:
         raise DomainError("%r is not a face of the complex" % (face,))
-    orbit = _gluing_orbit(complex, face)
+    orbit = sorted(f for f, label in labels.items() if label == labels[face])
     for a, b in itertools.combinations(orbit, 2):
         if set(a) & set(b) and any(set(a + b) <= set(c) for c in complex.cones):
             raise DomainError(
@@ -356,7 +367,7 @@ def star_subdivision(complex, rays):
             )
     cones = list(complex.cones)
     for member in orbit:
-        barycenter = _primitive(_vector_sum(member))
+        barycenter = _primitive_ray(_vector_sum(member))
         subdivided = []
         for cone in cones:
             if set(member) <= set(cone):
@@ -385,7 +396,7 @@ def barycentric(complex):
             flag = []
             for ray in perm:
                 partial = ray if partial is None else _vector_sum([partial, ray])
-                flag.append(_primitive(partial))
+                flag.append(_primitive_ray(partial))
             cones.add(tuple(flag))
     fine = ConeComplex(complex.lattice_rank, cones, complex.gluings)
     return fine, _subdivision_map(fine, complex)
@@ -652,8 +663,6 @@ class PPFunction:
     def validate(self):
         """Check agreement on shared faces and invariance under gluings."""
         for i, face, j, image in _matched_faces(self.complex):
-            if j is None:
-                raise DomainError("gluing image face missing")
             if self._restrict(i, face) != self._restrict(j, image):
                 raise DomainError(
                     "polynomials of cones %d, %d disagree on a shared or glued face"
@@ -690,7 +699,7 @@ def _matched_faces(complex):
     First each face shared by cones i < j, in `combinations` order, with
     image the same face; then, per gluing and per cone i, the rays of cone
     i that the gluing moves and their images, j the first cone holding
-    the images or None.  The degree-0 `pp_space` basis follows this order.
+    the images.  The degree-0 `pp_space` basis follows this order.
     """
     cones = complex.cones
     raysets = [set(cone) for cone in cones]
@@ -698,13 +707,12 @@ def _matched_faces(complex):
         shared = [r for r in cones[i] if r in raysets[j]]
         if shared:
             yield i, shared, j, shared
-    for src, dst in complex.gluings:
-        ray_map = complex._ray_image_map(src, dst)
+    for ray_map in complex._ray_maps:
         for i, cone in enumerate(cones):
             face = [r for r in cone if r in ray_map]
             if face:
                 image = [ray_map[r] for r in face]
-                j = next((j for j, rays in enumerate(raysets) if rays.issuperset(image)), None)
+                j = next(j for j, rays in enumerate(raysets) if rays.issuperset(image))
                 yield i, face, j, image
 
 
@@ -726,29 +734,18 @@ def pp_space(complex, d):
         raise DomainError("degree must be nonnegative")
     cones = complex.cones
     if d == 0:
-        pairs = ((i, j) for i, _, j, _ in _matched_faces(complex) if j is not None)
+        pairs = ((i, j) for i, _, j, _ in _matched_faces(complex))
         labels = union_find(len(cones), pairs)
         roots = sorted(set(labels))
     else:
-        multisets = _ray_multisets(complex, d)
-        index = {m: k for k, m in enumerate(multisets)}
-        pairs = []
-        for src, dst in complex.gluings:
-            ray_map = complex._ray_image_map(src, dst)
-            for multiset in multisets:
-                if all(r in ray_map for r in multiset):
-                    image = tuple(sorted(ray_map[r] for r in multiset))
-                    if image not in index:
-                        raise DomainError("gluing image of a monomial is missing")
-                    pairs.append((index[multiset], index[image]))
-        labels = union_find(len(multisets), pairs)
-        largest = {root: k for k, root in enumerate(labels)}
+        labels = _gluing_classes(complex, _ray_multisets(complex, d))
+        largest = {root: k for k, root in enumerate(labels.values())}
         roots = sorted(largest, key=largest.get)
     position = {root: p for p, root in enumerate(roots)}
     polys = [[{} for _ in cones] for _ in roots]
     for i, cone in enumerate(cones):
         for multiset in itertools.combinations_with_replacement(cone, d):
-            label = labels[index[multiset]] if d else labels[i]
+            label = labels[multiset] if d else labels[i]
             polys[position[label]][i][tuple(map(multiset.count, cone))] = ONE
     return [PPFunction._unchecked(complex, d, p) for p in polys]
 

@@ -106,13 +106,12 @@ def _degree_monomials(g: int, n: int, d: int, k: int):
                 ]
             )
         for picks in itertools.product(*choices):
-            label = tuple(picks)
             cls = None
             for part, combo in picks:
                 gens = generators(g, n, part)
                 for i in combo:
                     cls = gens[i] if cls is None else multiply(cls, gens[i])
-            out.append((label, fundamental_class(g, n) if cls is None else cls))
+            out.append(fundamental_class(g, n) if cls is None else cls)
     return out
 
 
@@ -131,7 +130,7 @@ def subalgebra_span(g: int, n: int, d: int, k: int = 1) -> SpanReport:
     top-d generating set, alongside the ambient pairing rank of degree d
     itself; the monomials and the generators are paired in one walk.
     """
-    monomials = [cls for _, cls in _degree_monomials(g, n, d, k)]
+    monomials = _degree_monomials(g, n, d, k)
     m = len(monomials)
     rank, ambient = _ranks(
         g, n, d, monomials + list(generators(g, n, d)), [slice(m), slice(m, None)]
@@ -184,7 +183,7 @@ def div_membership(
             "perfect pairing is only known here for g <= 3; "
             "pass unverified_extended=True for lower-bound analysis"
         )
-    monomials = [cls for _, cls in _degree_monomials(g, n, d, max_gen_degree)]
+    monomials = _degree_monomials(g, n, d, max_gen_degree)
     m = len(monomials)
     rank, rank_with, ambient = _ranks(
         g,

@@ -279,7 +279,7 @@ def pairing_rank(g, n, d):
 
 def subalgebra_span(g, n, d, k=1):
     cols = generators(g, n, dim_moduli(g, n) - d)
-    monomials = [cls for _, cls in _degree_monomials(g, n, d, k)]
+    monomials = _degree_monomials(g, n, d, k)
     matrix = pairing_matrix(monomials + list(generators(g, n, d)), cols)
     m = len(monomials)
     return SpanReport(
@@ -297,7 +297,7 @@ def div_membership(x, max_gen_degree=1):
     """The report of `tautring.membership.div_membership`, any genus."""
     g, n, d = x.g, x.n, x.d
     cols = generators(g, n, dim_moduli(g, n) - d)
-    monomials = [cls for _, cls in _degree_monomials(g, n, d, max_gen_degree)]
+    monomials = _degree_monomials(g, n, d, max_gen_degree)
     matrix = pairing_matrix([*monomials, x, *generators(g, n, d)], cols)
     m = len(monomials)
     rank, rank_with = QMatrix(matrix[:m], n_cols=len(cols)).rank_with(matrix[m])

@@ -11,12 +11,19 @@ the definitions as written, so the library is checked against them.
 `integer_substitute` is the integer substitution kernel on exponent
 tuples that the packed-exponent kernel replaced; it is much faster than
 the rational substitution, so it checks the library on larger inputs.
+
+The gluings act here through ray maps of their own, with coordinates from
+the dense elimination of `tests/dense_rref.py`, so no gluing code of the
+library is used.  `gluing_orbit` is the breadth-first search, through each
+gluing in both directions, that the library's one-way union-find classes
+replaced.
 """
 
 import itertools
 import math
 import operator
 
+from dense_rref import dense_rref
 from tautring.cone_complex import PPFunction, _ray_multisets
 from tautring.errors import DomainError
 from tautring.exact_linalg import QMatrix
@@ -76,6 +83,66 @@ def from_global(complex, poly, degree):
     return PPFunction(complex, degree, out)
 
 
+def _coordinates(rays, vector):
+    """Coordinates of vector in the independent rays, or None if it lies
+    outside their span."""
+    m = len(rays)
+    matrix = QMatrix(
+        [[QQ(ray[k]) for ray in rays] + [QQ(vector[k])] for k in range(len(vector))],
+        n_cols=m + 1,
+    )
+    reduced, pivots = dense_rref(matrix)
+    if m in pivots:
+        return None
+    return [reduced.rows[i][m] for i in range(m)]
+
+
+def ray_map(complex, src, dst):
+    """Each complex ray in the closed cone of src, sent to its image under
+    the linear map taking src[i] to dst[i]."""
+    out = {}
+    for ray in complex.rays():
+        coords = _coordinates(src, ray)
+        if coords is not None and all(c >= 0 for c in coords):
+            image = [
+                sum(c * target[k] for c, target in zip(coords, dst)) for k in range(len(ray))
+            ]
+            assert all(x.denominator == 1 for x in image)
+            out[ray] = tuple(int(x) for x in image)
+    return out
+
+
+def ray_maps(complex):
+    """The ray map of every gluing, in the order of the gluings."""
+    return [ray_map(complex, src, dst) for src, dst in complex.gluings]
+
+
+def two_way_maps(complex):
+    """The ray maps of every gluing, forward and backward."""
+    maps = []
+    for src, dst in complex.gluings:
+        maps += [ray_map(complex, src, dst), ray_map(complex, dst, src)]
+    return maps
+
+
+def gluing_orbit(maps, face):
+    """All faces identified with the sorted face by the gluing groupoid,
+    each gluing acting both ways through its linear ray map (the maps of
+    `two_way_maps`), so that a face of subdivision rays inside a glued
+    face moves with it."""
+    orbit = {face}
+    queue = [face]
+    while queue:
+        current = queue.pop()
+        for one_map in maps:
+            if all(r in one_map for r in current):
+                image = tuple(sorted(one_map[r] for r in current))
+                if image not in orbit:
+                    orbit.add(image)
+                    queue.append(image)
+    return sorted(orbit)
+
+
 def _connected_components(complex):
     n = len(complex.cones)
     parent = list(range(n))
@@ -92,10 +159,9 @@ def _connected_components(complex):
     for i, j in itertools.combinations(range(n), 2):
         if set(complex.cones[i]) & set(complex.cones[j]):
             union(i, j)
-    for src, dst in complex.gluings:
-        ray_map = complex._ray_image_map(src, dst)
+    for one_map in ray_maps(complex):
         for i, cone in enumerate(complex.cones):
-            image = [ray_map[r] for r in cone if r in ray_map]
+            image = [one_map[r] for r in cone if r in one_map]
             if not image:
                 continue
             for j, other in enumerate(complex.cones):
@@ -139,12 +205,11 @@ def pp_space(complex, d):
     multisets = _ray_multisets(complex, d)
     index = {m: k for k, m in enumerate(multisets)}
     rows = []
-    for src, dst in complex.gluings:
-        ray_map = complex._ray_image_map(src, dst)
+    for one_map in ray_maps(complex):
         for multiset in multisets:
-            if not all(r in ray_map for r in multiset):
+            if not all(r in one_map for r in multiset):
                 continue
-            image = tuple(sorted(ray_map[r] for r in multiset))
+            image = tuple(sorted(one_map[r] for r in multiset))
             if image not in index:
                 raise DomainError("gluing image of a monomial is missing")
             if image == multiset:

@@ -196,6 +196,21 @@ def test_star_of_a_subdivided_glued_face_keeps_the_gluing(capsys, tmp_path):
         ["cone", 'file:{"lattice_rank": 2, "cones": [{"rays": [[1, 0], [2, 1]]}, '
          '{"rays": [[0, 1], [2, 1]]}], "gluings": [{"source": [[1, 0], [0, 1]], '
          '"target": [[0, 1], [1, 0]]}]}', "star", "0"],
+    ]
+    # gluings that identify no faces, refused by the constructor whatever
+    # the operation: "apart" glues (e1, e2) onto two rays that share no
+    # cone, "offray" glues (1, 0) onto (1, 1), which is not a ray
+    + [
+        ["cone", text] + op
+        for text in (
+            'file:{"lattice_rank": 3, "cones": [{"rays": [[1, 0, 0], [0, 1, 0]]}, '
+            '{"rays": [[0, 0, 1]]}, {"rays": [[1, 1, 1]]}], "gluings": [{"source": '
+            '[[1, 0, 0], [0, 1, 0]], "target": [[0, 0, 1], [1, 1, 1]]}]}',
+            'file:{"lattice_rank": 2, "cones": [{"rays": [[1, 0], [0, 1]]}], '
+            '"gluings": [{"source": [[1, 0]], "target": [[1, 1]]}]}',
+        )
+        for op in (["faces"], ["barycentric"], ["star", "0"], ["pp", "0"], ["pp", "1"],
+                   ["gen1", "2"], ["explosion", "3", "2"])
     ],
 )
 def test_domain_errors_exit_2(capsys, tmp_path, argv):
@@ -212,7 +227,7 @@ def test_domain_errors_exit_2(capsys, tmp_path, argv):
         argv = argv[:k] + [str(path)] + argv[k + 1:]
     code, out, err = _run(capsys, argv)
     assert code == 2
-    assert err.startswith("error:")
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("genus", ["-1", "0"])

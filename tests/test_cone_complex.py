@@ -76,6 +76,14 @@ def test_validation_rejects_bad_input():
     with pytest.raises(DomainError):
         # gluing between faces of different dimension
         ConeComplex(2, {((1, 0), (0, 1))}, ((((1, 0), (0, 1)), ((1, 0),)),))
+    with pytest.raises(DomainError, match=r"gluing misses the ray \(1, 1\)"):
+        # the rays (-1, 0), (0, -1) go onto (1, 0), (0, 1), faces onto faces,
+        # but no ray goes onto (1, 1), which lies between the targets
+        ConeComplex(
+            2,
+            [((1, 0),), ((0, 1),), ((1, 1),), ((-1, 0),), ((0, -1),)],
+            [(((-1, 0), (0, -1)), ((1, 0), (0, 1)))],
+        )
     # JSON input: integers only, never a float, bool or string
     for rank, ray in [(2.0, [0, 1]), ("2", [0, 1]), (True, [1]), (2, [0, 1.0]),
                       (2, [0, True]), (2, ["0", 1]), (1, [False])]:
@@ -158,9 +166,8 @@ def test_validate_checks_shared_and_glued_faces():
         PPFunction(halves, 1, [{(0, 1): 1}, {}]).validate()  # on the ray (1, 1)
     # the gluing carries the face of e1, e2 onto rays that share no cone
     e1, e2, e3, diagonal = (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)
-    apart = ConeComplex(3, [(e1, e2), (e3,), (diagonal,)], [((e1, e2), (e3, diagonal))])
-    with pytest.raises(DomainError, match="gluing image face missing"):
-        PPFunction.constant(apart, 1).validate()
+    with pytest.raises(DomainError, match="gluing does not map faces onto faces"):
+        ConeComplex(3, [(e1, e2), (e3,), (diagonal,)], [((e1, e2), (e3, diagonal))])
 
 
 def test_json_round_trip():

@@ -110,7 +110,7 @@ def test_the_degree_2_question_on_3_0_3_has_one_row_term_per_generator():
     """Every row term of the monomials of degree <= 2, lambda_3 and the
     degree-3 generators is a generator, so there are exactly 40."""
     gens = generators(3, 0, 3)
-    monomials = [cls for _, cls in _degree_monomials(3, 0, 3, 2)]
+    monomials = _degree_monomials(3, 0, 3, 2)
     rows = [*monomials, lambda_top(3, 0), *gens]
     assert len(gens) == 40
     assert len(term_pairing(rows, gens)) == 40

@@ -127,7 +127,7 @@ def test_membership_rows_match_the_block_kernel(g, n, d):
     """The multi-term divisor monomials and lambda_g, as div_membership
     pairs them, against the complementary generators; in degree 1 every
     monomial is a single generator."""
-    rows = [cls for _, cls in _degree_monomials(g, n, d, 1)] + [lambda_top(g, n)]
+    rows = _degree_monomials(g, n, d, 1) + [lambda_top(g, n)]
     assert d == 1 or any(len(x.terms) > 1 for x in rows)
     _check_matrix(rows, generators(g, n, dim_moduli(g, n) - d))
 

@@ -11,6 +11,7 @@ coefficients in the same key order.
 
 import functools
 import itertools
+import math
 import random
 
 import pytest
@@ -21,6 +22,7 @@ import pp_oracle
 from tautring.cone_complex import (
     ConeComplex,
     PPFunction,
+    _gluing_classes,
     _substitute,
     barycentric,
     pp_space,
@@ -126,6 +128,53 @@ def test_pp_space_matches_the_oracle(name, d):
     a DomainError from both sides would match, so it is refused here."""
     for complex in [FIXTURES[name]()] + _subdivided(name):
         assert not isinstance(_assert_same_space(complex, d), str)
+
+
+def _glued_quadrants():
+    """Two quadrants sharing the ray (0, 1), the first glued onto the second."""
+    x, y, w = (1, 0), (0, 1), (-1, 0)
+    return ConeComplex(2, [(x, y), (w, y)], [((x, y), (y, w))])
+
+
+ORBIT_CASES = {
+    "triangle-z3": triangle_z3_complex,
+    "barycentric-triangle-z3": FIXTURES["barycentric-triangle-z3"],
+    "glued-quadrants": _glued_quadrants,
+    "cycle5": FIXTURES["cycle5"],
+    "barycentric-cycle5": lambda: barycentric(FIXTURES["cycle5"]())[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_CASES))
+def test_star_orbits_and_ray_maps_match_the_oracle(name):
+    """The stored ray maps equal maps solved by dense elimination, and on
+    every face the one-way union-find class equals the two-way search of
+    the oracle.  A star either adds the barycenter of every orbit member
+    with two or more rays, or is refused because two members share a ray
+    inside one cone; its complex again stores the oracle's maps."""
+    complex = ORBIT_CASES[name]()
+    assert list(complex._ray_maps) == pp_oracle.ray_maps(complex)
+    faces = complex.all_faces()
+    labels = _gluing_classes(complex, faces)
+    maps = pp_oracle.two_way_maps(complex)
+    for face in faces:
+        orbit = pp_oracle.gluing_orbit(maps, face)
+        assert sorted(f for f in faces if labels[f] == labels[face]) == orbit
+        if len(complex.cones) > 6:
+            continue  # every star of the 120 flag cones would take seconds
+        try:
+            fine, _ = star_subdivision(complex, face)
+        except DomainError as exc:
+            assert "star refused" in str(exc)
+            assert any(
+                set(a) & set(b) and any(set(a + b) <= set(c) for c in complex.cones)
+                for a, b in itertools.combinations(orbit, 2)
+            )
+            continue
+        sums = [tuple(map(sum, zip(*member))) for member in orbit if len(member) > 1]
+        barycenters = {tuple(x // math.gcd(*v) for x in v) for v in sums}
+        assert set(fine.rays()) - set(complex.rays()) == barycenters
+        assert list(fine._ray_maps) == pp_oracle.ray_maps(fine)
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))

@@ -325,7 +325,14 @@ def build_parser():
 
     p = sub.add_parser("cone", help="cone-complex toolkit")
     p.add_argument("complex", help="fixture name or JSON file")
-    p.add_argument("op", nargs="*", help="faces | barycentric | star ID | pp D | gen1 D | explosion S K")
+    p.add_argument(
+        "op",
+        nargs="*",
+        help=(
+            "faces | barycentric | star ID | pp D | gen1 D | explosion S K; "
+            "explosion validates COMPLEX but always works on barycentric(R^S_{>=0})"
+        ),
+    )
     p.set_defaults(func=_cmd_cone)
 
     return parser

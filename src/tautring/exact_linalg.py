@@ -242,12 +242,6 @@ class QMatrix:
             rows.append([x.numerator * (scale // x.denominator) for x in row])
         return len(pivot_columns(rows))
 
-    def rank_with(self, row):
-        """``(rank, rank with row appended)``, by two runs of `pivot_columns`."""
-        if len(row) != self.n_cols:
-            raise DomainError("row length does not match column count")
-        return self.rank(), QMatrix(self.rows + [row], n_cols=self.n_cols).rank()
-
     def nullspace(self):
         """Basis of the right kernel, one vector per free column."""
         rows, pivots, _ = _echelon(self)

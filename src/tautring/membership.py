@@ -3,17 +3,26 @@
 Classes of complementary degree pair to a rational number, the integral
 of their product, computed without building the product by
 `product.term_pairing`, which pairs every distinct term of a question
-with the full decorated-stratum generating set in one walk over the
-common degenerations.  That turns span and membership questions into
-exact linear algebra.  For genus up to 3 the pairing between
-complementary degrees of these rings is perfect, so answers both ways are
-certified; beyond that only refutations are certain and span ranks are
-lower bounds, which callers must request explicitly.
+with a spanning set in one walk over the common degenerations.  That
+turns span and membership questions into exact linear algebra.  For
+genus up to 3 the pairing between complementary degrees of these rings
+is perfect, so answers both ways are certified; beyond that only
+refutations are certain and span ranks are lower bounds, which callers
+must request explicitly.
+
+The spanning set of each degree is `taut_classes.spanning_generators`:
+the decorated strata with psi and kappa only on vertices of genus >= 2.
+Boundary strata span the tautological rings in genus 0 and 1, so these
+span the same group as the full `generators` set, and every rank is the
+same against either.  The columns of every rank, the rows of
+`pairing_rank` and the ambient block of `subalgebra_span` and
+`div_membership` come from it; the monomials, and the default basis of
+`pairing_vector`, still come from `generators`.
 
 The ranks of `pairing_rank`, `subalgebra_span` and `div_membership` are
 found on small integer matrices, never on a full-width rational one.
 Let T be the integer matrix of the distinct row terms of all classes of
-a question against the basis columns.  Every class row is a rational
+a question against the spanning-set columns.  Every class row is a rational
 combination of rows of T, so it lies in rowspace(T).
 
 - Zero and repeated primitive rows of T, and zero columns and columns
@@ -25,9 +34,10 @@ combination of rows of T, so it lies in rowspace(T).
   combination with the coefficients v[P].
 
 So the rank of each block of classes (the monomials; the monomials and
-x; the generators) is the rank of its rows restricted to P, which has as
-many columns as the ambient rank: 14, 12 and 10 for (2,2,2), (1,4,1) and
-(3,0,3), against 161, 551 and 40 basis columns.
+x; the spanning set) is the rank of its rows restricted to P, which has
+as many columns as the ambient rank: 14, 12 and 10 for (2,2,2), (1,4,1)
+and (3,0,3), against 42, 68 and 23 spanning-set columns (161, 551 and 40
+in the full generating set).
 """
 
 import itertools
@@ -45,6 +55,7 @@ from .taut_classes import (
     dim_moduli,
     fundamental_class,
     generators,
+    spanning_generators,
 )
 from .pixton import lambda_top
 
@@ -64,13 +75,13 @@ def pairing_vector(x: TautClass, basis=None):
 
 def _ranks(g, n, d, classes, blocks):
     """The pairing rank of each block, a slice of classes of degree d,
-    against the degree top-d generating set.
+    against the degree top-d spanning set.
 
     One integer matrix T holds the pairing rows of the distinct terms of
     all classes; its pivot columns P are found once, and each block is
     ranked on its rows restricted to P (see the module docstring).
     """
-    cols = generators(g, n, dim_moduli(g, n) - d)
+    cols = spanning_generators(g, n, dim_moduli(g, n) - d)
     pairs = term_pairing(classes, cols)
     pivots = pivot_columns([nums for _, nums in pairs.values()])
     rows = [summed_row(x, pairs, pivots)[1] for x in classes]
@@ -83,7 +94,7 @@ def pairing_rank(g: int, n: int, d: int) -> int:
     Equals dim R^d whenever the pairing is perfect; in any case it is a
     lower bound.
     """
-    [rank] = _ranks(g, n, d, generators(g, n, d), [slice(None)])
+    [rank] = _ranks(g, n, d, spanning_generators(g, n, d), [slice(None)])
     return rank
 
 
@@ -126,14 +137,18 @@ class SpanReport(
 def subalgebra_span(g: int, n: int, d: int, k: int = 1) -> SpanReport:
     """Rank in degree d of the subring generated in degrees up to k.
 
-    Ranks are computed in pairing coordinates against the full degree
-    top-d generating set, alongside the ambient pairing rank of degree d
-    itself; the monomials and the generators are paired in one walk.
+    Ranks are computed in pairing coordinates against the degree top-d
+    spanning set, alongside the ambient pairing rank of degree d itself;
+    the monomials and the degree-d spanning set are paired in one walk.
     """
     monomials = _degree_monomials(g, n, d, k)
     m = len(monomials)
     rank, ambient = _ranks(
-        g, n, d, monomials + list(generators(g, n, d)), [slice(m), slice(m, None)]
+        g,
+        n,
+        d,
+        monomials + list(spanning_generators(g, n, d)),
+        [slice(m), slice(m, None)],
     )
     return SpanReport(
         g=g,
@@ -174,7 +189,7 @@ def div_membership(
     pairing cannot tell the class apart from the subring; that weaker
     mode must be requested with unverified_extended.  The report also
     carries the ambient pairing rank of degree d: the monomials, x and the
-    degree-d generators are paired in one walk.
+    degree-d spanning set are paired in one walk.
     """
     g, n, d = x.g, x.n, x.d
     certified = g <= 3
@@ -189,7 +204,7 @@ def div_membership(
         g,
         n,
         d,
-        [*monomials, x, *generators(g, n, d)],
+        [*monomials, x, *spanning_generators(g, n, d)],
         [slice(m), slice(m + 1), slice(m + 1, None)],
     )
     return MembershipReport(

@@ -27,6 +27,7 @@ from .stable_graphs import (
     StableGraph,
     automorphisms,
     canonical_form_with_map,
+    check_stable_type,
     enumerate_stable_graphs,
     smooth_graph,
 )
@@ -436,22 +437,45 @@ def _vertex_monomials(keys, top: int):
     ]
 
 
-def _decorations_of_degree(graph: StableGraph, m: int):
+def _decorations_of_degree(graph: StableGraph, m: int, min_genus: int = 0):
     """The decorations of total degree m on `graph` that push forward to
-    nonzero classes: m is split over the vertices with each share at most
-    that vertex's dimension, and each share over the psi keys and the
-    kappa monomial of its vertex."""
+    nonzero classes and sit only on vertices of genus >= min_genus: m is
+    split over the vertices with each share at most that vertex's
+    dimension (0 below min_genus), and each share over the psi keys and
+    the kappa monomial of its vertex."""
     home, dims = vertex_data(graph)
+    caps = [dim if gv >= min_genus else 0 for dim, gv in zip(dims, graph.genera)]
     keys = [[] for _ in dims]
     for i in graph.markings():
         keys[home[i]].append((PSI_LEG, i))
     for v, s in graph.half_edges():
         keys[v].append((PSI_HE, v, s))
-    local = [_vertex_monomials(k, min(dim, m)) for k, dim in zip(keys, dims)]
-    for shares in compositions(m, dims):
+    local = [_vertex_monomials(k, min(cap, m)) for k, cap in zip(keys, caps)]
+    for shares in compositions(m, caps):
         for parts in itertools.product(*map(list.__getitem__, local, shares)):
             psi = (item for items, _ in parts for item in items)
             yield Decoration(psi, (kappa for _, kappa in parts))
+
+
+def _decorated_strata(g: int, n: int, d: int, min_genus: int):
+    """One class per automorphism orbit of (graph, decoration) of degree d
+    with the decoration on vertices of genus >= min_genus, in
+    `term_sort_key` order, each its canonical term with coefficient 1."""
+    check_stable_type(g, n)
+    if d < 0 or d > dim_moduli(g, n):
+        raise DomainError("degree outside 0..3g-3+n")
+    seen = set()
+    for graph in enumerate_stable_graphs(g, n):
+        if graph.n_edges <= d:
+            for dec in _decorations_of_degree(graph, d - graph.n_edges, min_genus):
+                seen.add(canonical_term(graph, dec))
+    ordered = sorted(seen, key=term_sort_key)
+    out = []
+    for term in ordered:
+        cls = TautClass(g, n, d)
+        cls.terms[term] = ONE
+        out.append(cls)
+    return tuple(out)
 
 
 @cache
@@ -465,17 +489,21 @@ def generators(g: int, n: int, d: int) -> tuple[TautClass, ...]:
     The order is deterministic, and each class is its canonical term with
     coefficient 1.
     """
-    if d < 0 or d > dim_moduli(g, n):
-        raise DomainError("degree outside 0..3g-3+n")
-    seen = set()
-    for graph in enumerate_stable_graphs(g, n):
-        if graph.n_edges <= d:
-            for dec in _decorations_of_degree(graph, d - graph.n_edges):
-                seen.add(canonical_term(graph, dec))
-    ordered = sorted(seen, key=term_sort_key)
-    out = []
-    for term in ordered:
-        cls = TautClass(g, n, d)
-        cls.terms[term] = ONE
-        out.append(cls)
-    return tuple(out)
+    return _decorated_strata(g, n, d, 0)
+
+
+@cache
+def spanning_generators(g: int, n: int, d: int) -> tuple[TautClass, ...]:
+    """The classes of `generators(g, n, d)` with no psi or kappa on a
+    vertex of genus 0 or 1, in the same order; they still span R^d.
+
+    R*(M̄_{0,m}) is spanned by boundary strata (Keel, Trans. AMS 330,
+    1992), and so is R*(M̄_{1,m}): in genus 1, psi_i, kappa_1 and
+    lambda_1 are combinations of boundary divisors (Getzler, J. AMS 10,
+    1997; Petersen, Duke Math. J. 163, 2014).  So a psi/kappa monomial on
+    a vertex of genus 0 or 1 pushes forward to a combination of strata
+    with more edges and no decoration on that vertex.  The dropped
+    classes are never built.  Should a case ever disagree, only the
+    genus-0 decorations may be dropped (Keel's theorem alone).
+    """
+    return _decorated_strata(g, n, d, 2)

@@ -13,8 +13,8 @@ here as they were.  Its degeneration records come from the scan of
 `pairing_rank`, `subalgebra_span` and `div_membership` are the
 membership ranks as `tautring.membership` computed them before they
 moved onto the integer term pairing: the full `pairing_matrix` of every
-class, ranked by `QMatrix.rank` and `QMatrix.rank_with` over all its
-columns.
+class against the full `generators` set, ranked by `QMatrix.rank` over
+all its columns.
 """
 
 import itertools
@@ -272,6 +272,11 @@ def pairing_row(x: TautClass, basis) -> list:
 # membership ranks on the full pairing matrix
 
 
+def _two_ranks(rows, row, n_cols):
+    """(rank of rows, rank of rows with row appended)."""
+    return QMatrix(rows, n_cols=n_cols).rank(), QMatrix(rows + [row], n_cols=n_cols).rank()
+
+
 def pairing_rank(g, n, d):
     cols = generators(g, n, dim_moduli(g, n) - d)
     return QMatrix(pairing_matrix(generators(g, n, d), cols), n_cols=len(cols)).rank()
@@ -300,7 +305,7 @@ def div_membership(x, max_gen_degree=1):
     monomials = _degree_monomials(g, n, d, max_gen_degree)
     matrix = pairing_matrix([*monomials, x, *generators(g, n, d)], cols)
     m = len(monomials)
-    rank, rank_with = QMatrix(matrix[:m], n_cols=len(cols)).rank_with(matrix[m])
+    rank, rank_with = _two_ranks(matrix[:m], matrix[m], len(cols))
     return MembershipReport(
         g=g,
         n=n,

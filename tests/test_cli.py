@@ -127,6 +127,17 @@ def test_cone_operations(capsys):
     assert payload["maximal_cones"] == 2
 
 
+def test_explosion_works_on_the_orthant_whatever_the_complex(capsys):
+    """`cone COMPLEX explosion S K` validates COMPLEX but works on
+    barycentric(R^S_{>=0}), as the help of `op` says."""
+    names = ("simplex2", "simplex3", "triangle-z3")
+    runs = {_run(capsys, ["cone", name, "explosion", "3", "2"]) for name in names}
+    assert len(runs) == 1
+    with pytest.raises(SystemExit):
+        cli.main(["cone", "--help"])
+    assert "always works on barycentric(R^S_{>=0})" in " ".join(capsys.readouterr().out.split())
+
+
 def test_cone_accepts_a_file(capsys, tmp_path):
     from tautring.cone_complex import simplex_cone_complex
 

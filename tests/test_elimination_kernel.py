@@ -135,7 +135,8 @@ def dense_rank(rows, n_cols):
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_rank_with_matches_two_ranks(data):
-    """Both ranks, in and out of the span, are the dense oracle's."""
+    """The rank, and the rank with a row appended, in or out of the span,
+    are the dense oracle's."""
     mat = data.draw(matrices())
     if data.draw(st.booleans()):
         coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=mat.n_rows, max_size=mat.n_rows))
@@ -143,7 +144,7 @@ def test_rank_with_matches_two_ranks(data):
     else:
         row = data.draw(vectors(mat.n_cols))
     expected = (dense_rank(mat.rows, mat.n_cols), dense_rank(mat.rows + [row], mat.n_cols))
-    assert mat.rank_with(row) == expected
+    assert (mat.rank(), QMatrix(mat.rows + [row], n_cols=mat.n_cols).rank()) == expected
 
 
 @given(matrices())
@@ -163,7 +164,8 @@ def test_empty_shapes():
         assert mat.rref() == dense_rref(mat)
         assert mat.rref(record=True) == dense_rref(mat, record=True)
         assert mat.rank() == 0
-        assert mat.rank_with([QQ(1)] * n_cols) == (0, int(n_cols > 0))
+        with_row = QMatrix(mat.rows + [[QQ(1)] * n_cols], n_cols=n_cols)
+        assert (mat.rank(), with_row.rank()) == (0, int(n_cols > 0))
         assert mat.nullspace() == dense_nullspace(mat)
         assert pivot_columns([[0] * n_cols for _ in rows]) == []
 
@@ -201,7 +203,8 @@ def planted_columns(draw):
 @given(planted_columns(), st.lists(st.integers(-2, 2), max_size=6))
 def test_planted_pivots_and_ranks_match_the_oracle(planted, combo):
     """Dropping rows and columns before elimination leaves the pivots of
-    the full matrix, and `rank`/`rank_with` are the dense ranks."""
+    the full matrix, and the ranks with and without a row appended are
+    the dense ranks."""
     rows, n_cols = planted
     mat = QMatrix(rows, n_cols=n_cols)
     assert pivot_columns(rows) == dense_rref(mat)[1]
@@ -210,7 +213,7 @@ def test_planted_pivots_and_ranks_match_the_oracle(planted, combo):
     outside = [v + (j == 0) for j, v in enumerate(mixed)]
     for row in (mixed, outside):
         expected = (dense_rank(rows, n_cols), dense_rank(rows + [row], n_cols))
-        assert mat.rank_with(row) == expected
+        assert (mat.rank(), QMatrix(rows + [row], n_cols=n_cols).rank()) == expected
 
 
 @settings(max_examples=100, deadline=None)

@@ -85,6 +85,11 @@ def _zero_term(g, n, d):
     return None
 
 
+def _two_ranks(rows, row, n_cols):
+    """(rank of rows, rank of rows with row appended)."""
+    return QMatrix(rows, n_cols=n_cols).rank(), QMatrix(rows + [row], n_cols=n_cols).rank()
+
+
 @cache
 def _planted(g, n, d):
     """(monomials, span rank, ambient rank, a generator outside the span or
@@ -94,10 +99,11 @@ def _planted(g, n, d):
     cols = generators(g, n, dim_moduli(g, n) - d)
     matrix = pairing_matrix(monomials + list(gens), cols)
     m = len(monomials)
-    span = QMatrix(matrix[:m], n_cols=len(cols))
-    rank = span.rank()
+    span = matrix[:m]
+    rank = QMatrix(span, n_cols=len(cols)).rank()
     outside = next(
-        (b for b, row in zip(gens, matrix[m:]) if span.rank_with(row)[1] > rank), None
+        (b for b, row in zip(gens, matrix[m:]) if _two_ranks(span, row, len(cols))[1] > rank),
+        None,
     )
     ambient = QMatrix(matrix[m:], n_cols=len(cols)).rank()
     return monomials, rank, ambient, outside, _zero_term(g, n, d)

@@ -522,15 +522,59 @@ def has_separating_edge(graph: StableGraph) -> bool:
 # enumeration
 
 
+def _moved_ends(graph: StableGraph, v: int):
+    """(moved slots, key, complement key) per choice of the edge ends of v
+    that move to the new vertex, up to the automorphisms of `graph` that
+    fix v: the first c ends of each bundle of parallel edges to one
+    neighbour, and both ends of the first `both` loops and one end of the
+    next `one`.  The key orders a choice against its complement."""
+    bundles: dict[int, list[int]] = {}
+    loops = []
+    for (v1, s1), (v2, s2) in graph.edges:
+        if v1 == v2 == v:
+            loops.append((s1, s2))
+        elif v1 == v:
+            bundles.setdefault(v2, []).append(s1)
+        elif v2 == v:
+            bundles.setdefault(v1, []).append(s2)
+    sizes = [len(slots) for slots in bundles.values()]
+    for counts in itertools.product(*(range(k + 1) for k in sizes)):
+        moved = {s for slots, c in zip(bundles.values(), counts) for s in slots[:c]}
+        for both in range(len(loops) + 1):
+            for one in range(len(loops) - both + 1):
+                ends = set(moved)
+                ends.update(s for loop in loops[:both] for s in loop)
+                ends.update(s2 for _, s2 in loops[both:both + one])
+                complement = (tuple(k - c for k, c in zip(sizes, counts)),
+                              len(loops) - both - one)
+                yield ends, (counts, both), complement
+
+
 def _splits(graph: StableGraph):
-    """Every one-edge degeneration of `graph`, as (graph, new edge) pairs.
+    """The one-edge degenerations of `graph`, as (graph, new edge) pairs:
+    at least one in every isomorphism class of them.
 
     The inverse of contracting one edge.  For each vertex v: a loop at v
-    that lowers g_v by one, and every split of v into v and a new last
+    that lowers g_v by one, and the splits of v into v and a new last
     vertex joined by the new edge, sharing out g_v, the legs of v and the
     edge ends at v so that both vertices stay stable.  The two ends of a
     loop at v may land on different sides, which makes a parallel edge.
-    Isomorphic outputs repeat.
+    Three symmetries of a split are used to yield one choice where the
+    side assignments give several isomorphic graphs:
+
+    - complement: moving (S, g_new) or its complement (S^c, g_v - g_new)
+      gives the same graph with v and the new vertex swapped, so the
+      first leg of v stays on v; with no legs, the choice that is not
+      larger than its complement in (bundle counts, loops moved whole,
+      g_new) is kept;
+    - parallel edges: permuting the edges from v to one neighbour is an
+      automorphism, so only how many of their ends move matters;
+    - loops: permuting the loops at v and swapping the two ends of one are
+      automorphisms, so only how many loops move 0, 1 or 2 ends matters.
+
+    Each symmetry maps a side assignment to an isomorphic split, so every
+    class keeps a representative; isomorphic outputs still repeat across
+    different vertices and different choices.
     """
     V = graph.n_vertices
     for v in range(V):
@@ -539,12 +583,12 @@ def _splits(graph: StableGraph):
             new = ((v, len(ends)), (v, len(ends) + 1))
             genera = graph.genera[:v] + (gv - 1,) + graph.genera[v + 1:]
             yield _graph(genera, graph.legs, graph.edges + (new,)), new
-        for sides in itertools.product((0, 1), repeat=len(legs) + len(ends)):
-            parts = ([], [])
-            for m, side in zip(legs, sides):
-                parts[side].append(m)
+        for moved, key, complement in _moved_ends(graph, v):
+            if not legs and key > complement:
+                continue
             rename, slots = {}, [0, 0]
-            for s, side in zip(ends, sides[len(legs):]):
+            for s in ends:
+                side = s in moved
                 rename[(v, s)] = (V if side else v, slots[side])
                 slots[side] += 1
             new = ((v, slots[0]), (V, slots[1]))
@@ -553,16 +597,23 @@ def _splits(graph: StableGraph):
                 a, b = rename.get(a, a), rename.get(b, b)
                 # an end moved to the new last vertex V can swap the order
                 edges.append((a, b) if a <= b else (b, a))
-            legs_out = (graph.legs[:v] + (tuple(parts[0]),) + graph.legs[v + 1:]
-                        + (tuple(parts[1]),))
-            for g_new in range(gv + 1):
-                # 2 g - 2 + valence > 0 on both sides, the new edge included
-                if min(2 * (gv - g_new) + len(parts[0]) + slots[0],
-                       2 * g_new + len(parts[1]) + slots[1]) < 2:
-                    continue
-                genera = (graph.genera[:v] + (gv - g_new,) + graph.genera[v + 1:]
-                          + (g_new,))
-                yield _graph(genera, legs_out, edges), new
+            # the first leg, if any, stays on v
+            for sides in itertools.product((0, 1), repeat=max(len(legs) - 1, 0)):
+                parts = (list(legs[:1]), [])
+                for m, side in zip(legs[1:], sides):
+                    parts[side].append(m)
+                legs_out = (graph.legs[:v] + (tuple(parts[0]),) + graph.legs[v + 1:]
+                            + (tuple(parts[1]),))
+                for g_new in range(gv + 1):
+                    if not legs and key == complement and g_new > gv - g_new:
+                        continue
+                    # 2 g - 2 + valence > 0 on both sides, the new edge included
+                    if min(2 * (gv - g_new) + len(parts[0]) + slots[0],
+                           2 * g_new + len(parts[1]) + slots[1]) < 2:
+                        continue
+                    genera = (graph.genera[:v] + (gv - g_new,) + graph.genera[v + 1:]
+                              + (g_new,))
+                    yield _graph(genera, legs_out, edges), new
 
 
 # A dict, not functools.cache: perfbench/spans.py reads it by name.
@@ -576,7 +627,10 @@ def enumerate_stable_graphs(g: int, n: int) -> tuple[StableGraph, ...]:
     a stable graph with one edge fewer, so the canonical forms of the
     `_splits` of the graphs with E edges are all graphs with E + 1 edges,
     starting from the smooth graph and stopping at the dimension bound
-    3g - 3 + n.  Sorted by `StableGraph.sort_key`.
+    3g - 3 + n.  `_splits` yields one split per class of side choices up
+    to the symmetries of the split, not every labelled copy, so each
+    class costs fewer canonical forms.  The graphs are canonical forms,
+    sorted by `StableGraph.sort_key`.
     """
     key = (g, n)
     if key in _ENUM_CACHE:

@@ -460,16 +460,27 @@ def _decorations_of_degree(graph: StableGraph, m: int, min_genus: int = 0):
 def _decorated_strata(g: int, n: int, d: int, min_genus: int):
     """One class per automorphism orbit of (graph, decoration) of degree d
     with the decoration on vertices of genus >= min_genus, in
-    `term_sort_key` order, each its canonical term with coefficient 1."""
+    `term_sort_key` order, each its canonical term with coefficient 1.
+
+    The enumerated graphs are canonical, so a decoration's orbit is its
+    transports along `automorphisms(graph)` and its least member is the
+    `canonical_term` decoration.  The decorations of one graph are closed
+    under those transports: the first member met gives the whole orbit,
+    and the others are skipped, one sweep of |Aut| transports per orbit."""
     check_stable_type(g, n)
     if d < 0 or d > dim_moduli(g, n):
         raise DomainError("degree outside 0..3g-3+n")
-    seen = set()
+    found = []
     for graph in enumerate_stable_graphs(g, n):
         if graph.n_edges <= d:
+            auts = automorphisms(graph)
+            met = set()
             for dec in _decorations_of_degree(graph, d - graph.n_edges, min_genus):
-                seen.add(canonical_term(graph, dec))
-    ordered = sorted(seen, key=term_sort_key)
+                if dec not in met:
+                    orbit = {dec, *(dec.transport(av, ah) for av, ah in auts[1:])}
+                    met |= orbit
+                    found.append((graph, min(orbit, key=Decoration.sort_key)))
+    ordered = sorted(found, key=term_sort_key)
     out = []
     for term in ordered:
         cls = TautClass(g, n, d)

@@ -125,3 +125,39 @@ def oracle_stable_graphs(g: int, n: int) -> tuple[StableGraph, ...]:
                         graph = _build_graph(counts, genera, leg_assign, n)
                         found.add(canonical_form(graph))
     return tuple(sorted(found, key=lambda gr: gr.sort_key()))
+
+
+def all_splits(graph: StableGraph):
+    """Every one-edge degeneration of `graph` from every side assignment,
+    as (graph, new edge) pairs: the split generator that the symmetry-
+    reduced `stable_graphs._splits` replaces.  For each vertex v, a loop
+    that lowers g_v, and each of the 2^(legs + edge ends) ways to share
+    the legs and edge ends of v between v and a new last vertex, with
+    every genus share that keeps both stable.  Isomorphic outputs repeat,
+    each unordered split twice."""
+    V = graph.n_vertices
+    for v in range(V):
+        gv, legs, ends = graph.genera[v], graph.legs[v], graph.edge_ends(v)
+        if gv:
+            new = ((v, len(ends)), (v, len(ends) + 1))
+            genera = graph.genera[:v] + (gv - 1,) + graph.genera[v + 1:]
+            yield StableGraph(genera, graph.legs, graph.edges + (new,)), new
+        for sides in itertools.product((0, 1), repeat=len(legs) + len(ends)):
+            parts = ([], [])
+            for m, side in zip(legs, sides):
+                parts[side].append(m)
+            rename, slots = {}, [0, 0]
+            for s, side in zip(ends, sides[len(legs):]):
+                rename[(v, s)] = (V if side else v, slots[side])
+                slots[side] += 1
+            new = ((v, slots[0]), (V, slots[1]))
+            edges = [new] + [(rename.get(a, a), rename.get(b, b)) for a, b in graph.edges]
+            legs_out = (graph.legs[:v] + (tuple(parts[0]),) + graph.legs[v + 1:]
+                        + (tuple(parts[1]),))
+            for g_new in range(gv + 1):
+                if min(2 * (gv - g_new) + len(parts[0]) + slots[0],
+                       2 * g_new + len(parts[1]) + slots[1]) < 2:
+                    continue
+                genera = (graph.genera[:v] + (gv - g_new,) + graph.genera[v + 1:]
+                          + (g_new,))
+                yield StableGraph(genera, legs_out, edges), new

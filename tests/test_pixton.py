@@ -111,7 +111,7 @@ def _bernoulli(m):
     return b[m]
 
 
-@pytest.mark.parametrize("g, n", [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2)])
+@pytest.mark.parametrize("g, n", [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2)])
 def test_psi_lambda_g_integrals_match_the_closed_form(g, n):
     """The lambda_g formula, a closed form independent of the code:
     int psi_1^a_1 ... psi_n^a_n lambda_g = binom(2g - 3 + n; a) b_g with

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import pytest
 
 import canonical_oracle
-from enum_oracle import oracle_stable_graphs
+from enum_oracle import all_splits, oracle_stable_graphs
 from tautring.errors import DomainError
 from tautring.stable_graphs import (
     _splits,
@@ -119,6 +119,21 @@ SMALL_TYPES = [
 @pytest.mark.parametrize("g, n", SMALL_TYPES)
 def test_enumeration_matches_brute_force(g, n):
     assert enumerate_stable_graphs(g, n) == oracle_stable_graphs(g, n)
+
+
+SPLIT_TYPES = [
+    (g, n) for g in range(4) for n in range(8) if 0 < 2 * g - 2 + n <= 5
+] + [(4, 0)]
+
+
+@pytest.mark.parametrize("g, n", SPLIT_TYPES)
+def test_splits_reach_every_class_of_all_side_assignments(g, n):
+    """The symmetry-reduced splits of each graph have the same canonical
+    forms as the splits from every side assignment."""
+    for graph in enumerate_stable_graphs(g, n):
+        reduced = {canonical_form(split) for split, _ in _splits(graph)}
+        every = {canonical_form(split) for split, _ in all_splits(graph)}
+        assert reduced == every, graph
 
 
 @pytest.mark.parametrize("g, n", [(2, 0), (1, 2), (0, 5), (2, 1), (1, 3)])

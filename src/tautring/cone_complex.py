@@ -461,47 +461,85 @@ def _packed_mul(p, q):
     return out
 
 
-def _substitute(poly, forms, scale):
+def _power(powers, form, e, base):
+    """form^e packed in base, by repeated multiplication by form, each
+    power kept in powers under (form, e)."""
+    power = powers.get((form, e))
+    if power is None:
+        if e == 1:
+            power = {base**t: a for t, a in enumerate(form) if a}
+        else:
+            power = _packed_mul(_power(powers, form, e - 1, base), _power(powers, form, 1, base))
+        powers[form, e] = power
+    return power
+
+
+def _substitute(poly, forms, scale, memo=None):
     """Replace variable k of poly by the linear form forms[k] / scale.
 
     forms[k] lists one integer coefficient per new variable and scale is a
     positive integer.  The work is done in integers: the denominators of
-    the coefficients are cleared once, each power of each form is expanded
-    once, and each output coefficient becomes one rational at the end.
-    Exponent tuples in the new variables are packed into integers in base
-    top + 1, top the largest degree in poly, digit t holding the exponent
-    of variable t.  No exponent exceeds top, so multiplying two monomials
-    adds their keys, and a key is unpacked only when its output
-    coefficient is built.
+    the coefficients are cleared once, each product of powers of forms is
+    expanded once, and each output coefficient becomes one rational at the
+    end.  Exponent tuples in the new variables are packed into integers in
+    base top + 1, top the largest degree in poly, digit t holding the
+    exponent of variable t.  No exponent exceeds top, so multiplying two
+    monomials adds their keys, and a key is unpacked only when its output
+    coefficient is built.  A power is made by repeated multiplication and
+    a product of powers left to right in variable order, so every result
+    has the same terms in the same order however much work is shared.
+
+    memo is a dict owned by one call of pullback_pp or
+    PPFunction.from_global and passed to the substitution of each of its
+    cones, so that the cones share their work; it dies with the call.  Per
+    base and number of new variables it keeps each power form^e, keyed by
+    (form, e); each product of powers, keyed by its (form, e) factors in
+    variable order; each packed key unpacked; and each output rational,
+    keyed by (numerator, denominator).  Fractions and exponent tuples are
+    immutable, so the polynomials of different cones may share them.
+    Without a memo nothing is shared.
     """
     n_new = len(forms[0])
     common = math.lcm(1, *(c.denominator for c in poly.values()))
     top = max(map(sum, poly), default=0)
     base = top + 1
-    linear = [{base**t: a for t, a in enumerate(form) if a} for form in forms]
+    if memo is None:
+        memo = {}
+    tables = memo.get((base, n_new))
+    if tables is None:
+        tables = memo[base, n_new] = ({}, {}, {}, {})
+    powers, products, exponents, rationals = tables
     one = {0: 1}
-    powers = [[one] for _ in forms]
     out = {}
     for exps, c in poly.items():
         # c * prod (form_k / scale)^e_k over the denominator common * scale^top
         factor = c.numerator * (common // c.denominator) * scale ** (top - sum(exps))
-        term = one
-        for table, form, e in zip(powers, linear, exps):
-            if e:
-                while len(table) <= e:
-                    table.append(_packed_mul(table[-1], form))
-                term = table[e] if term is one else _packed_mul(term, table[e])
+        factors = tuple((forms[k], e) for k, e in enumerate(exps) if e)
+        term = products.get(factors)
+        if term is None:
+            term = one
+            for form, e in factors:
+                power = _power(powers, form, e, base)
+                term = power if term is one else _packed_mul(term, power)
+            products[factors] = term
         for key, value in term.items():
             out[key] = out.get(key, 0) + factor * value
     denominator = common * scale**top
     result = {}
     for key, num in out.items():
         if num:
-            exps = []
-            for _ in range(n_new):
-                key, e = divmod(key, base)
-                exps.append(e)
-            result[tuple(exps)] = QQ(num) if denominator == 1 else QQ(num, denominator)
+            exps = exponents.get(key)
+            if exps is None:
+                digits = []
+                rest = key
+                for _ in range(n_new):
+                    rest, e = divmod(rest, base)
+                    digits.append(e)
+                exps = exponents[key] = tuple(digits)
+            value = rationals.get((num, denominator))
+            if value is None:
+                value = rationals[num, denominator] = QQ(num, denominator)
+            result[exps] = value
     return result
 
 
@@ -583,12 +621,17 @@ class PPFunction:
         On a cone with rays r_1..r_m the lattice coordinate x_j restricts
         to sum_i r_i[j] * y_i.  The exponent tuples of poly have one entry
         per lattice coordinate, like those of PPFunction per cone ray.
+        The substitutions of all the cones share one memo (see
+        _substitute), made for this call and dropped when it returns:
+        cones whose rays give the same linear forms expand each product
+        of their powers once.
         """
         poly = _clean_poly(poly, complex.lattice_rank)
+        memo = {}
         return cls(
             complex,
             degree,
-            [_substitute(poly, tuple(zip(*cone)), 1) for cone in complex.cones],
+            [_substitute(poly, tuple(zip(*cone)), 1, memo) for cone in complex.cones],
         )
 
     def __add__(self, other):
@@ -661,7 +704,31 @@ class PPFunction:
         return True
 
     def validate(self):
-        """Check agreement on shared faces and invariance under gluings."""
+        """Check agreement on shared faces and invariance under gluings.
+
+        Two cones agree on the face they share exactly when every ray
+        multiset of degree d inside both has one coefficient in the two,
+        and a gluing is respected exactly when each multiset it moves has
+        the coefficient of its image.  So in degree d >= 1 one pass reads
+        each cone's coefficient of each sorted ray multiset of the cone
+        (zero for an absent monomial), requires every cone holding a
+        multiset to give it the same value, and then requires each
+        multiset moved by a stored ray map to have the value of its image.
+        In degree 0 every cone holds the empty multiset, whether or not
+        the cones meet, so there the faces of _matched_faces are compared
+        pair by pair.  They are also compared when the pass finds a
+        disagreement, so that the error names the first disagreeing pair
+        of cones in the order of _matched_faces.
+        """
+        if self.degree >= 1:
+            values = _multiset_coefficients(self)
+            if values is not None and all(
+                values[tuple(sorted(map(ray_map.get, multiset)))] == c
+                for ray_map in self.complex._ray_maps
+                for multiset, c in values.items()
+                if all(r in ray_map for r in multiset)
+            ):
+                return
         for i, face, j, image in _matched_faces(self.complex):
             if self._restrict(i, face) != self._restrict(j, image):
                 raise DomainError(
@@ -751,25 +818,45 @@ def pp_space(complex, d):
 
 
 def pullback_pp(sub_map, f):
-    """Restrict a piecewise polynomial along a subdivision map."""
+    """Restrict a piecewise polynomial along a subdivision map.
+
+    Fine cone i gets the polynomial of its coarse cone with coarse
+    coordinate k replaced by sub_map.forms[i][k] / sub_map.scales[i].  The
+    substitutions of all the fine cones share one memo (see _substitute),
+    made for this call and dropped when it returns: the fine cones of a
+    barycentric subdivision use a few linear forms in permuted roles, so
+    each product of their powers is expanded once per call, not once per
+    cone, and equal output coefficients are one rational.
+    """
     if f.complex != sub_map.target:
         raise DomainError("function does not live on the coarse complex")
     # f passed the checks of PPFunction, and substituting linear forms
     # keeps its polynomials homogeneous of the same degree
+    memo = {}
     polys = [
-        _substitute(f.polys[j], forms, scale)
+        _substitute(f.polys[j], forms, scale, memo)
         for j, forms, scale in zip(sub_map.cone_targets, sub_map.forms, sub_map.scales)
     ]
     return PPFunction._unchecked(sub_map.source, f.degree, polys)
 
 
-def _multiset_vector(f):
-    """Coefficients of f indexed by ray multisets (assumes compatibility)."""
+def _multiset_coefficients(f):
+    """{sorted ray multiset: coefficient} over the degree-d multisets of
+    every cone (zero for an absent monomial), or None if two cones holding
+    one multiset give it different coefficients."""
     values = {}
     for cone, poly in zip(f.complex.cones, f.polys):
         for multiset in itertools.combinations_with_replacement(cone, f.degree):
-            values.setdefault(multiset, poly.get(tuple(map(multiset.count, cone)), ZERO))
-    return [values[m] for m in _ray_multisets(f.complex, f.degree)]
+            c = poly.get(tuple(map(multiset.count, cone)), ZERO)
+            if values.setdefault(multiset, c) != c:
+                return None
+    return values
+
+
+def _multiset_vector(f):
+    """Coefficients of a compatible f in the order of _ray_multisets."""
+    values = _multiset_coefficients(f)
+    return [values[m] for m in sorted(values)]
 
 
 def generated_by_degree_one(complex, d):

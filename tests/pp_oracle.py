@@ -11,6 +11,14 @@ the definitions as written, so the library is checked against them.
 `integer_substitute` is the integer substitution kernel on exponent
 tuples that the packed-exponent kernel replaced; it is much faster than
 the rational substitution, so it checks the library on larger inputs.
+`packed_substitute` is the packed-exponent kernel as it was before the
+cones of one pullback shared their powers, products and rationals: it
+expands every cone on its own.
+
+`validate` is the pairwise scan that the one-pass check over ray
+multisets replaced: the restrictions of two cones to every face they
+share, and of a cone and its gluing image, compared pair by pair in a
+fixed order, so that a failure names the first disagreeing pair.
 
 The gluings act here through ray maps of their own, with coordinates from
 the dense elimination of `tests/dense_rref.py`, so no gluing code of the
@@ -304,3 +312,96 @@ def integer_pullback(sub_map, f):
         for j, ray_coords in zip(sub_map.cone_targets, sub_map.ray_coords)
     ]
     return PPFunction(sub_map.source, f.degree, polys)
+
+
+def _packed_mul(p, q):
+    out = {}
+    for k1, c1 in p.items():
+        for k2, c2 in q.items():
+            key = k1 + k2
+            c = out.get(key, 0) + c1 * c2
+            if c:
+                out[key] = c
+            else:
+                out.pop(key, None)
+    return out
+
+
+def packed_substitute(poly, forms, scale):
+    """Replace variable k of poly by the integer linear form forms[k] / scale,
+    on exponents packed in base top + 1, every power table built afresh."""
+    n_new = len(forms[0])
+    common = math.lcm(1, *(c.denominator for c in poly.values()))
+    top = max(map(sum, poly), default=0)
+    base = top + 1
+    linear = [{base**t: a for t, a in enumerate(form) if a} for form in forms]
+    one = {0: 1}
+    powers = [[one] for _ in forms]
+    out = {}
+    for exps, c in poly.items():
+        factor = c.numerator * (common // c.denominator) * scale ** (top - sum(exps))
+        term = one
+        for table, form, e in zip(powers, linear, exps):
+            if e:
+                while len(table) <= e:
+                    table.append(_packed_mul(table[-1], form))
+                term = table[e] if term is one else _packed_mul(term, table[e])
+        for key, value in term.items():
+            out[key] = out.get(key, 0) + factor * value
+    denominator = common * scale**top
+    result = {}
+    for key, num in out.items():
+        if num:
+            exps = []
+            for _ in range(n_new):
+                key, e = divmod(key, base)
+                exps.append(e)
+            result[tuple(exps)] = QQ(num) if denominator == 1 else QQ(num, denominator)
+    return result
+
+
+def packed_pullback(sub_map, f):
+    """pullback_pp through `packed_substitute`, one cone at a time."""
+    polys = [
+        packed_substitute(f.polys[j], forms, scale)
+        for j, forms, scale in zip(sub_map.cone_targets, sub_map.forms, sub_map.scales)
+    ]
+    return PPFunction(sub_map.source, f.degree, polys)
+
+
+def matched_faces(complex):
+    """(i, face, j, image): each face shared by cones i < j, then per gluing
+    and per cone i the rays it moves, j the first cone holding their images."""
+    cones = complex.cones
+    raysets = [set(cone) for cone in cones]
+    for i, j in itertools.combinations(range(len(cones)), 2):
+        shared = [r for r in cones[i] if r in raysets[j]]
+        if shared:
+            yield i, shared, j, shared
+    for one_map in ray_maps(complex):
+        for i, cone in enumerate(cones):
+            face = [r for r in cone if r in one_map]
+            if face:
+                image = [one_map[r] for r in face]
+                j = next(j for j, rays in enumerate(raysets) if rays.issuperset(image))
+                yield i, face, j, image
+
+
+def _restrict(f, cone_index, face_rays):
+    cone = f.complex.cones[cone_index]
+    positions = [cone.index(r) for r in face_rays]
+    out = {}
+    for exps, c in f.polys[cone_index].items():
+        if all(e == 0 or k in positions for k, e in enumerate(exps)):
+            out[tuple(exps[k] for k in positions)] = c
+    return out
+
+
+def validate(f):
+    """Raise DomainError naming the first pair of cones whose restrictions
+    to a shared or glued face differ."""
+    for i, face, j, image in matched_faces(f.complex):
+        if _restrict(f, i, face) != _restrict(f, j, image):
+            raise DomainError(
+                "polynomials of cones %d, %d disagree on a shared or glued face" % (i, j)
+            )

@@ -13,22 +13,28 @@ used by `integrate`, and the set-partition formula behind
 
 In the pushforward convention a term (graph, dec, c) integrates to
 c times the product over vertices of the vertex integrals; no automorphism
-factor appears.
+factor appears.  `term_integral` places each psi exponent on its vertex
+through the cached `taut_classes.vertex_data` of the graph and hands
+sorted, dimension-checked arguments to the cached vertex integral.
+`kappa_to_psi` builds the signed set partitions of each kappa monomial
+and each virtual graph once and reuses them for every term that needs
+them.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import cache
 
 from .errors import DomainError
 from .rationals import QQ, ZERO, ONE, double_factorial
 from .stable_graphs import StableGraph
 from .taut_classes import (
-    PSI_HE,
     PSI_LEG,
     Decoration,
     TautClass,
     dim_moduli,
+    vertex_data,
 )
 
 # (g, sorted exponent tuple) -> <tau_{d_1} ... tau_{d_n}>_g, for stable,
@@ -200,61 +206,89 @@ def _set_partitions(items: list):
         yield partition + [[first]]
 
 
+@cache
+def _kappa_partitions(kappas: tuple) -> tuple:
+    """(sign, block exponents) of each set partition of a sorted kappa
+    tuple, in `_set_partitions` order: a block B gives a psi exponent
+    sum(B) + 1 and a sign (-1)^(|B| - 1)."""
+    out = []
+    for partition in _set_partitions(list(kappas)):
+        sign = 1
+        for block in partition:
+            if len(block) % 2 == 0:
+                sign = -sign
+        out.append((sign, tuple(sum(block) + 1 for block in partition)))
+    return tuple(out)
+
+
+def _first_free_mark(graph: StableGraph) -> int:
+    marks = [m for lv in graph.legs for m in lv]
+    return max([len(marks)] + marks) + 1
+
+
+@cache
+def _virtual_graph(graph: StableGraph, new_legs: tuple) -> StableGraph:
+    """`graph` with new_legs[v] fresh legs on each vertex v, numbered on
+    from its largest marking, vertex by vertex."""
+    mark = _first_free_mark(graph)
+    legs = []
+    for lv, k in zip(graph.legs, new_legs):
+        legs.append(lv + tuple(range(mark, mark + k)))
+        mark += k
+    return StableGraph(graph.genera, legs, graph.edges)
+
+
+def _expansion(graph: StableGraph, dec: Decoration, coeff):
+    """The (graph, decoration, coefficient) terms of one term with its
+    kappas traded: the product over the vertices of their partitions."""
+    spots = [v for v, ks in enumerate(dec.kappa) if ks]
+    if not spots:
+        yield graph, dec, coeff
+        return
+    start = _first_free_mark(graph)
+    no_kappa = ((),) * graph.n_vertices
+    new_legs = [0] * graph.n_vertices
+    for choice in itertools.product(*(_kappa_partitions(dec.kappa[v]) for v in spots)):
+        sign = 1
+        psi = list(dec.psi)
+        mark = start
+        for v, (s, exps) in zip(spots, choice):
+            sign *= s
+            new_legs[v] = len(exps)
+            for e in exps:
+                psi.append(((PSI_LEG, mark), e))
+                mark += 1
+        yield (
+            _virtual_graph(graph, tuple(new_legs)),
+            Decoration(psi, no_kappa),
+            coeff if sign > 0 else -coeff,
+        )
+
+
 def kappa_to_psi(cls: TautClass) -> TautClass:
     """Trade every kappa decoration for psi insertions on virtual legs.
 
     Each vertex kappa monomial expands over set partitions P of its factors
     into sum over P of prod_{B in P} (-1)^{|B|-1} times a psi exponent
-    sum(B)+1 on a fresh leg of that vertex.  The result integrates to the
-    same number as the input; it is marked virtual because its terms live
-    on graphs with extra legs and is accepted by `integrate` only.
+    sum(B)+1 on a fresh leg of that vertex; a term expands into the
+    product over its vertices of these sums, and the fresh legs are
+    numbered on from the largest marking, vertex by vertex.  The
+    (sign, block exponents) list of a sorted kappa monomial and each
+    virtual graph, per (graph, new legs per vertex), are built once and
+    cached.  The result integrates to the same number as the input; it is
+    marked virtual because its terms live on graphs with extra legs and is
+    accepted by `integrate` only.
     """
     out = TautClass(cls.g, cls.n, cls.d, virtual=True)
+    terms = out.terms
     for (graph, dec), coeff in cls.terms.items():
-        expansions = [(graph, dec, coeff)]
-        for v in range(graph.n_vertices):
-            new_expansions = []
-            for (cur_graph, cur_dec, cur_coeff) in expansions:
-                kappas = list(cur_dec.kappa[v])
-                if not kappas:
-                    new_expansions.append((cur_graph, cur_dec, cur_coeff))
-                    continue
-                for partition in _set_partitions(kappas):
-                    factor = 1
-                    for block in partition:
-                        factor *= (-1) ** (len(block) - 1)
-                    next_mark = (
-                        max(
-                            [cur_graph.n_markings]
-                            + [m for lv in cur_graph.legs for m in lv]
-                        )
-                        + 1
-                    )
-                    new_legs = list(map(list, cur_graph.legs))
-                    psi = dict(cur_dec.psi)
-                    for block in partition:
-                        new_legs[v].append(next_mark)
-                        psi[(PSI_LEG, next_mark)] = sum(block) + 1
-                        next_mark += 1
-                    new_graph = StableGraph(
-                        cur_graph.genera,
-                        tuple(tuple(l) for l in new_legs),
-                        cur_graph.edges,
-                    )
-                    kappa = list(cur_dec.kappa)
-                    kappa[v] = ()
-                    new_dec = Decoration(psi.items(), kappa)
-                    new_expansions.append(
-                        (new_graph, new_dec, cur_coeff * factor)
-                    )
-            expansions = new_expansions
-        for (t_graph, t_dec, t_coeff) in expansions:
+        for t_graph, t_dec, t_coeff in _expansion(graph, dec, QQ(coeff)):
             key = (t_graph, t_dec)
-            new = out.terms.get(key, 0) + QQ(t_coeff)
+            new = terms[key] + t_coeff if key in terms else t_coeff
             if new:
-                out.terms[key] = new
+                terms[key] = new
             else:
-                out.terms.pop(key, None)
+                terms.pop(key, None)
     return out
 
 
@@ -262,29 +296,34 @@ def kappa_to_psi(cls: TautClass) -> TautClass:
 # integration of classes
 
 
-def _term_vertex_data(graph: StableGraph, dec: Decoration):
-    """Per-vertex (genus, psi exponent list, kappa list) for integration."""
-    exps = dict(dec.psi)
-    at = [[exps.get((PSI_LEG, m), 0) for m in legs] for legs in graph.legs]
-    for edge in graph.edges:
-        for v, s in edge:
-            at[v].append(exps.get((PSI_HE, v, s), 0))
-    return [(gv, tuple(sorted(e)), k) for gv, e, k in zip(graph.genera, at, dec.kappa)]
-
-
 @cache
 def term_integral(graph: StableGraph, dec: Decoration) -> object:
-    """Integral of xi_*(dec): the product of the vertex integrals."""
-    value = ONE
-    for (gv, psi_exps, kappas) in _term_vertex_data(graph, dec):
-        nv = len(psi_exps)
-        if sum(psi_exps) + sum(kappas) != dim_moduli(gv, nv):
-            value = ZERO
-            break
-        value *= vertex_integral(gv, psi_exps, kappas)
+    """Integral of xi_*(dec): the product of the vertex integrals.
+
+    Each psi exponent goes to its vertex, read from the cached
+    `vertex_data` of the graph (a leg's vertex from `home`; a half-edge key
+    names its own vertex), and each vertex's exponents are padded with
+    zeros to its valence, dims[v] - 3 g_v + 3.  A vertex whose degree is
+    not its dimension makes the term zero; otherwise the cached
+    `_vertex_integral` gets the sorted exponents directly, and the vertex
+    values are multiplied as integer numerators and denominators.
+    """
+    home, dims = vertex_data(graph)
+    at = [[] for _ in dims]
+    for key, e in dec.psi:
+        at[home[key[1]] if key[0] == PSI_LEG else key[1]].append(e)
+    num = den = 1
+    for gv, dim, exps, kappas in zip(graph.genera, dims, at, dec.kappa):
+        if sum(exps) + sum(kappas) != dim:
+            return ZERO
+        exps += [0] * (dim - 3 * gv + 3 - len(exps))
+        exps.sort()
+        value = _vertex_integral(gv, tuple(exps), kappas)
         if not value:
-            break
-    return value
+            return ZERO
+        num *= value.numerator
+        den *= value.denominator
+    return QQ(num, den)
 
 
 def integrate(cls: TautClass) -> object:

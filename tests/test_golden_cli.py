@@ -164,5 +164,11 @@ def test_memos_do_not_change_answers(capsys):
                 if hits + misses > before[name].hits + before[name].misses:
                     used.add(name)
                     assert run != "warm" or hits > before[name].hits, (command, name)
-    # every memo the scan finds is exercised; no CLI command calls `integrate`
-    assert set(cached) - used == {"tautring.integration.term_integral"}
+    # every memo the scan finds is exercised; no CLI command calls
+    # `integrate` or `kappa_to_psi` (tests/test_kappa_conversion.py runs
+    # these memos through the library)
+    assert set(cached) - used == {
+        "tautring.integration.term_integral",
+        "tautring.integration._kappa_partitions",
+        "tautring.integration._virtual_graph",
+    }

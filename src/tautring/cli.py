@@ -4,10 +4,25 @@ Every command prints deterministic JSON (or, for theta-genus2, a fixed
 text report) with a versioned header; identical inputs give identical
 bytes.  Rational numbers are always rendered as "p/q" strings.  Exit
 codes: 0 on success, 2 for domain errors (bad input, unstable spaces,
-uncertified regimes), 3 for internal consistency failures.
+uncertified regimes) and for a closed stdout, 3 for internal consistency
+failures.
+
+`run()` is the process entry point (`python -m tautring.cli` and the
+`tautring` console script); `main()` is the plain function behind it, for
+tests and library callers.  `run()` turns the cyclic garbage collector off
+and ends the process with `os._exit` once stdout and stderr are flushed.
+The memo caches hold only acyclic tuples, dicts and value objects, so a
+command leaves no cyclic garbage but its argument parser, and the
+collector's passes over the growing caches are wasted; interpreter
+teardown would free every cache entry one object at a time just before
+the process ends.  Skipping both relies on three conditions: no `atexit`
+handlers, no threads, and no open files other than stdout and stderr when
+`main()` returns.  Output that has to appear at exit, such as a trace
+line, must be written inside `main()` or `run()` before `os._exit`.
 """
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -352,5 +367,26 @@ def main(argv=None):
     return 0
 
 
+def run():
+    """Run `main()` as a whole process and end it with its exit code.
+
+    Usage errors and `--help` keep argparse's codes (2 and 0).  A closed
+    stdout, met while writing or flushing, prints one `error: stdout
+    closed` line and exits 2.  Never returns.
+    """
+    gc.disable()
+    try:
+        try:
+            code = main()
+        except SystemExit as exc:
+            code = exc.code
+        sys.stdout.flush()
+    except BrokenPipeError:
+        print("error: stdout closed", file=sys.stderr)
+        code = 2
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -4,8 +4,8 @@ Every command prints deterministic JSON (or, for theta-genus2, a fixed
 text report) with a versioned header; identical inputs give identical
 bytes.  Rational numbers are always rendered as "p/q" strings.  Exit
 codes: 0 on success, 2 for domain errors (bad input, unstable spaces,
-uncertified regimes) and for a closed stdout, 3 for internal consistency
-failures.
+uncertified regimes), for a request too large for memory and for a closed
+stdout, 3 for internal consistency failures.
 
 `run()` is the process entry point (`python -m tautring.cli` and the
 `tautring` console script); `main()` is the plain function behind it, for
@@ -360,6 +360,9 @@ def main(argv=None):
         args.func(args)
     except DomainError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
     except ConsistencyError as exc:
         print("consistency failure: %s" % exc, file=sys.stderr)

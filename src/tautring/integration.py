@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cache
+from math import gcd
 
 from .errors import DomainError
 from .rationals import QQ, ZERO, ONE, double_factorial
@@ -239,12 +240,10 @@ def _virtual_graph(graph: StableGraph, new_legs: tuple) -> StableGraph:
 
 
 def _expansion(graph: StableGraph, dec: Decoration, coeff):
-    """The (graph, decoration, coefficient) terms of one term with its
-    kappas traded: the product over the vertices of their partitions."""
+    """The (graph, decoration, coefficient) terms of one term that has
+    kappas, with them traded: the product over the vertices of their
+    partitions."""
     spots = [v for v, ks in enumerate(dec.kappa) if ks]
-    if not spots:
-        yield graph, dec, coeff
-        return
     start = _first_free_mark(graph)
     no_kappa = ((),) * graph.n_vertices
     new_legs = [0] * graph.n_vertices
@@ -272,17 +271,22 @@ def kappa_to_psi(cls: TautClass) -> TautClass:
     into sum over P of prod_{B in P} (-1)^{|B|-1} times a psi exponent
     sum(B)+1 on a fresh leg of that vertex; a term expands into the
     product over its vertices of these sums, and the fresh legs are
-    numbered on from the largest marking, vertex by vertex.  The
-    (sign, block exponents) list of a sorted kappa monomial and each
-    virtual graph, per (graph, new legs per vertex), are built once and
-    cached.  The result integrates to the same number as the input; it is
-    marked virtual because its terms live on graphs with extra legs and is
-    accepted by `integrate` only.
+    numbered on from the largest marking, vertex by vertex.  A term
+    without kappas passes through as it is.  The (sign, block exponents)
+    list of a sorted kappa monomial and each virtual graph, per (graph,
+    new legs per vertex), are built once and cached.  The result
+    integrates to the same number as the input; it is marked virtual
+    because its terms live on graphs with extra legs and is accepted by
+    `integrate` only.
     """
     out = TautClass(cls.g, cls.n, cls.d, virtual=True)
     terms = out.terms
     for (graph, dec), coeff in cls.terms.items():
-        for t_graph, t_dec, t_coeff in _expansion(graph, dec, QQ(coeff)):
+        if any(dec.kappa):
+            expansion = _expansion(graph, dec, QQ(coeff))
+        else:
+            expansion = [(graph, dec, coeff)]
+        for t_graph, t_dec, t_coeff in expansion:
             key = (t_graph, t_dec)
             new = terms[key] + t_coeff if key in terms else t_coeff
             if new:
@@ -331,15 +335,23 @@ def integrate(cls: TautClass) -> object:
 
     Terms whose vertex dimensions do not match integrate to zero, so a
     virtual (kappa-converted) class is handled by the same product formula.
+    The terms are summed as integer numerators over a running common
+    denominator, which grows only by the factor a new denominator lacks,
+    and the sum becomes one rational at the end.
     """
     if not cls.virtual and cls.d != dim_moduli(cls.g, cls.n):
         raise DomainError(
             f"degree {cls.d} class cannot be integrated on a "
             f"{dim_moduli(cls.g, cls.n)}-dimensional space"
         )
-    total = ZERO
+    num, den = 0, 1
     for (graph, dec), coeff in cls.terms.items():
         value = term_integral(graph, dec)
         if value:
-            total += coeff * value
-    return total
+            b = coeff.denominator * value.denominator
+            if den % b:
+                scale = b // gcd(den, b)
+                num *= scale
+                den *= scale
+            num += coeff.numerator * value.numerator * (den // b)
+    return QQ(num, den)

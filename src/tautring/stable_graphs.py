@@ -295,8 +295,15 @@ def _search(graph: StableGraph):
     that reaches it, and every new_of_old that reaches it, the first one
     first.  Two permutations tie when they differ by an automorphism; the
     sweep compares edge tuples only, and the hemap is built once, for the
-    first tie."""
+    first tie.  When every colour class is one vertex there is one
+    permutation, and the search returns it without a sweep."""
     classes = _color_classes(graph)
+    if len(classes) == graph.n_vertices:
+        new_of_old = [0] * graph.n_vertices
+        for pos, (v,) in enumerate(classes):
+            new_of_old[v] = pos
+        hemap: dict = {}
+        return _candidate(graph, new_of_old, hemap), hemap, [tuple(new_of_old)]
     best = None
     ties = []
     for perms in itertools.product(*[itertools.permutations(c) for c in classes]):
@@ -311,7 +318,7 @@ def _search(graph: StableGraph):
             best, ties = cand_edges, [tuple(new_of_old)]
         elif cand_edges == best:
             ties.append(tuple(new_of_old))
-    hemap: dict = {}
+    hemap = {}
     _candidate(graph, ties[0], hemap)
     return best, hemap, ties
 
@@ -320,6 +327,11 @@ def _search(graph: StableGraph):
 # identity entry, and a cache in its place raised the RSS of `graphs 4 1`.
 _CANONICAL_CACHE: dict[StableGraph, tuple] = {}
 
+# The vertex automorphism maps of a graph, by graph: recorded for each
+# canonical graph by the search that first reaches it, and for any other
+# graph by `_vertex_automorphism_maps`.
+_AUTOMORPHISM_MAPS: dict[StableGraph, tuple] = {}
+
 
 def canonical_form_with_map(graph: StableGraph):
     """Canonical representative plus the relabeling used to reach it.
@@ -327,7 +339,11 @@ def canonical_form_with_map(graph: StableGraph):
     Returns (canon, vmap, hemap) with vmap[old_vertex] = new_vertex and
     hemap mapping every old half-edge to its new name, read off the first
     permutation of `_search`.  The canonical graph of two isomorphic
-    inputs coincides as a value.
+    inputs coincides as a value.  The first search that reaches a
+    canonical graph also records its vertex automorphisms: each tie p
+    relabels the input onto the canonical graph as the first tie q does,
+    so p o q^-1 is a vertex automorphism of the canonical graph, and
+    every one arises so.
     """
     cached = _CANONICAL_CACHE.get(graph)
     if cached is not None:
@@ -345,6 +361,13 @@ def canonical_form_with_map(graph: StableGraph):
     if canon not in _CANONICAL_CACHE:
         ident = {h: h for h in canon.half_edges()}
         _CANONICAL_CACHE[canon] = (canon, tuple(range(canon.n_vertices)), ident)
+    if canon not in _AUTOMORPHISM_MAPS:
+        # the vertices of a canonical graph lie in colour-class order, so
+        # plain tuple order is the order of `_vertex_automorphism_maps`
+        old_of_new = sorted(range(graph.n_vertices), key=vmap.__getitem__)
+        _AUTOMORPHISM_MAPS[canon] = tuple(
+            sorted(tuple(p[v] for v in old_of_new) for p in ties)
+        )
     return result
 
 
@@ -368,19 +391,24 @@ def _edge_bundles(graph: StableGraph):
     return bundles, loops
 
 
-@cache
 def _vertex_automorphism_maps(graph: StableGraph) -> tuple:
     """Vertex permutations preserving colours and the edge multiset.
 
     These are first^-1 o p for every permutation p of `_search` that ties
     with the first one, sorted by the images of the vertices taken in
-    colour-class order: the identity first.
+    colour-class order: the identity first.  A canonical graph has them
+    recorded by the search that first reached it in
+    `canonical_form_with_map`; any other graph is searched here, once.
     """
-    ties = _search(graph)[2]
-    first_inv = sorted(range(graph.n_vertices), key=ties[0].__getitem__)
-    order = [v for cls in _color_classes(graph) for v in cls]
-    maps = [tuple(first_inv[w] for w in p) for p in ties]
-    return tuple(sorted(maps, key=lambda vmap: [vmap[v] for v in order]))
+    maps = _AUTOMORPHISM_MAPS.get(graph)
+    if maps is None:
+        ties = _search(graph)[2]
+        first_inv = sorted(range(graph.n_vertices), key=ties[0].__getitem__)
+        order = [v for cls in _color_classes(graph) for v in cls]
+        maps = [tuple(first_inv[w] for w in p) for p in ties]
+        maps = tuple(sorted(maps, key=lambda vmap: [vmap[v] for v in order]))
+        _AUTOMORPHISM_MAPS[graph] = maps
+    return maps
 
 
 @cache
@@ -522,21 +550,27 @@ def has_separating_edge(graph: StableGraph) -> bool:
 # enumeration
 
 
-def _moved_ends(graph: StableGraph, v: int):
-    """(moved slots, key, complement key) per choice of the edge ends of v
-    that move to the new vertex, up to the automorphisms of `graph` that
-    fix v: the first c ends of each bundle of parallel edges to one
-    neighbour, and both ends of the first `both` loops and one end of the
-    next `one`.  The key orders a choice against its complement."""
-    bundles: dict[int, list[int]] = {}
-    loops = []
+def _vertex_ends(graph: StableGraph):
+    """Per vertex, from one pass over the edges: its edge-end slots per
+    neighbour, in edge order, and the slot pairs of its loops."""
+    bundles: list[dict[int, list[int]]] = [{} for _ in graph.genera]
+    loops: list[list[tuple[int, int]]] = [[] for _ in graph.genera]
     for (v1, s1), (v2, s2) in graph.edges:
-        if v1 == v2 == v:
-            loops.append((s1, s2))
-        elif v1 == v:
-            bundles.setdefault(v2, []).append(s1)
-        elif v2 == v:
-            bundles.setdefault(v1, []).append(s2)
+        if v1 == v2:
+            loops[v1].append((s1, s2))
+        else:
+            bundles[v1].setdefault(v2, []).append(s1)
+            bundles[v2].setdefault(v1, []).append(s2)
+    return bundles, loops
+
+
+def _moved_ends(bundles: dict, loops: list):
+    """(moved slots, key, complement key) per choice of the edge ends of a
+    vertex v that move to the new vertex, up to the automorphisms of the
+    graph that fix v, from v's `_vertex_ends`: the first c ends of each
+    bundle of parallel edges to one neighbour, and both ends of the first
+    `both` loops and one end of the next `one`.  The key orders a choice
+    against its complement."""
     sizes = [len(slots) for slots in bundles.values()]
     for counts in itertools.product(*(range(k + 1) for k in sizes)):
         moved = {s for slots, c in zip(bundles.values(), counts) for s in slots[:c]}
@@ -577,13 +611,15 @@ def _splits(graph: StableGraph):
     different vertices and different choices.
     """
     V = graph.n_vertices
-    for v in range(V):
-        gv, legs, ends = graph.genera[v], graph.legs[v], graph.edge_ends(v)
+    for v, (bundles, loops) in enumerate(zip(*_vertex_ends(graph))):
+        gv, legs = graph.genera[v], graph.legs[v]
+        # the slots at v are 0..k-1
+        ends = range(sum(map(len, bundles.values())) + 2 * len(loops))
         if gv:
             new = ((v, len(ends)), (v, len(ends) + 1))
             genera = graph.genera[:v] + (gv - 1,) + graph.genera[v + 1:]
             yield _graph(genera, graph.legs, graph.edges + (new,)), new
-        for moved, key, complement in _moved_ends(graph, v):
+        for moved, key, complement in _moved_ends(bundles, loops):
             if not legs and key > complement:
                 continue
             rename, slots = {}, [0, 0]

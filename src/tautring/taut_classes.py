@@ -25,6 +25,7 @@ from .errors import DomainError, json_field, json_ints, json_loads
 from .rationals import ONE, QQ, format_rat, parse_rat
 from .stable_graphs import (
     StableGraph,
+    automorphism_count,
     automorphisms,
     canonical_form_with_map,
     check_stable_type,
@@ -464,28 +465,34 @@ def _decorated_strata(g: int, n: int, d: int, min_genus: int):
 
     The enumerated graphs are canonical, so a decoration's orbit is its
     transports along `automorphisms(graph)` and its least member is the
-    `canonical_term` decoration.  The decorations of one graph are closed
-    under those transports: the first member met gives the whole orbit,
-    and the others are skipped, one sweep of |Aut| transports per orbit."""
+    `canonical_term` decoration.  On a graph whose only automorphism is
+    the identity every decoration is its own orbit and is kept as it is.
+    Otherwise the decorations of the graph are closed under those
+    transports: the first member met gives the whole orbit, and the
+    others are skipped, one sweep of |Aut| transports per orbit.  The
+    enumeration yields the graphs in `StableGraph.sort_key` order, so
+    sorting the decorations of each graph sorts the terms."""
     check_stable_type(g, n)
     if d < 0 or d > dim_moduli(g, n):
         raise DomainError("degree outside 0..3g-3+n")
-    found = []
+    out = []
     for graph in enumerate_stable_graphs(g, n):
         if graph.n_edges <= d:
-            auts = automorphisms(graph)
-            met = set()
-            for dec in _decorations_of_degree(graph, d - graph.n_edges, min_genus):
-                if dec not in met:
-                    orbit = {dec, *(dec.transport(av, ah) for av, ah in auts[1:])}
-                    met |= orbit
-                    found.append((graph, min(orbit, key=Decoration.sort_key)))
-    ordered = sorted(found, key=term_sort_key)
-    out = []
-    for term in ordered:
-        cls = TautClass(g, n, d)
-        cls.terms[term] = ONE
-        out.append(cls)
+            decs = _decorations_of_degree(graph, d - graph.n_edges, min_genus)
+            if automorphism_count(graph) > 1:
+                auts = automorphisms(graph)
+                met = set()
+                least = []
+                for dec in decs:
+                    if dec not in met:
+                        orbit = {dec, *(dec.transport(av, ah) for av, ah in auts[1:])}
+                        met |= orbit
+                        least.append(min(orbit, key=Decoration.sort_key))
+                decs = least
+            for dec in sorted(decs, key=Decoration.sort_key):
+                cls = TautClass(g, n, d)
+                cls.terms[graph, dec] = ONE
+                out.append(cls)
     return tuple(out)
 
 

@@ -52,6 +52,11 @@ def test_process_exit_codes(monkeypatch):
     assert usage.stderr.startswith("usage: tautring")
     assert usage.stderr.endswith("error: unrecognized arguments: --threads 2\n")
 
+    # smooth_graph asks for a tuple of 10**12 legs, refused at once
+    too_big = _cli("graphs 1 1000000000000", capture_output=True)
+    assert (too_big.returncode, too_big.stdout) == (2, "")
+    assert too_big.stderr == "error: out of memory\n"
+
     helped = _cli("--help", capture_output=True)
     monkeypatch.setenv("COLUMNS", ENV["COLUMNS"])
     assert (helped.returncode, helped.stderr) == (0, "")

@@ -136,6 +136,7 @@ def _clear_every_memo(cached):
     integration._CORRELATORS.clear()
     stable_graphs._ENUM_CACHE.clear()
     stable_graphs._CANONICAL_CACHE.clear()
+    stable_graphs._AUTOMORPHISM_MAPS.clear()
 
 
 def test_memos_do_not_change_answers(capsys):

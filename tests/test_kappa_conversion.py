@@ -208,3 +208,34 @@ def test_memos_do_not_change_library_integrals():
                 assert f.cache_info().hits > hits, f.__name__
     assert all(a == b for a, b in runs["cold"])
     assert runs["cold"] == runs["warm"] == runs["cleared"]
+
+
+def _integer_sum_cases():
+    """Top-degree classes of (2,1) whose integrals `integrate` sums over a
+    running common denominator."""
+    gens = [cls for cls in generators(2, 1, 4) if integrate(cls)]
+    denominators = (3, 7, 2, 5, 9, 1, 24, 35)
+    mixed = TautClass(2, 1, 4)
+    for i, cls in enumerate(gens):
+        mixed = mixed + QQ((-1) ** i * (2 * i + 1), denominators[i % 8]) * cls
+    x, y = gens[0], gens[-1]
+    cancelling = oracle.integrate(y) * x - oracle.integrate(x) * y
+    return {
+        "mixed denominators and signs": mixed,
+        "negative coefficients": QQ(-5, 6) * x + QQ(-11, 4) * y,
+        "cancelling to zero": cancelling,
+        "empty": TautClass(2, 1, 4),
+        "kappa_to_psi": kappa_to_psi(mixed),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_integer_sum_cases()))
+def test_integer_sums_match_the_oracle(name):
+    cls = _integer_sum_cases()[name]
+    value = integrate(cls)
+    assert type(value) is QQ
+    assert value == oracle.integrate(cls)
+    if name == "cancelling to zero":
+        assert len(cls.terms) == 2 and value == 0
+    if name == "mixed denominators and signs":
+        assert len({c.denominator for c in cls.terms.values()}) > 4 and value.denominator > 1

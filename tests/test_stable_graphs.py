@@ -9,6 +9,8 @@ import pytest
 
 import canonical_oracle
 from enum_oracle import all_splits, oracle_stable_graphs
+from test_golden_cli import _cached_functions, _clear_every_memo
+from tautring import stable_graphs
 from tautring.errors import DomainError
 from tautring.stable_graphs import (
     _splits,
@@ -27,7 +29,7 @@ from tautring.stable_graphs import (
     smooth_graph,
 )
 from tautring.pixton import lambda_top
-from tautring.taut_classes import fundamental_class, kappa_class, psi_class
+from tautring.taut_classes import fundamental_class, generators, kappa_class, psi_class
 
 THETA = StableGraph((0, 0), ((), ()), (((0, 0), (1, 0)), ((0, 1), (1, 1)), ((0, 2), (1, 2))))
 DUMBBELL = StableGraph((0, 0), ((), ()), (((0, 0), (0, 1)), ((1, 0), (1, 1)), ((0, 2), (1, 2))))
@@ -228,6 +230,64 @@ def test_search_matches_the_two_sweeps_of_the_oracle():
         assert automorphism_count(graph) == len(auts)
         relabeled += canonical_form(graph) != graph
     assert relabeled > 1000
+
+
+def test_records_of_a_relabeled_copy_match_the_oracle(monkeypatch):
+    """With every memo cleared, the search that canonicalizes a relabeled
+    copy records the automorphisms of its canonical graph: they match the
+    oracle, in order, and need no second search."""
+    searches = []
+    monkeypatch.setattr(stable_graphs, "_search", _counted(searches, stable_graphs._search))
+    cached = _cached_functions()
+    relabeled = 0
+    for graph in _oracle_inputs():
+        _clear_every_memo(cached)
+        canon = canonical_form(graph)
+        relabeled += canon != graph
+        searches.clear()
+        auts = canonical_oracle.automorphisms(
+            canon, canonical_oracle.vertex_automorphism_maps(canon)
+        )
+        assert list(automorphisms(canon)) == auts
+        assert automorphism_count(canon) == len(auts)
+        assert searches == []
+    assert relabeled > 1000
+
+
+SESSION_TYPES = [(1, 3), (2, 1), (2, 2), (3, 0), (0, 6)]
+
+
+def test_one_search_per_canonical_form_miss(monkeypatch):
+    """Enumerating the five spaces of the benchmark's kappa step searches
+    once per split not yet canonicalized, and their automorphisms and
+    top-degree generators search no more: 783 searches.  Searching each
+    of the 392 enumerated graphs again for its automorphisms made 1,175."""
+    searches, misses = [], []
+
+    def canonical_form_with_map(graph, real=stable_graphs.canonical_form_with_map):
+        if graph not in stable_graphs._CANONICAL_CACHE:
+            misses.append(graph)
+        return real(graph)
+
+    monkeypatch.setattr(stable_graphs, "_search", _counted(searches, stable_graphs._search))
+    monkeypatch.setattr(stable_graphs, "canonical_form_with_map", canonical_form_with_map)
+    _clear_every_memo(_cached_functions())
+    graphs = [graph for g, n in SESSION_TYPES for graph in enumerate_stable_graphs(g, n)]
+    assert len(searches) == len(misses) == 783
+    assert len(graphs) == 392
+    for graph in graphs:
+        automorphisms(graph)
+        automorphism_count(graph)
+    for g, n in SESSION_TYPES:
+        generators(g, n, 3 * g - 3 + n)
+    assert len(searches) == 783
+
+
+def _counted(calls, function):
+    def counted(graph):
+        calls.append(graph)
+        return function(graph)
+    return counted
 
 
 def test_contraction_closure():

@@ -425,15 +425,31 @@ def _poly_scale(p, factor):
 
 
 def _poly_mul(p, q):
+    """p * q by `_packed_mul` on integer numerators over each factor's
+    common denominator, exponents packed in base deg p + deg q + 1 (see
+    _substitute).  A numerator is zero exactly when its rational sum is,
+    so the terms come out in the order of the loop on rationals."""
+    if not p or not q:
+        return {}
+    base = max(map(sum, p)) + max(map(sum, q)) + 1
+    weights = [base**t for t in range(len(next(iter(p))))]
+    factors = []
+    for poly in (p, q):
+        common = math.lcm(*(c.denominator for c in poly.values()))
+        packed = {
+            sum(map(operator.mul, exps, weights)): c.numerator * (common // c.denominator)
+            for exps, c in poly.items()
+        }
+        factors.append((packed, common))
+    (left, left_den), (right, right_den) = factors
+    denominator = left_den * right_den
     out = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            exps = tuple(map(operator.add, e1, e2))
-            c = out.get(exps, 0) + c1 * c2
-            if c:
-                out[exps] = c
-            else:
-                out.pop(exps, None)
+    for key, num in _packed_mul(left, right).items():
+        digits = []
+        for _ in weights:
+            key, e = divmod(key, base)
+            digits.append(e)
+        out[tuple(digits)] = QQ(num, denominator)
     return out
 
 

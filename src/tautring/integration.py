@@ -28,7 +28,7 @@ from functools import cache
 from math import gcd
 
 from .errors import DomainError
-from .rationals import QQ, ZERO, ONE, double_factorial
+from .rationals import QQ, ZERO, ONE, double_factorial, rat
 from .stable_graphs import StableGraph
 from .taut_classes import (
     PSI_LEG,
@@ -242,7 +242,9 @@ def _virtual_graph(graph: StableGraph, new_legs: tuple) -> StableGraph:
 def _expansion(graph: StableGraph, dec: Decoration, coeff):
     """The (graph, decoration, coefficient) terms of one term that has
     kappas, with them traded: the product over the vertices of their
-    partitions."""
+    partitions.  The fresh legs, numbered above every marking and
+    appended in order, keep psi sorted, so `Decoration._unchecked` builds
+    each decoration."""
     spots = [v for v, ks in enumerate(dec.kappa) if ks]
     start = _first_free_mark(graph)
     no_kappa = ((),) * graph.n_vertices
@@ -259,7 +261,7 @@ def _expansion(graph: StableGraph, dec: Decoration, coeff):
                 mark += 1
         yield (
             _virtual_graph(graph, tuple(new_legs)),
-            Decoration(psi, no_kappa),
+            Decoration._unchecked(tuple(psi), no_kappa),
             coeff if sign > 0 else -coeff,
         )
 
@@ -274,7 +276,8 @@ def kappa_to_psi(cls: TautClass) -> TautClass:
     numbered on from the largest marking, vertex by vertex.  A term
     without kappas passes through as it is.  The (sign, block exponents)
     list of a sorted kappa monomial and each virtual graph, per (graph,
-    new legs per vertex), are built once and cached.  The result
+    new legs per vertex), are built once and cached; the decorations are
+    built in normal form and the coefficients are not copied.  The result
     integrates to the same number as the input; it is marked virtual
     because its terms live on graphs with extra legs and is accepted by
     `integrate` only.
@@ -283,7 +286,7 @@ def kappa_to_psi(cls: TautClass) -> TautClass:
     terms = out.terms
     for (graph, dec), coeff in cls.terms.items():
         if any(dec.kappa):
-            expansion = _expansion(graph, dec, QQ(coeff))
+            expansion = _expansion(graph, dec, rat(coeff))
         else:
             expansion = [(graph, dec, coeff)]
         for t_graph, t_dec, t_coeff in expansion:

@@ -41,7 +41,15 @@ def dim_moduli(g: int, n: int) -> int:
     return 3 * g - 3 + n
 
 
+_new = object.__new__
 _set = object.__setattr__
+
+
+def _fill(dec, psi, kappa):
+    """Set the fields of a new decoration from normal-form ones."""
+    _set(dec, "psi", psi)
+    _set(dec, "kappa", kappa)
+    _set(dec, "_hash", hash((psi, kappa)))
 
 
 class Decoration:
@@ -50,17 +58,25 @@ class Decoration:
     Like `StableGraph(...)`, the constructor normalizes its input: psi
     becomes the sorted tuple of its (key, exponent) items and kappa the
     tuple of each vertex's kappa indices in ascending order, so a
-    monomial has one form whatever order it is given in.
+    monomial has one form whatever order it is given in.  The trusted
+    `Decoration._unchecked(psi, kappa)` skips the sort, as
+    `stable_graphs._graph` does; only `transport`, `generators` and
+    `kappa_to_psi`, which keep the form by construction, call it
+    (guarded by `tests/test_decoration_builders.py`).
     """
 
     __slots__ = ("psi", "kappa", "_hash")
 
     def __init__(self, psi, kappa):
-        psi = tuple(sorted(psi))  # (key, exponent) items, exponent > 0
-        kappa = tuple(map(tuple, map(sorted, kappa)))  # per vertex, each index >= 1
-        _set(self, "psi", psi)
-        _set(self, "kappa", kappa)
-        _set(self, "_hash", hash((psi, kappa)))
+        # psi: (key, exponent) items, exponent > 0; kappa: per vertex, each index >= 1
+        _fill(self, tuple(sorted(psi)), tuple(map(tuple, map(sorted, kappa))))
+
+    @classmethod
+    def _unchecked(cls, psi, kappa):
+        """A decoration from fields already in normal form, as they are."""
+        dec = _new(cls)
+        _fill(dec, psi, kappa)
+        return dec
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -92,19 +108,9 @@ class Decoration:
         )
 
     def transport(self, vmap, hemap) -> "Decoration":
-        """Relabel along a graph isomorphism (vmap, hemap)."""
-        psi = []
-        for key, e in self.psi:
-            if key[0] == PSI_HE:
-                (_, v, s) = key
-                nv, ns = hemap[(v, s)]
-                psi.append(((PSI_HE, nv, ns), e))
-            else:
-                psi.append((key, e))
-        kappa = [()] * len(self.kappa)
-        for v, ks in enumerate(self.kappa):
-            kappa[vmap[v]] = ks
-        return Decoration(psi, kappa)
+        """Relabel along a graph isomorphism (vmap, hemap) by `_moved`."""
+        keymap = {key: (PSI_HE, *hemap[key[1:]]) for key, _ in self.psi if key[0] == PSI_HE}
+        return Decoration._unchecked(*_moved(self.psi, self.kappa, keymap, vmap))
 
     def sort_key(self):
         return (self.psi, self.kappa)
@@ -154,6 +160,17 @@ def decoration(graph: StableGraph, psi=None, kappa=None) -> Decoration:
     dec = Decoration(psi_items, kap)
     dec.validate(graph)
     return dec
+
+
+def _moved(psi, kappa, keymap, vmap):
+    """Normal-form fields (psi, kappa) moved along a graph isomorphism:
+    each psi key to keymap.get(key, key) (legs stay), the kappa of vertex
+    v to vmap[v].  Only psi needs sorting again."""
+    moved = [()] * len(kappa)
+    for new, ks in zip(vmap, kappa):
+        moved[new] = ks
+    get = keymap.get
+    return tuple(sorted([(get(key, key), e) for key, e in psi])), tuple(moved)
 
 
 def trivial_decoration(graph: StableGraph) -> Decoration:
@@ -417,10 +434,10 @@ def kappa_class(g: int, n: int, a: int) -> TautClass:
 
 @cache
 def _vertex_shapes(keys: int, degree: int):
-    """(psi exponents over `keys` psi keys, kappa indices) of each
-    monomial of the given degree on one vertex."""
+    """(psi exponents over `keys` psi keys, ascending kappa indices) of
+    each monomial of the given degree on one vertex."""
     return tuple(
-        (combo[:-1], kappa)
+        (combo[:-1], kappa[::-1])
         for combo in compositions(degree, (degree,) * (keys + 1))
         for kappa in partitions(combo[-1])
     )
@@ -439,11 +456,11 @@ def _vertex_monomials(keys, top: int):
 
 
 def _decorations_of_degree(graph: StableGraph, m: int, min_genus: int = 0):
-    """The decorations of total degree m on `graph` that push forward to
-    nonzero classes and sit only on vertices of genus >= min_genus: m is
-    split over the vertices with each share at most that vertex's
-    dimension (0 below min_genus), and each share over the psi keys and
-    the kappa monomial of its vertex."""
+    """The decorations (psi, kappa) of total degree m on `graph` that push
+    forward to nonzero classes and sit only on vertices of genus >=
+    min_genus, as normal-form field pairs: m is split over the vertices
+    with each share at most that vertex's dimension (0 below min_genus),
+    and each share over the psi keys and kappa monomial of its vertex."""
     home, dims = vertex_data(graph)
     caps = [dim if gv >= min_genus else 0 for dim, gv in zip(dims, graph.genera)]
     keys = [[] for _ in dims]
@@ -454,8 +471,8 @@ def _decorations_of_degree(graph: StableGraph, m: int, min_genus: int = 0):
     local = [_vertex_monomials(k, min(cap, m)) for k, cap in zip(keys, caps)]
     for shares in compositions(m, caps):
         for parts in itertools.product(*map(list.__getitem__, local, shares)):
-            psi = (item for items, _ in parts for item in items)
-            yield Decoration(psi, (kappa for _, kappa in parts))
+            psi = tuple(sorted([item for items, _ in parts for item in items]))
+            yield psi, tuple([kappa for _, kappa in parts])
 
 
 def _decorated_strata(g: int, n: int, d: int, min_genus: int):
@@ -463,15 +480,16 @@ def _decorated_strata(g: int, n: int, d: int, min_genus: int):
     with the decoration on vertices of genus >= min_genus, in
     `term_sort_key` order, each its canonical term with coefficient 1.
 
-    The enumerated graphs are canonical, so a decoration's orbit is its
-    transports along `automorphisms(graph)` and its least member is the
-    `canonical_term` decoration.  On a graph whose only automorphism is
-    the identity every decoration is its own orbit and is kept as it is.
-    Otherwise the decorations of the graph are closed under those
-    transports: the first member met gives the whole orbit, and the
-    others are skipped, one sweep of |Aut| transports per orbit.  The
-    enumeration yields the graphs in `StableGraph.sort_key` order, so
-    sorting the decorations of each graph sorts the terms."""
+    It works on normal-form field pairs (psi, kappa), which order as
+    `Decoration.sort_key` does.  The enumerated graphs are canonical, so
+    a decoration's orbit is its moves along `automorphisms(graph)` and
+    its least member is the `canonical_term` decoration.  On a graph
+    whose only automorphism is the identity every decoration is its own
+    orbit.  Otherwise each automorphism's psi-key map is built once per
+    graph, and the first member met of an orbit gives the whole orbit by
+    `_moved`; the others are skipped.  The enumeration yields the graphs
+    in `StableGraph.sort_key` order, so sorting the pairs of each graph
+    sorts the terms.  Each kept pair becomes one trusted `Decoration`."""
     check_stable_type(g, n)
     if d < 0 or d > dim_moduli(g, n):
         raise DomainError("degree outside 0..3g-3+n")
@@ -480,18 +498,21 @@ def _decorated_strata(g: int, n: int, d: int, min_genus: int):
         if graph.n_edges <= d:
             decs = _decorations_of_degree(graph, d - graph.n_edges, min_genus)
             if automorphism_count(graph) > 1:
-                auts = automorphisms(graph)
+                moves = [
+                    ({(PSI_HE, *h): (PSI_HE, *image) for h, image in hemap.items()}, vmap)
+                    for vmap, hemap in automorphisms(graph)[1:]
+                ]
                 met = set()
                 least = []
                 for dec in decs:
                     if dec not in met:
-                        orbit = {dec, *(dec.transport(av, ah) for av, ah in auts[1:])}
+                        orbit = {dec, *(_moved(*dec, keymap, vmap) for keymap, vmap in moves)}
                         met |= orbit
-                        least.append(min(orbit, key=Decoration.sort_key))
+                        least.append(min(orbit))
                 decs = least
-            for dec in sorted(decs, key=Decoration.sort_key):
+            for psi, kappa in sorted(decs):
                 cls = TautClass(g, n, d)
-                cls.terms[graph, dec] = ONE
+                cls.terms[graph, Decoration._unchecked(psi, kappa)] = ONE
                 out.append(cls)
     return tuple(out)
 

@@ -69,13 +69,14 @@ def test_every_generator_is_one_canonical_nonzero_term(g, n, d):
 
 @pytest.mark.parametrize("g, n", [(g, n) for g, n in SPACES if dim_moduli(g, n) <= 3])
 def test_decorations_are_the_nonzero_ones_of_the_oracle(g, n):
-    """Before orbit reduction: each nonzero decoration once, no other."""
+    """Before orbit reduction: each nonzero decoration once, no other,
+    as the field pair (psi, kappa) of the oracle's decoration."""
     for graph in enumerate_stable_graphs(g, n):
         for m in range(dim_moduli(g, n) - graph.n_edges + 1):
             built = list(_decorations_of_degree(graph, m))
             assert len(built) == len(set(built))
             kept = {
-                dec
+                (dec.psi, dec.kappa)
                 for dec in oracle_decorations_of_degree(graph, m)
                 if not oracle_term_is_zero_class(graph, dec)
             }

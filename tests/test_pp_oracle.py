@@ -23,6 +23,7 @@ from tautring.cone_complex import (
     ConeComplex,
     PPFunction,
     _gluing_classes,
+    _poly_mul,
     _substitute,
     barycentric,
     pp_space,
@@ -309,6 +310,29 @@ def test_packed_kernel_matches_the_tuple_kernel_on_random_polynomials():
         _assert_same_poly(
             _substitute(poly, forms, scale), pp_oracle.integer_substitute(poly, rational)
         )
+
+
+def _random_poly(rng, rank, units):
+    """A sum of random homogeneous parts of degrees 0..3, each kept with
+    probability 1/2; with units, every coefficient is -1 or 1, so that
+    the terms of a product cancel and come back."""
+    poly = {}
+    for d in range(4):
+        if rng.random() < 0.5:
+            poly.update(_random_global(rng, rank, d))
+    if units:
+        poly = {exps: QQ(rng.choice((-1, 1))) for exps in poly}
+    return poly
+
+
+def test_poly_mul_matches_the_tuple_kernel_order_included():
+    """PPFunction products multiply integer numerators with packed keys;
+    the oracle multiplies rationals on exponent tuples."""
+    rng = random.Random(11)
+    for trial in range(600):
+        rank = rng.randint(0, 5)
+        p, q = (_random_poly(rng, rank, trial % 2) for _ in range(2))
+        _assert_same_poly(_poly_mul(p, q), pp_oracle._poly_mul(p, q))
 
 
 @pytest.mark.parametrize("d", range(6))

@@ -323,14 +323,47 @@ def _search(graph: StableGraph):
     return best, hemap, ties
 
 
-# A dict, not functools.cache: it also stores each canonical graph's
-# identity entry, and a cache in its place raised the RSS of `graphs 4 1`.
+# Canonical forms by input graph: a dict, not functools.cache, since it
+# also stores each canonical graph's identity entry.  Only canonical
+# graphs and the graphs that `canonical_form_with_map` is asked about
+# enter it: enumeration canonicalizes its throwaway labelled splits
+# through `_canonicalize`, which records the canonical graph alone.
 _CANONICAL_CACHE: dict[StableGraph, tuple] = {}
 
 # The vertex automorphism maps of a graph, by graph: recorded for each
 # canonical graph by the search that first reaches it, and for any other
 # graph by `_vertex_automorphism_maps`.
 _AUTOMORPHISM_MAPS: dict[StableGraph, tuple] = {}
+
+
+def _canonicalize(graph: StableGraph):
+    """(canon, vmap, hemap) of `graph` from one `_search`, as
+    `canonical_form_with_map` returns it, recording the identity entry
+    and the vertex automorphisms of the canonical graph but not the
+    input.  A canonical graph already recorded is returned as the
+    recorded object."""
+    cand_edges, hemap, ties = _search(graph)
+    vmap = ties[0]
+    genera = [0] * graph.n_vertices
+    legs: list[tuple[int, ...]] = [()] * graph.n_vertices
+    for old_v in range(graph.n_vertices):
+        genera[vmap[old_v]] = graph.genera[old_v]
+        legs[vmap[old_v]] = graph.legs[old_v]
+    canon = _graph(tuple(genera), tuple(legs), cand_edges)
+    recorded = _CANONICAL_CACHE.get(canon)
+    if recorded is None:
+        ident = {h: h for h in canon.half_edges()}
+        _CANONICAL_CACHE[canon] = (canon, tuple(range(canon.n_vertices)), ident)
+    else:
+        canon = recorded[0]
+    if canon not in _AUTOMORPHISM_MAPS:
+        # the vertices of a canonical graph lie in colour-class order, so
+        # plain tuple order is the order of `_vertex_automorphism_maps`
+        old_of_new = sorted(range(graph.n_vertices), key=vmap.__getitem__)
+        _AUTOMORPHISM_MAPS[canon] = tuple(
+            sorted(tuple(p[v] for v in old_of_new) for p in ties)
+        )
+    return canon, vmap, hemap
 
 
 def canonical_form_with_map(graph: StableGraph):
@@ -343,32 +376,13 @@ def canonical_form_with_map(graph: StableGraph):
     canonical graph also records its vertex automorphisms: each tie p
     relabels the input onto the canonical graph as the first tie q does,
     so p o q^-1 is a vertex automorphism of the canonical graph, and
-    every one arises so.
+    every one arises so.  The result is cached by input graph; a
+    canonical input gets its identity entry.
     """
     cached = _CANONICAL_CACHE.get(graph)
-    if cached is not None:
-        return cached
-    cand_edges, hemap, ties = _search(graph)
-    vmap = ties[0]
-    genera = [0] * graph.n_vertices
-    legs: list[tuple[int, ...]] = [()] * graph.n_vertices
-    for old_v in range(graph.n_vertices):
-        genera[vmap[old_v]] = graph.genera[old_v]
-        legs[vmap[old_v]] = graph.legs[old_v]
-    canon = _graph(tuple(genera), tuple(legs), cand_edges)
-    result = (canon, vmap, hemap)
-    _CANONICAL_CACHE[graph] = result
-    if canon not in _CANONICAL_CACHE:
-        ident = {h: h for h in canon.half_edges()}
-        _CANONICAL_CACHE[canon] = (canon, tuple(range(canon.n_vertices)), ident)
-    if canon not in _AUTOMORPHISM_MAPS:
-        # the vertices of a canonical graph lie in colour-class order, so
-        # plain tuple order is the order of `_vertex_automorphism_maps`
-        old_of_new = sorted(range(graph.n_vertices), key=vmap.__getitem__)
-        _AUTOMORPHISM_MAPS[canon] = tuple(
-            sorted(tuple(p[v] for v in old_of_new) for p in ties)
-        )
-    return result
+    if cached is None:
+        cached = _CANONICAL_CACHE.setdefault(graph, _canonicalize(graph))
+    return cached
 
 
 def canonical_form(graph: StableGraph) -> StableGraph:
@@ -564,24 +578,65 @@ def _vertex_ends(graph: StableGraph):
     return bundles, loops
 
 
-def _moved_ends(bundles: dict, loops: list):
-    """(moved slots, key, complement key) per choice of the edge ends of a
-    vertex v that move to the new vertex, up to the automorphisms of the
-    graph that fix v, from v's `_vertex_ends`: the first c ends of each
-    bundle of parallel edges to one neighbour, and both ends of the first
-    `both` loops and one end of the next `one`.  The key orders a choice
-    against its complement."""
-    sizes = [len(slots) for slots in bundles.values()]
+@cache
+def _split_choices(gv: int, n_legs: int, sizes: tuple, n_loops: int) -> tuple:
+    """The side choices of a split of a vertex of genus gv with n_legs
+    legs, bundles of parallel edges of the given sizes to its neighbours
+    and n_loops loops, up to the symmetries of the split, that leave both
+    sides stable.
+
+    One (counts, both, one, leg choices) per choice of moved edge ends:
+    the first c ends of each bundle, both ends of the first `both` loops
+    and one end of the next `one`.  Each leg choice is (stay, move,
+    g_news): the leg positions that stay on v, those that move, and the
+    genera of the new vertex.  An end choice that no leg choice completes
+    is left out.  Three symmetries cut the choices, in `_splits` terms:
+
+    - complement: moving (S, g_new) or its complement (S^c, g_v - g_new)
+      gives the same graph with v and the new vertex swapped, so the
+      first leg stays on v; with no legs, the choice that is not larger
+      than its complement in (bundle counts, loops moved whole, g_new) is
+      kept;
+    - parallel edges: permuting the edges from v to one neighbour is an
+      automorphism, so only how many of their ends move matters;
+    - loops: permuting the loops at v and swapping the two ends of one are
+      automorphisms, so only how many loops move 0, 1 or 2 ends matters.
+    """
+    total = sum(sizes) + 2 * n_loops
+    leg_sides = []
+    # the first leg, if any, stays on v
+    for sides in itertools.product((0, 1), repeat=max(n_legs - 1, 0)):
+        parts = ([0] if n_legs else [], [])
+        for position, side in enumerate(sides, 1):
+            parts[side].append(position)
+        leg_sides.append((tuple(parts[0]), tuple(parts[1])))
+    choices = []
     for counts in itertools.product(*(range(k + 1) for k in sizes)):
-        moved = {s for slots, c in zip(bundles.values(), counts) for s in slots[:c]}
-        for both in range(len(loops) + 1):
-            for one in range(len(loops) - both + 1):
-                ends = set(moved)
-                ends.update(s for loop in loops[:both] for s in loop)
-                ends.update(s2 for _, s2 in loops[both:both + one])
+        for both in range(n_loops + 1):
+            for one in range(n_loops - both + 1):
+                key = (counts, both)
                 complement = (tuple(k - c for k, c in zip(sizes, counts)),
-                              len(loops) - both - one)
-                yield ends, (counts, both), complement
+                              n_loops - both - one)
+                if not n_legs and key > complement:
+                    continue
+                # a choice equal to its complement keeps g_new <= g_v - g_new
+                even = not n_legs and key == complement
+                moved = sum(counts) + 2 * both + one
+                kept = total - moved
+                leg_choices = []
+                for stay, move in leg_sides:
+                    # 2 g - 2 + valence > 0 on both sides, the new edge included
+                    g_news = tuple(
+                        g_new for g_new in range(gv + 1)
+                        if not (even and g_new > gv - g_new)
+                        and 2 * (gv - g_new) + len(stay) + kept >= 2
+                        and 2 * g_new + len(move) + moved >= 2
+                    )
+                    if g_news:
+                        leg_choices.append((stay, move, g_news))
+                if leg_choices:
+                    choices.append((counts, both, one, tuple(leg_choices)))
+    return tuple(choices)
 
 
 def _splits(graph: StableGraph):
@@ -593,35 +648,31 @@ def _splits(graph: StableGraph):
     vertex joined by the new edge, sharing out g_v, the legs of v and the
     edge ends at v so that both vertices stay stable.  The two ends of a
     loop at v may land on different sides, which makes a parallel edge.
-    Three symmetries of a split are used to yield one choice where the
-    side assignments give several isomorphic graphs:
-
-    - complement: moving (S, g_new) or its complement (S^c, g_v - g_new)
-      gives the same graph with v and the new vertex swapped, so the
-      first leg of v stays on v; with no legs, the choice that is not
-      larger than its complement in (bundle counts, loops moved whole,
-      g_new) is kept;
-    - parallel edges: permuting the edges from v to one neighbour is an
-      automorphism, so only how many of their ends move matters;
-    - loops: permuting the loops at v and swapping the two ends of one are
-      automorphisms, so only how many loops move 0, 1 or 2 ends matters.
-
-    Each symmetry maps a side assignment to an isomorphic split, so every
-    class keeps a representative; isomorphic outputs still repeat across
-    different vertices and different choices.
+    The side choices come from the `_split_choices` table of v's shape
+    (genus, leg count, bundle sizes, loop count): only those that keep
+    both sides stable, one per class of choices under the complement,
+    parallel-edge and loop symmetries.  Each symmetry maps a side
+    assignment to an isomorphic split, so every class keeps a
+    representative; isomorphic outputs still repeat across different
+    vertices and different choices.  One rename map and edge list is
+    built per end choice, and one graph per leg choice and genus.
     """
     V = graph.n_vertices
     for v, (bundles, loops) in enumerate(zip(*_vertex_ends(graph))):
         gv, legs = graph.genera[v], graph.legs[v]
+        before, after = graph.genera[:v], graph.genera[v + 1:]
+        legs_before, legs_after = graph.legs[:v], graph.legs[v + 1:]
         # the slots at v are 0..k-1
         ends = range(sum(map(len, bundles.values())) + 2 * len(loops))
         if gv:
             new = ((v, len(ends)), (v, len(ends) + 1))
-            genera = graph.genera[:v] + (gv - 1,) + graph.genera[v + 1:]
-            yield _graph(genera, graph.legs, graph.edges + (new,)), new
-        for moved, key, complement in _moved_ends(bundles, loops):
-            if not legs and key > complement:
-                continue
+            yield _graph(before + (gv - 1,) + after, graph.legs, graph.edges + (new,)), new
+        bundle_slots = list(bundles.values())
+        sizes = tuple(map(len, bundle_slots))
+        for counts, both, one, leg_choices in _split_choices(gv, len(legs), sizes, len(loops)):
+            moved = {s for slots, c in zip(bundle_slots, counts) for s in slots[:c]}
+            moved.update(s for loop in loops[:both] for s in loop)
+            moved.update(s2 for _, s2 in loops[both:both + one])
             rename, slots = {}, [0, 0]
             for s in ends:
                 side = s in moved
@@ -633,22 +684,12 @@ def _splits(graph: StableGraph):
                 a, b = rename.get(a, a), rename.get(b, b)
                 # an end moved to the new last vertex V can swap the order
                 edges.append((a, b) if a <= b else (b, a))
-            # the first leg, if any, stays on v
-            for sides in itertools.product((0, 1), repeat=max(len(legs) - 1, 0)):
-                parts = (list(legs[:1]), [])
-                for m, side in zip(legs[1:], sides):
-                    parts[side].append(m)
-                legs_out = (graph.legs[:v] + (tuple(parts[0]),) + graph.legs[v + 1:]
-                            + (tuple(parts[1]),))
-                for g_new in range(gv + 1):
-                    if not legs and key == complement and g_new > gv - g_new:
-                        continue
-                    # 2 g - 2 + valence > 0 on both sides, the new edge included
-                    if min(2 * (gv - g_new) + len(parts[0]) + slots[0],
-                           2 * g_new + len(parts[1]) + slots[1]) < 2:
-                        continue
-                    genera = (graph.genera[:v] + (gv - g_new,) + graph.genera[v + 1:]
-                              + (g_new,))
+            edges.sort()
+            for stay, move, g_news in leg_choices:
+                legs_out = (legs_before + (tuple(map(legs.__getitem__, stay)),) + legs_after
+                            + (tuple(map(legs.__getitem__, move)),))
+                for g_new in g_news:
+                    genera = before + (gv - g_new,) + after + (g_new,)
                     yield _graph(genera, legs_out, edges), new
 
 
@@ -663,9 +704,14 @@ def enumerate_stable_graphs(g: int, n: int) -> tuple[StableGraph, ...]:
     a stable graph with one edge fewer, so the canonical forms of the
     `_splits` of the graphs with E edges are all graphs with E + 1 edges,
     starting from the smooth graph and stopping at the dimension bound
-    3g - 3 + n.  `_splits` yields one split per class of side choices up
-    to the symmetries of the split, not every labelled copy, so each
-    class costs fewer canonical forms.  The graphs are canonical forms,
+    3g - 3 + n.  `_splits` reads its side choices from the
+    `_split_choices` table of each vertex shape, which holds one choice
+    per class of side choices up to the symmetries of the split, and only
+    those that leave both sides stable, so each class costs fewer
+    canonical forms.  The splits of a layer are deduplicated in a dict;
+    each one that is not already a recorded canonical graph is searched
+    once through `_canonicalize`, so the labelled splits and their maps
+    never enter `_CANONICAL_CACHE`.  The graphs are canonical forms,
     sorted by `StableGraph.sort_key`.
     """
     key = (g, n)
@@ -675,9 +721,11 @@ def enumerate_stable_graphs(g: int, n: int) -> tuple[StableGraph, ...]:
     layer = {canonical_form(smooth_graph(g, n))}
     found = set(layer)
     for _ in range(3 * g - 3 + n):
-        layer = {
-            canonical_form(split) for graph in layer for split, _ in _splits(graph)
-        }
+        splits = dict.fromkeys(split for graph in layer for split, _ in _splits(graph))
+        layer = set()
+        for split in splits:
+            recorded = _CANONICAL_CACHE.get(split)
+            layer.add(recorded[0] if recorded is not None else _canonicalize(split)[0])
         found |= layer
     result = tuple(sorted(found, key=lambda gr: gr.sort_key()))
     _ENUM_CACHE[key] = result

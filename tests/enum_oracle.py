@@ -1,17 +1,20 @@
-"""Reference brute-force enumerator of stable graphs (tests only).
+"""Reference enumerators of stable graphs and their splits (tests only).
 
-This is the enumerator that the library's generation by vertex splitting
-replaces: it tries every connected multigraph on V labeled vertices with E
-edges, every composition of the vertex genera and all V^n leg assignments,
-and keeps the canonical forms of the stable results.  It is slow but
-follows the definition as written, so `enumerate_stable_graphs` is checked
-against it.
+`oracle_stable_graphs` is the enumerator that the library's generation by
+vertex splitting replaces: it tries every connected multigraph on V
+labeled vertices with E edges, every composition of the vertex genera and
+all V^n leg assignments, and keeps the canonical forms of the stable
+results.  It is slow but follows the definition as written, so
+`enumerate_stable_graphs` is checked against it.  `all_splits` shares out
+a vertex in every way, and `oracle_reduced_splits` is the symmetry-reduced
+split loop that the tabulated side choices of `stable_graphs._splits`
+replace.
 """
 
 import itertools
 
 from tautring.errors import DomainError
-from tautring.stable_graphs import StableGraph, canonical_form
+from tautring.stable_graphs import StableGraph, _vertex_ends, canonical_form
 
 
 def _compositions(total: int, parts: int):
@@ -161,3 +164,73 @@ def all_splits(graph: StableGraph):
                 genera = (graph.genera[:v] + (gv - g_new,) + graph.genera[v + 1:]
                           + (g_new,))
                 yield StableGraph(genera, legs_out, edges), new
+
+
+def _moved_ends(bundles: dict, loops: list):
+    """(moved slots, key, complement key) per choice of the edge ends of a
+    vertex v that move to the new vertex, up to the automorphisms of the
+    graph that fix v, from v's `_vertex_ends`: the first c ends of each
+    bundle of parallel edges to one neighbour, and both ends of the first
+    `both` loops and one end of the next `one`.  The key orders a choice
+    against its complement."""
+    sizes = [len(slots) for slots in bundles.values()]
+    for counts in itertools.product(*(range(k + 1) for k in sizes)):
+        moved = {s for slots, c in zip(bundles.values(), counts) for s in slots[:c]}
+        for both in range(len(loops) + 1):
+            for one in range(len(loops) - both + 1):
+                ends = set(moved)
+                ends.update(s for loop in loops[:both] for s in loop)
+                ends.update(s2 for _, s2 in loops[both:both + one])
+                complement = (tuple(k - c for k, c in zip(sizes, counts)),
+                              len(loops) - both - one)
+                yield ends, (counts, both), complement
+
+
+def oracle_reduced_splits(graph: StableGraph):
+    """The symmetry-reduced one-edge degenerations of `graph`, as (graph,
+    new edge) pairs, tried and filtered side choice by side choice.
+
+    For each vertex v: a loop at v that lowers g_v by one, and the splits
+    of v into v and a new last vertex joined by the new edge.  Three
+    symmetries cut the side choices: the first leg of v stays on v (with
+    no legs, a choice not larger than its complement in (bundle counts,
+    loops moved whole, g_new) is kept); of parallel edges to one
+    neighbour only how many ends move matters; of the loops at v only how
+    many move 0, 1 or 2 ends.  Every choice is built and then tested for
+    stability."""
+    V = graph.n_vertices
+    for v, (bundles, loops) in enumerate(zip(*_vertex_ends(graph))):
+        gv, legs = graph.genera[v], graph.legs[v]
+        # the slots at v are 0..k-1
+        ends = range(sum(map(len, bundles.values())) + 2 * len(loops))
+        if gv:
+            new = ((v, len(ends)), (v, len(ends) + 1))
+            genera = graph.genera[:v] + (gv - 1,) + graph.genera[v + 1:]
+            yield StableGraph(genera, graph.legs, graph.edges + (new,)), new
+        for moved, key, complement in _moved_ends(bundles, loops):
+            if not legs and key > complement:
+                continue
+            rename, slots = {}, [0, 0]
+            for s in ends:
+                side = s in moved
+                rename[(v, s)] = (V if side else v, slots[side])
+                slots[side] += 1
+            new = ((v, slots[0]), (V, slots[1]))
+            edges = [new] + [(rename.get(a, a), rename.get(b, b)) for a, b in graph.edges]
+            # the first leg, if any, stays on v
+            for sides in itertools.product((0, 1), repeat=max(len(legs) - 1, 0)):
+                parts = (list(legs[:1]), [])
+                for m, side in zip(legs[1:], sides):
+                    parts[side].append(m)
+                legs_out = (graph.legs[:v] + (tuple(parts[0]),) + graph.legs[v + 1:]
+                            + (tuple(parts[1]),))
+                for g_new in range(gv + 1):
+                    if not legs and key == complement and g_new > gv - g_new:
+                        continue
+                    # 2 g - 2 + valence > 0 on both sides, the new edge included
+                    if min(2 * (gv - g_new) + len(parts[0]) + slots[0],
+                           2 * g_new + len(parts[1]) + slots[1]) < 2:
+                        continue
+                    genera = (graph.genera[:v] + (gv - g_new,) + graph.genera[v + 1:]
+                              + (g_new,))
+                    yield StableGraph(genera, legs_out, edges), new

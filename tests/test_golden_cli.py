@@ -9,7 +9,8 @@ the `graphs` and `dr` commands before generation by vertex splitting
 replaced the brute-force stable-graph enumerator (`lambda 4 0`,
 `dr 2 --weights=2,-1,-1` and `dr 3 --weights=1,-1` before the Pixton
 sampler moved to integer power sums per block; `graphs 4 1` before the
-splits were reduced by their symmetries), the `cone` commands
+splits were reduced by their symmetries, `graphs 0 7` before the side
+choices of a split were tabulated per vertex shape), the `cone` commands
 before `pp_space` replaced its nullspace by union-find components and
 `pullback_pp` moved to integer arithmetic.  Any change in the bytes these
 commands print shows up here, including one that a memo causes: a few of
@@ -44,6 +45,7 @@ GOLDEN = {
     "graphs 4 0": "0afe1a989a44902b49ce4bd0724c914ee107f583ee3b07f68bca6269b25d143b",
     "graphs 3 2": "b7d67f382f1486b0a9a2eef69cb1df244d892cf335bfa01b0aaa97fb11ddc7fd",
     "graphs 4 1": "84b644ad45d5bc97c68feb29fd39a19c25a5df4fee281a94b6a601a15270091b",
+    "graphs 0 7": "716dcec74356f16c79f27f37929dd0ac743e60df9876ca83e05f33c21f237b2c",
     "dr 2 --weights=1,2,-3": "e274b043d41374bef6e254872a6054dc21d339c33bd78e7beff3e5a8b3775d6c",
     "dr 1 --weights=1,-1,1,-1 --degree 1": "94f40c34706f6dd987528c1e281a03bcffdb99b1b40be65dc6a25bbabf815fc2",
     "dr 2 --weights=2,-1,-1": "aa44fae4fe83d06a78eab027d79cf7cb095fcae16fc2057fb4dd0e5694e17f02",

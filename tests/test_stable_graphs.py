@@ -3,16 +3,18 @@
 import itertools
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 import pytest
 
 import canonical_oracle
-from enum_oracle import all_splits, oracle_stable_graphs
+from enum_oracle import all_splits, oracle_reduced_splits, oracle_stable_graphs
 from test_golden_cli import _cached_functions, _clear_every_memo
 from tautring import stable_graphs
 from tautring.errors import DomainError
 from tautring.stable_graphs import (
+    _split_choices,
     _splits,
     _vertex_automorphism_maps,
     StableGraph,
@@ -138,6 +140,52 @@ def test_splits_reach_every_class_of_all_side_assignments(g, n):
         assert reduced == every, graph
 
 
+@pytest.mark.parametrize("g, n", SPLIT_TYPES)
+def test_tabulated_splits_match_the_reduced_oracle(g, n):
+    """The splits built from the `_split_choices` table are the splits
+    that the predecessor loop built and then filtered choice by choice:
+    the same (genera, legs, edges, new edge), each as often."""
+    def records(pairs):
+        return Counter((split.genera, split.legs, split.edges, new) for split, new in pairs)
+
+    for graph in enumerate_stable_graphs(g, n):
+        assert records(_splits(graph)) == records(oracle_reduced_splits(graph)), graph
+
+
+SHAPES = [
+    (gv, n_legs, sizes, n_loops)
+    for gv in range(4)
+    for n_legs in range(5)
+    for sizes in ((), (1,), (2,), (3,), (1, 1), (2, 1), (1, 2), (1, 1, 1))
+    for n_loops in range(3)
+]
+
+
+def test_every_split_choice_leaves_both_sides_stable():
+    """Each listed choice moves at most the ends there are, keeps the
+    first leg on v, shares out the legs, and leaves v and the new vertex
+    with 2 g - 2 + valence > 0, the new edge counted on both."""
+    listed = 0
+    for gv, n_legs, sizes, n_loops in SHAPES:
+        total = sum(sizes) + 2 * n_loops
+        for counts, both, one, leg_choices in _split_choices(gv, n_legs, sizes, n_loops):
+            assert len(counts) == len(sizes)
+            assert all(0 <= c <= k for c, k in zip(counts, sizes))
+            assert both >= 0 and one >= 0 and both + one <= n_loops
+            moved = sum(counts) + 2 * both + one
+            assert leg_choices
+            for stay, move, g_news in leg_choices:
+                assert sorted(stay + move) == list(range(n_legs))
+                assert n_legs == 0 or stay[0] == 0
+                assert g_news
+                for g_new in g_news:
+                    listed += 1
+                    assert 0 <= g_new <= gv
+                    assert 2 * (gv - g_new) - 2 + len(stay) + total - moved + 1 > 0
+                    assert 2 * g_new - 2 + len(move) + moved + 1 > 0
+    assert listed > 10000
+
+
 @pytest.mark.parametrize("g, n", [(2, 0), (1, 2), (0, 5), (2, 1), (1, 3)])
 def test_contracting_the_new_edge_undoes_a_split(g, n):
     for source in enumerate_stable_graphs(g, n):
@@ -261,16 +309,12 @@ def test_one_search_per_canonical_form_miss(monkeypatch):
     """Enumerating the five spaces of the benchmark's kappa step searches
     once per split not yet canonicalized, and their automorphisms and
     top-degree generators search no more: 783 searches.  Searching each
-    of the 392 enumerated graphs again for its automorphisms made 1,175."""
+    of the 392 enumerated graphs again for its automorphisms made 1,175.
+    Enumeration canonicalizes its splits through `_canonicalize`, not
+    `canonical_form_with_map`, so the misses are counted there."""
     searches, misses = [], []
-
-    def canonical_form_with_map(graph, real=stable_graphs.canonical_form_with_map):
-        if graph not in stable_graphs._CANONICAL_CACHE:
-            misses.append(graph)
-        return real(graph)
-
     monkeypatch.setattr(stable_graphs, "_search", _counted(searches, stable_graphs._search))
-    monkeypatch.setattr(stable_graphs, "canonical_form_with_map", canonical_form_with_map)
+    monkeypatch.setattr(stable_graphs, "_canonicalize", _counted(misses, stable_graphs._canonicalize))
     _clear_every_memo(_cached_functions())
     graphs = [graph for g, n in SESSION_TYPES for graph in enumerate_stable_graphs(g, n)]
     assert len(searches) == len(misses) == 783
@@ -281,6 +325,18 @@ def test_one_search_per_canonical_form_miss(monkeypatch):
     for g, n in SESSION_TYPES:
         generators(g, n, 3 * g - 3 + n)
     assert len(searches) == 783
+
+
+def test_enumeration_caches_only_canonical_graphs():
+    """From cleared memos, enumerating (3,2) leaves one identity entry per
+    class in `_CANONICAL_CACHE`: 1,355, where caching every labelled split
+    it canonicalized left 7,011."""
+    _clear_every_memo(_cached_functions())
+    graphs = enumerate_stable_graphs(3, 2)
+    assert len(graphs) == len(stable_graphs._CANONICAL_CACHE) == 1355
+    for graph in graphs:
+        identity = (graph, tuple(range(graph.n_vertices)), {h: h for h in graph.half_edges()})
+        assert stable_graphs._CANONICAL_CACHE[graph] == identity
 
 
 def _counted(calls, function):

@@ -235,15 +235,16 @@ def smooth_graph(g: int, n: int) -> StableGraph:
 def _color_classes(graph: StableGraph) -> list[list[int]]:
     """The vertices grouped by colour (genus, legs, edge ends, loops),
     classes in colour order and each class in vertex order."""
-    ends = [0] * graph.n_vertices
-    loops = [0] * graph.n_vertices
+    V = len(graph.genera)
+    ends = [0] * V
+    loops = [0] * V
     for ((v1, _), (v2, _)) in graph.edges:
         ends[v1] += 1
         ends[v2] += 1
         if v1 == v2:
             loops[v1] += 1
     colors = list(zip(graph.genera, graph.legs, ends, loops))
-    order = sorted(range(graph.n_vertices), key=lambda v: (colors[v], v))
+    order = sorted(range(V), key=lambda v: (colors[v], v))
     classes = []
     for v in order:
         if classes and colors[classes[-1][-1]] == colors[v]:
@@ -269,7 +270,7 @@ def _candidate(graph: StableGraph, new_of_old, hemap=None):
         else:
             items.append(((a, b), idx, False))
     items.sort()
-    next_slot = [0] * graph.n_vertices
+    next_slot = [0] * len(graph.genera)
     new_edges = []
     for (a, b), idx, swapped in items:
         sa = next_slot[a]
@@ -297,9 +298,10 @@ def _search(graph: StableGraph):
     sweep compares edge tuples only, and the hemap is built once, for the
     first tie.  When every colour class is one vertex there is one
     permutation, and the search returns it without a sweep."""
+    V = len(graph.genera)
     classes = _color_classes(graph)
-    if len(classes) == graph.n_vertices:
-        new_of_old = [0] * graph.n_vertices
+    if len(classes) == V:
+        new_of_old = [0] * V
         for pos, (v,) in enumerate(classes):
             new_of_old[v] = pos
         hemap: dict = {}
@@ -307,7 +309,7 @@ def _search(graph: StableGraph):
     best = None
     ties = []
     for perms in itertools.product(*[itertools.permutations(c) for c in classes]):
-        new_of_old = [0] * graph.n_vertices
+        new_of_old = [0] * V
         pos = 0
         for perm in perms:
             for old_v in perm:
@@ -323,47 +325,11 @@ def _search(graph: StableGraph):
     return best, hemap, ties
 
 
-# Canonical forms by input graph: a dict, not functools.cache, since it
-# also stores each canonical graph's identity entry.  Only canonical
-# graphs and the graphs that `canonical_form_with_map` is asked about
-# enter it: enumeration canonicalizes its throwaway labelled splits
-# through `_canonicalize`, which records the canonical graph alone.
-_CANONICAL_CACHE: dict[StableGraph, tuple] = {}
-
-# The vertex automorphism maps of a graph, by graph: recorded for each
-# canonical graph by the search that first reaches it, and for any other
-# graph by `_vertex_automorphism_maps`.
-_AUTOMORPHISM_MAPS: dict[StableGraph, tuple] = {}
-
-
-def _canonicalize(graph: StableGraph):
-    """(canon, vmap, hemap) of `graph` from one `_search`, as
-    `canonical_form_with_map` returns it, recording the identity entry
-    and the vertex automorphisms of the canonical graph but not the
-    input.  A canonical graph already recorded is returned as the
-    recorded object."""
-    cand_edges, hemap, ties = _search(graph)
-    vmap = ties[0]
-    genera = [0] * graph.n_vertices
-    legs: list[tuple[int, ...]] = [()] * graph.n_vertices
-    for old_v in range(graph.n_vertices):
-        genera[vmap[old_v]] = graph.genera[old_v]
-        legs[vmap[old_v]] = graph.legs[old_v]
-    canon = _graph(tuple(genera), tuple(legs), cand_edges)
-    recorded = _CANONICAL_CACHE.get(canon)
-    if recorded is None:
-        ident = {h: h for h in canon.half_edges()}
-        _CANONICAL_CACHE[canon] = (canon, tuple(range(canon.n_vertices)), ident)
-    else:
-        canon = recorded[0]
-    if canon not in _AUTOMORPHISM_MAPS:
-        # the vertices of a canonical graph lie in colour-class order, so
-        # plain tuple order is the order of `_vertex_automorphism_maps`
-        old_of_new = sorted(range(graph.n_vertices), key=vmap.__getitem__)
-        _AUTOMORPHISM_MAPS[canon] = tuple(
-            sorted(tuple(p[v] for v in old_of_new) for p in ties)
-        )
-    return canon, vmap, hemap
+# The canonical graphs, each as (graph, identity vmap, identity hemap,
+# vertex automorphism maps), recorded by the search that first reaches
+# it.  A dict, not functools.cache: it is keyed by the search's result,
+# not by its input, and labelled inputs never enter it.
+_CANONICAL: dict[StableGraph, tuple] = {}
 
 
 def canonical_form_with_map(graph: StableGraph):
@@ -372,17 +338,37 @@ def canonical_form_with_map(graph: StableGraph):
     Returns (canon, vmap, hemap) with vmap[old_vertex] = new_vertex and
     hemap mapping every old half-edge to its new name, read off the first
     permutation of `_search`.  The canonical graph of two isomorphic
-    inputs coincides as a value.  The first search that reaches a
+    inputs is one recorded object.  A canonical graph gets its identity
+    entry, searched only the first time; any other input is searched on
+    every call and not stored.  The first search that reaches a
     canonical graph also records its vertex automorphisms: each tie p
     relabels the input onto the canonical graph as the first tie q does,
     so p o q^-1 is a vertex automorphism of the canonical graph, and
-    every one arises so.  The result is cached by input graph; a
-    canonical input gets its identity entry.
+    every one arises so.
     """
-    cached = _CANONICAL_CACHE.get(graph)
-    if cached is None:
-        cached = _CANONICAL_CACHE.setdefault(graph, _canonicalize(graph))
-    return cached
+    recorded = _CANONICAL.get(graph)
+    if recorded is not None:
+        return recorded[:3]
+    cand_edges, hemap, ties = _search(graph)
+    vmap = ties[0]
+    V = len(graph.genera)
+    genera = [0] * V
+    legs: list[tuple[int, ...]] = [()] * V
+    for old_v in range(V):
+        genera[vmap[old_v]] = graph.genera[old_v]
+        legs[vmap[old_v]] = graph.legs[old_v]
+    canon = _graph(tuple(genera), tuple(legs), cand_edges)
+    recorded = _CANONICAL.get(canon)
+    if recorded is None:
+        # the vertices of a canonical graph lie in colour-class order, so
+        # plain tuple order is the order of `_vertex_automorphism_maps`
+        old_of_new = sorted(range(V), key=vmap.__getitem__)
+        maps = tuple(sorted(tuple(p[v] for v in old_of_new) for p in ties))
+        ident = {h: h for h in canon.half_edges()}
+        recorded = _CANONICAL[canon] = (canon, tuple(range(V)), ident, maps)
+    if canon == graph:
+        return recorded[:3]
+    return recorded[0], vmap, hemap
 
 
 def canonical_form(graph: StableGraph) -> StableGraph:
@@ -406,23 +392,23 @@ def _edge_bundles(graph: StableGraph):
 
 
 def _vertex_automorphism_maps(graph: StableGraph) -> tuple:
-    """Vertex permutations preserving colours and the edge multiset.
+    """Vertex permutations preserving colours and the edge multiset,
+    sorted by the images of the vertices taken in colour-class order:
+    the identity first.
 
-    These are first^-1 o p for every permutation p of `_search` that ties
-    with the first one, sorted by the images of the vertices taken in
-    colour-class order: the identity first.  A canonical graph has them
-    recorded by the search that first reached it in
-    `canonical_form_with_map`; any other graph is searched here, once.
+    A canonical graph has them recorded by the search that first reached
+    it in `canonical_form_with_map`.  Any other graph conjugates those
+    of its canonical form along its vmap q: q^-1 o a o q for each
+    automorphism a.
     """
-    maps = _AUTOMORPHISM_MAPS.get(graph)
-    if maps is None:
-        ties = _search(graph)[2]
-        first_inv = sorted(range(graph.n_vertices), key=ties[0].__getitem__)
-        order = [v for cls in _color_classes(graph) for v in cls]
-        maps = [tuple(first_inv[w] for w in p) for p in ties]
-        maps = tuple(sorted(maps, key=lambda vmap: [vmap[v] for v in order]))
-        _AUTOMORPHISM_MAPS[graph] = maps
-    return maps
+    recorded = _CANONICAL.get(graph)
+    if recorded is not None:
+        return recorded[3]
+    canon, vmap, _ = canonical_form_with_map(graph)
+    old_of_new = sorted(range(len(vmap)), key=vmap.__getitem__)
+    order = [v for cls in _color_classes(graph) for v in cls]
+    maps = [tuple(old_of_new[a[w]] for w in vmap) for a in _CANONICAL[canon][3]]
+    return tuple(sorted(maps, key=lambda m: [m[v] for v in order]))
 
 
 @cache
@@ -708,11 +694,10 @@ def enumerate_stable_graphs(g: int, n: int) -> tuple[StableGraph, ...]:
     `_split_choices` table of each vertex shape, which holds one choice
     per class of side choices up to the symmetries of the split, and only
     those that leave both sides stable, so each class costs fewer
-    canonical forms.  The splits of a layer are deduplicated in a dict;
-    each one that is not already a recorded canonical graph is searched
-    once through `_canonicalize`, so the labelled splits and their maps
-    never enter `_CANONICAL_CACHE`.  The graphs are canonical forms,
-    sorted by `StableGraph.sort_key`.
+    canonical forms.  The splits of a layer are deduplicated in a dict
+    and each is canonicalized once by `canonical_form`, which stores no
+    labelled split.  The graphs are canonical forms, sorted by
+    `StableGraph.sort_key`.
     """
     key = (g, n)
     if key in _ENUM_CACHE:
@@ -722,10 +707,7 @@ def enumerate_stable_graphs(g: int, n: int) -> tuple[StableGraph, ...]:
     found = set(layer)
     for _ in range(3 * g - 3 + n):
         splits = dict.fromkeys(split for graph in layer for split, _ in _splits(graph))
-        layer = set()
-        for split in splits:
-            recorded = _CANONICAL_CACHE.get(split)
-            layer.add(recorded[0] if recorded is not None else _canonicalize(split)[0])
+        layer = set(map(canonical_form, splits))
         found |= layer
     result = tuple(sorted(found, key=lambda gr: gr.sort_key()))
     _ENUM_CACHE[key] = result
@@ -734,6 +716,14 @@ def enumerate_stable_graphs(g: int, n: int) -> tuple[StableGraph, ...]:
 
 # ---------------------------------------------------------------------------
 # common degenerations
+
+
+@cache
+def _contraction_form(contracted: StableGraph):
+    """`canonical_form_with_map` of a contraction, memoized: the slices
+    of `_degeneration_index` reach the same labelled contractions again,
+    and `canonical_form_with_map` stores only canonical graphs."""
+    return canonical_form_with_map(contracted)
 
 
 @cache
@@ -755,7 +745,7 @@ def _degeneration_index(g: int, n: int, E: int, k: int) -> dict:
         for bits in subsets:
             subset = [i for i in range(E) if bits >> i & 1]
             contracted, vmap, hemap = contract_edges(graph, subset)
-            canon, cvmap, chemap = canonical_form_with_map(contracted)
+            canon, cvmap, chemap = _contraction_form(contracted)
             total_v = tuple(cvmap[vmap[v]] for v in range(graph.n_vertices))
             he_inv = {chemap[m]: h for h, m in hemap.items()}
             over = index.setdefault(canon, {})

@@ -137,8 +137,34 @@ def _clear_every_memo(cached):
         function.cache_clear()
     integration._CORRELATORS.clear()
     stable_graphs._ENUM_CACHE.clear()
-    stable_graphs._CANONICAL_CACHE.clear()
-    stable_graphs._AUTOMORPHISM_MAPS.clear()
+    stable_graphs._CANONICAL.clear()
+
+
+def _module_tables():
+    """Every module-level dict, list or set of the tautring modules, by
+    qualified name."""
+    modules = [tautring] + [
+        importlib.import_module("tautring." + info.name)
+        for info in pkgutil.iter_modules(tautring.__path__)
+    ]
+    return {
+        module.__name__ + "." + name: value
+        for module in modules
+        for name, value in vars(module).items()
+        if not name.startswith("__") and isinstance(value, (dict, list, set))
+    }
+
+
+def test_clearing_every_memo_empties_every_module_table(capsys):
+    """After a command has filled them, `_clear_every_memo` leaves every
+    module-level table empty, so a renamed or new table cannot keep a
+    cold run warm."""
+    assert cli.main("div-membership 2 2 2".split()) == 0
+    capsys.readouterr()
+    tables = _module_tables()
+    assert any(tables.values())
+    _clear_every_memo(_cached_functions())
+    assert {name: len(table) for name, table in tables.items() if table} == {}
 
 
 def test_memos_do_not_change_answers(capsys):

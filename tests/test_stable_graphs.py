@@ -30,6 +30,7 @@ from tautring.stable_graphs import (
     separating_edges,
     smooth_graph,
 )
+from tautring.membership import div_membership
 from tautring.pixton import lambda_top
 from tautring.taut_classes import fundamental_class, generators, kappa_class, psi_class
 
@@ -309,15 +310,12 @@ def test_one_search_per_canonical_form_miss(monkeypatch):
     """Enumerating the five spaces of the benchmark's kappa step searches
     once per split not yet canonicalized, and their automorphisms and
     top-degree generators search no more: 783 searches.  Searching each
-    of the 392 enumerated graphs again for its automorphisms made 1,175.
-    Enumeration canonicalizes its splits through `_canonicalize`, not
-    `canonical_form_with_map`, so the misses are counted there."""
-    searches, misses = [], []
+    of the 392 enumerated graphs again for its automorphisms made 1,175."""
+    searches = []
     monkeypatch.setattr(stable_graphs, "_search", _counted(searches, stable_graphs._search))
-    monkeypatch.setattr(stable_graphs, "_canonicalize", _counted(misses, stable_graphs._canonicalize))
     _clear_every_memo(_cached_functions())
     graphs = [graph for g, n in SESSION_TYPES for graph in enumerate_stable_graphs(g, n)]
-    assert len(searches) == len(misses) == 783
+    assert len(searches) == 783
     assert len(graphs) == 392
     for graph in graphs:
         automorphisms(graph)
@@ -327,16 +325,42 @@ def test_one_search_per_canonical_form_miss(monkeypatch):
     assert len(searches) == 783
 
 
+def _assert_only_canonical_entries():
+    """Every key of the canonical table is stored as itself, with its
+    identity maps, and the oracle agrees that it is canonical."""
+    for graph, entry in stable_graphs._CANONICAL.items():
+        assert entry[0] is graph
+        assert entry[1:3] == (tuple(range(graph.n_vertices)), {h: h for h in graph.half_edges()})
+        assert entry[3][0] == tuple(range(graph.n_vertices))
+        assert canonical_oracle.canonical_form_with_map(graph)[0] == graph
+
+
 def test_enumeration_caches_only_canonical_graphs():
-    """From cleared memos, enumerating (3,2) leaves one identity entry per
-    class in `_CANONICAL_CACHE`: 1,355, where caching every labelled split
-    it canonicalized left 7,011."""
+    """From cleared memos, enumerating (3,2) leaves one entry per class in
+    the canonical table: 1,355, where caching every labelled split it
+    canonicalized left 7,011."""
     _clear_every_memo(_cached_functions())
     graphs = enumerate_stable_graphs(3, 2)
-    assert len(graphs) == len(stable_graphs._CANONICAL_CACHE) == 1355
-    for graph in graphs:
-        identity = (graph, tuple(range(graph.n_vertices)), {h: h for h in graph.half_edges()})
-        assert stable_graphs._CANONICAL_CACHE[graph] == identity
+    assert len(graphs) == len(stable_graphs._CANONICAL) == 1355
+    assert set(graphs) == set(stable_graphs._CANONICAL)
+    _assert_only_canonical_entries()
+
+
+@pytest.mark.parametrize("g, n, searches", [(2, 2, 288), (3, 1, 1010)])
+def test_pairing_questions_search_as_before(monkeypatch, g, n, searches):
+    """From cleared memos, the library calls behind `div-membership g n g`
+    make the same `_search` calls as when every labelled input was cached
+    by input graph.  The contraction index reaches some labelled
+    contractions again, so its memo hits; the canonical table keeps only
+    canonical graphs (the labelled contractions of (3,1) were 401 of 582
+    entries when they were stored there)."""
+    calls = []
+    monkeypatch.setattr(stable_graphs, "_search", _counted(calls, stable_graphs._search))
+    _clear_every_memo(_cached_functions())
+    div_membership(lambda_top(g, n))
+    assert len(calls) == searches
+    assert stable_graphs._contraction_form.cache_info().hits > 0
+    _assert_only_canonical_entries()
 
 
 def _counted(calls, function):

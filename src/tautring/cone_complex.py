@@ -10,7 +10,11 @@ gluings are recorded as ray correspondences they survive subdivision
 unchanged: star and barycentric subdivisions are canonical, so the same
 correspondence keeps identifying the subdivided faces.  The constructor
 checks that every gluing identifies faces and stores its ray map; every
-later use of a gluing reads the stored map.
+later use of a gluing reads the stored map.  The two subdivisions build
+their fine complexes through the trusted `ConeComplex._unchecked`
+instead: each fine ray is the barycenter of a face they cut, so they
+derive its image under a gluing, and its coordinates in the coarse
+cone, from that face, and skip the checks that hold by construction.
 
 Piecewise polynomials are per-maximal-cone polynomials in that cone's
 ray coordinates, agreeing on shared faces and invariant under all
@@ -53,6 +57,77 @@ def _cone_coords(rays, vector):
     if coords is None or any(c < 0 for c in coords):
         return None
     return coords
+
+
+def _barycenter(face):
+    """(b, g): the primitive vector b on the sum of the rays of face, and
+    g the gcd of that sum, so that b = sum(face) / g."""
+    total = _vector_sum(face)
+    g = math.gcd(*total)
+    return tuple(x // g for x in total), g
+
+
+def _faces(cones):
+    """The set of nonempty faces of the cones, each a sorted ray tuple."""
+    faces = set()
+    for cone in cones:
+        for size in range(1, len(cone) + 1):
+            faces.update(itertools.combinations(cone, size))
+    return faces
+
+
+def _gluing_ray_map(src, dst, rays, faces, coarse_map=None, cut=None):
+    """The image of every complex ray inside cone(src) under the linear
+    map taking src[i] to dst[i], keys in sorted ray order, checked to
+    identify faces: the images are exactly the complex rays inside
+    cone(dst), and the map takes the faces inside cone(src) onto the
+    faces inside cone(dst).
+
+    A subdivision passes coarse_map, the ray map of the same gluing on
+    the complex it subdivides, and cut, which maps each fine ray that is
+    not a coarse ray to (F, g): a coarse face F with the ray equal to
+    sum(F) / g.  Then no coarse ray is solved, because coarse_map holds
+    exactly the coarse rays inside cone(src) and its images are exactly
+    those inside cone(dst).  A cut ray with F inside coarse_map has the
+    image sum(coarse_map(F)) / g, by linearity, checked to be integral and
+    a ray like a solved image.  Every other ray is solved.
+    """
+    out = {}
+    for ray in sorted(rays):
+        if coarse_map is not None and ray not in cut:
+            image = coarse_map.get(ray)
+            if image is None:
+                continue
+        elif coarse_map is not None and all(r in coarse_map for r in cut[ray][0]):
+            face, g = cut[ray]
+            total = _vector_sum([coarse_map[r] for r in face])
+            if any(x % g for x in total):
+                raise DomainError("gluing does not preserve the lattice")
+            image = tuple(x // g for x in total)
+        else:
+            coords = _cone_coords(src, ray)
+            if coords is None:
+                continue
+            image = [sum(c * t[k] for c, t in zip(coords, dst)) for k in range(len(ray))]
+            if any(x.denominator != 1 for x in image):
+                raise DomainError("gluing does not preserve the lattice")
+            image = tuple(int(x) for x in image)
+        if image not in rays:
+            raise DomainError("gluing maps ray %r outside the complex" % (ray,))
+        out[ray] = image
+    images = set(out.values())
+    # the images lie in cone(dst); no other ray may (nor, by coarse_map,
+    # does any coarse ray)
+    for ray in sorted(rays - images):
+        if coarse_map is not None and ray not in cut:
+            continue
+        if _cone_coords(dst, ray) is not None:
+            raise DomainError("gluing misses the ray %r of its target" % (ray,))
+    sources = {f for f in faces if all(r in out for r in f)}
+    targets = {f for f in faces if all(r in images for r in f)}
+    if {tuple(sorted(map(out.get, f))) for f in sources} != targets:
+        raise DomainError("gluing does not map faces onto faces")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -118,38 +193,42 @@ class ConeComplex:
                             "gluing references %r outside the support" % (ray,)
                         )
         rays = set(self.rays())
-        faces = set(self.all_faces())
+        faces = _faces(self.cones)
         self._ray_maps = tuple(
-            self._gluing_ray_map(src, dst, rays, faces) for src, dst in self.gluings
+            _gluing_ray_map(src, dst, rays, faces) for src, dst in self.gluings
         )
 
-    def _gluing_ray_map(self, src, dst, rays, faces):
-        """The image of every complex ray inside cone(src) under the linear
-        map taking src[i] to dst[i], checked to identify faces: the images
-        are exactly the complex rays inside cone(dst), and the map takes
-        the faces inside cone(src) onto the faces inside cone(dst)."""
-        out = {}
-        for ray in sorted(rays):
-            coords = _cone_coords(src, ray)
-            if coords is None:
-                continue
-            image = [sum(c * t[k] for c, t in zip(coords, dst)) for k in range(len(ray))]
-            if any(x.denominator != 1 for x in image):
-                raise DomainError("gluing does not preserve the lattice")
-            image = tuple(int(x) for x in image)
-            if image not in rays:
-                raise DomainError("gluing maps ray %r outside the complex" % (ray,))
-            out[ray] = image
-        images = set(out.values())
-        # the images lie in cone(dst); no other ray may
-        for ray in sorted(rays - images):
-            if _cone_coords(dst, ray) is not None:
-                raise DomainError("gluing misses the ray %r of its target" % (ray,))
-        sources = {f for f in faces if all(r in out for r in f)}
-        targets = {f for f in faces if all(r in images for r in f)}
-        if {tuple(sorted(map(out.get, f))) for f in sources} != targets:
-            raise DomainError("gluing does not map faces onto faces")
-        return out
+    @classmethod
+    def _unchecked(cls, lattice_rank, cones, gluings, ray_maps):
+        """A complex made by `barycentric` or `star_subdivision` from a
+        checked complex: cones are the fine cones, sorted ray tuples in
+        sorted order; gluings are the coarse complex's; ray_maps holds one
+        map per gluing from `_gluing_ray_map`.
+
+        It skips the checks of `validate` that hold by construction:
+        - primitive rays: every ray is a coarse ray or the primitive
+          vector on a sum of coarse rays;
+        - independent flags: a fine cone is a coarse cone with some rays
+          replaced, each by the barycenter of a face holding it (the faces
+          of a flag, or disjoint faces of a star), so its rays are the
+          coarse rays times a triangular matrix with a positive diagonal;
+          a fine cone is nonempty, and its rays are integer vectors of the
+          lattice rank, for the same reason;
+        - gluing shapes: the gluings are the coarse complex's, which
+          `validate` checked;
+        - support: a subdivision has the support of the complex it
+          subdivides, so the gluing rays still lie in it.
+        The checks that are not proven stay with the callers:
+        `_fine_cones` refuses a repeated fine cone, and
+        `_gluing_ray_map` checks every image, derived or solved, and that
+        each gluing maps faces onto faces.
+        """
+        self = object.__new__(cls)
+        self.lattice_rank = lattice_rank
+        self.cones = tuple(cones)
+        self.gluings = gluings
+        self._ray_maps = tuple(ray_maps)
+        return self
 
     def rays(self):
         out = set()
@@ -159,12 +238,7 @@ class ConeComplex:
 
     def all_faces(self):
         """Every nonempty face of every cone, sorted by dimension."""
-        faces = set()
-        for cone in self.cones:
-            for size in range(1, len(cone) + 1):
-                for subset in itertools.combinations(cone, size):
-                    faces.add(subset)
-        return sorted(faces, key=lambda f: (len(f), f))
+        return sorted(_faces(self.cones), key=lambda f: (len(f), f))
 
     def contains(self, point):
         return self.find_cone(point) is not None
@@ -272,8 +346,11 @@ def triangle_z3_complex():
 class SubdivisionMap:
     """Records which coarse cone each fine maximal cone lands in.
 
-    ray_coords[i][r] holds the coordinates of ray r of fine cone i in the
-    rays of its coarse cone cone_targets[i].  The same coordinates are
+    cone_targets[i] is the first coarse cone that contains every ray of
+    fine cone i, and ray_coords[i][r] holds the coordinates of ray r of
+    fine cone i in its rays, each a list of rationals as
+    `exact_linalg.in_span` gives them (the subdivisions read most of them
+    off the faces they cut; see `_subdivision_map`).  The same coordinates are
     kept once more as integer linear forms, computed here so that every
     pullback reuses them: scales[i] is the least common denominator of
     the coordinates of fine cone i, and forms[i][k][r] is the integer
@@ -307,7 +384,43 @@ class SubdivisionMap:
         )
 
 
-def _subdivision_map(fine, coarse):
+def _fine_cones(complex, pieces, cut):
+    """({fine cone: j} in sorted order, one ray map per gluing).
+
+    pieces maps each fine maximal cone, as the subdivision made it, to
+    the least index j of a coarse cone it was cut from; cut maps (j, b),
+    for each ray b of such a fine cone that is not a ray of coarse cone j,
+    to (F, g) with F a face of the coarse complex and b = sum(F) / g.  F
+    lies in coarse cone j, unless a star cut a face that holds the
+    barycenter of another face of its orbit (possible only where cones
+    overlap).  Two pieces with one set of rays are refused, as
+    `ConeComplex.validate` refuses them.
+    """
+    cones = {}
+    for piece, j in pieces.items():
+        cone = tuple(sorted(piece))
+        if cone in cones:
+            raise DomainError("duplicate maximal cone")
+        cones[cone] = j
+    cones = dict(sorted(cones.items()))
+    ray_maps = ()
+    if complex.gluings:
+        rays = set().union(*cones)
+        faces = _faces(cones)
+        cut_by_ray = {b: face_gcd for (_, b), face_gcd in cut.items()}
+        ray_maps = [
+            _gluing_ray_map(src, dst, rays, faces, coarse_map, cut_by_ray)
+            for (src, dst), coarse_map in zip(complex.gluings, complex._ray_maps)
+        ]
+    return cones, ray_maps
+
+
+def _subdivision_map(fine, coarse, cones, cut):
+    """The SubdivisionMap of fine over coarse, from the cones and cut of
+    `_fine_cones`: the first coarse cone holding every ray of a fine cone
+    is one of the cones before the one it was cut from, found by solves,
+    or that one, with coordinates read off cut (a ray of F has coordinate
+    1/g, any other 0).  A ray whose F is not in that cone is solved."""
     coords_in = {}  # (coarse cone index, ray) -> coordinates or None
 
     def coords(j, ray):
@@ -317,14 +430,19 @@ def _subdivision_map(fine, coarse):
         return coords_in[key]
 
     targets, ray_coords = [], []
-    for cone in fine.cones:
-        for j in range(len(coarse.cones)):
+    for cone, cut_from in cones.items():
+        for j in range(cut_from):
             if all(coords(j, ray) is not None for ray in cone):
-                targets.append(j)
-                ray_coords.append(tuple(coords(j, ray) for ray in cone))
                 break
         else:
-            raise DomainError("subdivision does not refine the complex")
+            j = cut_from
+            rays = coarse.cones[j]
+            for ray in cone:
+                face, g = cut.get((j, ray), ((ray,), 1))
+                if (j, ray) not in coords_in and all(r in rays for r in face):
+                    coords_in[j, ray] = [QQ(1, g) if r in face else ZERO for r in rays]
+        targets.append(j)
+        ray_coords.append(tuple(coords(j, ray) for ray in cone))
     return SubdivisionMap(fine, coarse, targets, ray_coords)
 
 
@@ -365,21 +483,24 @@ def star_subdivision(complex, rays):
                 "the face is identified with a face that shares a ray and a cone "
                 "with it; star refused"
             )
-    cones = list(complex.cones)
+    pieces = {cone: j for j, cone in enumerate(complex.cones)}
+    cut = {}
     for member in orbit:
-        barycenter = _primitive_ray(_vector_sum(member))
-        subdivided = []
-        for cone in cones:
+        barycenter, g = _barycenter(member)
+        subdivided = {}
+        for cone, j in pieces.items():
             if set(member) <= set(cone):
+                if len(member) > 1:
+                    cut[j, barycenter] = (member, g)
                 for f in member:
-                    subdivided.append(
-                        tuple(barycenter if r == f else r for r in cone)
-                    )
+                    piece = tuple(barycenter if r == f else r for r in cone)
+                    subdivided[piece] = min(j, subdivided.get(piece, j))
             else:
-                subdivided.append(cone)
-        cones = subdivided
-    fine = ConeComplex(complex.lattice_rank, set(cones), complex.gluings)
-    return fine, _subdivision_map(fine, complex)
+                subdivided[cone] = min(j, subdivided.get(cone, j))
+        pieces = subdivided
+    cones, ray_maps = _fine_cones(complex, pieces, cut)
+    fine = ConeComplex._unchecked(complex.lattice_rank, cones, complex.gluings, ray_maps)
+    return fine, _subdivision_map(fine, complex, cones, cut)
 
 
 def barycentric(complex):
@@ -389,17 +510,26 @@ def barycentric(complex):
     the barycenters of a full flag of its faces.  The construction is
     canonical, so it descends through every identification.
     """
-    cones = set()
-    for cone in complex.cones:
-        for perm in itertools.permutations(cone):
-            partial = None
-            flag = []
-            for ray in perm:
-                partial = ray if partial is None else _vector_sum([partial, ray])
-                flag.append(_primitive_ray(partial))
-            cones.add(tuple(flag))
-    fine = ConeComplex(complex.lattice_rank, cones, complex.gluings)
-    return fine, _subdivision_map(fine, complex)
+    pieces, cut = {}, {}
+    for j, cone in enumerate(complex.cones):
+        # the barycenter of each face, by the bit mask of its positions
+        centers = {}
+        for size in range(1, len(cone) + 1):
+            for positions in itertools.combinations(range(len(cone)), size):
+                face = tuple(cone[k] for k in positions)
+                barycenter, g = _barycenter(face)
+                centers[sum(1 << k for k in positions)] = barycenter
+                if size > 1:
+                    cut[j, barycenter] = (face, g)
+        for perm in itertools.permutations(range(len(cone))):
+            mask, flag = 0, []
+            for k in perm:
+                mask |= 1 << k
+                flag.append(centers[mask])
+            pieces.setdefault(tuple(flag), j)
+    cones, ray_maps = _fine_cones(complex, pieces, cut)
+    fine = ConeComplex._unchecked(complex.lattice_rank, cones, complex.gluings, ray_maps)
+    return fine, _subdivision_map(fine, complex, cones, cut)
 
 
 # ---------------------------------------------------------------------------
@@ -826,11 +956,26 @@ def pp_space(complex, d):
         roots = sorted(largest, key=largest.get)
     position = {root: p for p, root in enumerate(roots)}
     polys = [[{} for _ in cones] for _ in roots]
-    for i, cone in enumerate(cones):
-        for multiset in itertools.combinations_with_replacement(cone, d):
+    for i, monomials in enumerate(_monomials(cones, d)):
+        for multiset, exps in monomials:
             label = labels[multiset] if d else labels[i]
-            polys[position[label]][i][tuple(map(multiset.count, cone))] = ONE
+            polys[position[label]][i][exps] = ONE
     return [PPFunction._unchecked(complex, d, p) for p in polys]
+
+
+def _monomials(cones, d):
+    """Per cone, its degree-d ray multisets paired with their exponent
+    tuples, in `combinations_with_replacement` order.  The exponent tuples
+    are read from one table per cone size, made once per call."""
+    tables = {}
+    for cone in cones:
+        exponents = tables.get(len(cone))
+        if exponents is None:
+            exponents = tables[len(cone)] = [
+                tuple(map(combo.count, range(len(cone))))
+                for combo in itertools.combinations_with_replacement(range(len(cone)), d)
+            ]
+        yield zip(itertools.combinations_with_replacement(cone, d), exponents)
 
 
 def pullback_pp(sub_map, f):
@@ -861,9 +1006,9 @@ def _multiset_coefficients(f):
     every cone (zero for an absent monomial), or None if two cones holding
     one multiset give it different coefficients."""
     values = {}
-    for cone, poly in zip(f.complex.cones, f.polys):
-        for multiset in itertools.combinations_with_replacement(cone, f.degree):
-            c = poly.get(tuple(map(multiset.count, cone)), ZERO)
+    for poly, monomials in zip(f.polys, _monomials(f.complex.cones, f.degree)):
+        for multiset, exps in monomials:
+            c = poly.get(exps, ZERO)
             if values.setdefault(multiset, c) != c:
                 return None
     return values

@@ -720,9 +720,10 @@ def enumerate_stable_graphs(g: int, n: int) -> tuple[StableGraph, ...]:
 
 @cache
 def _contraction_form(contracted: StableGraph):
-    """`canonical_form_with_map` of a contraction, memoized: the slices
-    of `_degeneration_index` reach the same labelled contractions again,
-    and `canonical_form_with_map` stores only canonical graphs."""
+    """`canonical_form_with_map` of a labelled contraction, memoized: the
+    slices of `_degeneration_index` reach the same labelled contractions
+    again, and `canonical_form_with_map` stores only canonical graphs.
+    A contraction that is a recorded canonical graph never comes here."""
     return canonical_form_with_map(contracted)
 
 
@@ -745,7 +746,11 @@ def _degeneration_index(g: int, n: int, E: int, k: int) -> dict:
         for bits in subsets:
             subset = [i for i in range(E) if bits >> i & 1]
             contracted, vmap, hemap = contract_edges(graph, subset)
-            canon, cvmap, chemap = _contraction_form(contracted)
+            # every canonical graph of (g, n) is recorded by the enumeration
+            recorded = _CANONICAL.get(contracted)
+            if recorded is None:
+                recorded = _contraction_form(contracted)
+            canon, cvmap, chemap = recorded[:3]
             total_v = tuple(cvmap[vmap[v]] for v in range(graph.n_vertices))
             he_inv = {chemap[m]: h for h, m in hemap.items()}
             over = index.setdefault(canon, {})

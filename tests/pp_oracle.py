@@ -25,6 +25,13 @@ the dense elimination of `tests/dense_rref.py`, so no gluing code of the
 library is used.  `gluing_orbit` is the breadth-first search, through each
 gluing in both directions, that the library's one-way union-find classes
 replaced.
+
+`barycentric` and `star_subdivision` are the subdivisions as they were
+before they derived their ray maps and subdivision maps from the faces
+they cut: they hand the fine cones to the public `ConeComplex(...)`,
+which checks them and solves every ray map, and `subdivision_map` solves
+the coordinates of every fine ray in the coarse cones, one cone after
+another, until one cone holds every ray of the fine cone.
 """
 
 import itertools
@@ -32,7 +39,15 @@ import math
 import operator
 
 from dense_rref import dense_rref
-from tautring.cone_complex import PPFunction, _ray_multisets
+from tautring.cone_complex import (
+    ConeComplex,
+    PPFunction,
+    SubdivisionMap,
+    _cone_coords,
+    _primitive_ray,
+    _ray_multisets,
+    _vector_sum,
+)
 from tautring.errors import DomainError
 from tautring.exact_linalg import QMatrix
 from tautring.rationals import QQ, ZERO, ONE
@@ -149,6 +164,72 @@ def gluing_orbit(maps, face):
                     orbit.add(image)
                     queue.append(image)
     return sorted(orbit)
+
+
+def subdivision_map(fine, coarse):
+    """Each fine cone in the first coarse cone holding all its rays, with
+    the coordinates of its rays there, every one solved."""
+    coords_in = {}  # (coarse cone index, ray) -> coordinates or None
+
+    def coords(j, ray):
+        key = (j, ray)
+        if key not in coords_in:
+            coords_in[key] = _cone_coords(coarse.cones[j], ray)
+        return coords_in[key]
+
+    targets, ray_coords = [], []
+    for cone in fine.cones:
+        for j in range(len(coarse.cones)):
+            if all(coords(j, ray) is not None for ray in cone):
+                targets.append(j)
+                ray_coords.append(tuple(coords(j, ray) for ray in cone))
+                break
+        else:
+            raise DomainError("subdivision does not refine the complex")
+    return SubdivisionMap(fine, coarse, targets, ray_coords)
+
+
+def barycentric(complex):
+    """The flag cones of every maximal cone, checked and mapped by solves."""
+    cones = set()
+    for cone in complex.cones:
+        for perm in itertools.permutations(cone):
+            partial = None
+            flag = []
+            for ray in perm:
+                partial = ray if partial is None else _vector_sum([partial, ray])
+                flag.append(_primitive_ray(partial))
+            cones.add(tuple(flag))
+    fine = ConeComplex(complex.lattice_rank, cones, complex.gluings)
+    return fine, subdivision_map(fine, complex)
+
+
+def star_subdivision(complex, rays):
+    """The star at every face of the gluing orbit of the face (found by
+    `gluing_orbit`), checked and mapped by solves."""
+    face = tuple(sorted(tuple(r) for r in rays))
+    if face not in complex.all_faces():
+        raise DomainError("%r is not a face of the complex" % (face,))
+    orbit = gluing_orbit(two_way_maps(complex), face)
+    for a, b in itertools.combinations(orbit, 2):
+        if set(a) & set(b) and any(set(a + b) <= set(c) for c in complex.cones):
+            raise DomainError(
+                "the face is identified with a face that shares a ray and a cone "
+                "with it; star refused"
+            )
+    cones = list(complex.cones)
+    for member in orbit:
+        barycenter = _primitive_ray(_vector_sum(member))
+        subdivided = []
+        for cone in cones:
+            if set(member) <= set(cone):
+                for f in member:
+                    subdivided.append(tuple(barycenter if r == f else r for r in cone))
+            else:
+                subdivided.append(cone)
+        cones = subdivided
+    fine = ConeComplex(complex.lattice_rank, set(cones), complex.gluings)
+    return fine, subdivision_map(fine, complex)
 
 
 def _connected_components(complex):

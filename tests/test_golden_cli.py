@@ -12,7 +12,11 @@ sampler moved to integer power sums per block; `graphs 4 1` before the
 splits were reduced by their symmetries, `graphs 0 7` before the side
 choices of a split were tabulated per vertex shape), the `cone` commands
 before `pp_space` replaced its nullspace by union-find components and
-`pullback_pp` moved to integer arithmetic.  Any change in the bytes these
+`pullback_pp` moved to integer arithmetic; the glued subdivisions
+(`cone triangle-z3 barycentric`, `cone simplex5 explosion 5 3` and the
+star of face 15 of the barycentric triangle-z3 complex) before
+`barycentric` and `star_subdivision` derived their ray maps and
+subdivision maps from the faces they cut.  Any change in the bytes these
 commands print shows up here, including one that a memo causes: a few of
 them also run cold, warm and after every memo is cleared.
 """
@@ -25,7 +29,7 @@ import pytest
 
 import tautring
 from tautring import cli, integration, stable_graphs
-from tautring.cone_complex import ConeComplex, barycentric
+from tautring.cone_complex import ConeComplex, barycentric, triangle_z3_complex
 
 GOLDEN = {
     "div-membership 2 2 2": "24b8e3ba0e77bac2a8c0ce73e8af0439607b2d52ce01c70062581a5abf25fc8d",
@@ -57,6 +61,8 @@ GOLDEN = {
     "cone triangle-z3 pp 2": "6e5596f6e7a16bfc72182f609de3f1bcb994a66fb5c44418527c19a9f0850abf",
     "cone triangle-z3 gen1 2": "863a7cea9fd843a5a1cd71ac908473d8ea72b09f3921a9343dc64f66ef109813",
     "cone simplex3 explosion 3 2": "f8a18e1eb515d635be27658ab4935ce98c2d7b6c338db6cda3377bd06f918cfd",
+    "cone triangle-z3 barycentric": "2d44e7e68c4c8bec461eda3312cd26a3ef76106e450f3ad86a5e26a44168e5f5",
+    "cone simplex5 explosion 5 3": "d5b4fe4a110ca9a4acc0bdc08a53d1760b6e88c04f426ec3e1b7b559e2c224ba",
 }
 
 
@@ -89,6 +95,7 @@ CONE_FILES = {
     "cycle5": _cycle5_orthant,
     "cycle5_bary": lambda: barycentric(_cycle5_orthant())[0],
     "three_parts": _three_parts,
+    "triangle_z3_bary": lambda: barycentric(triangle_z3_complex())[0],
 }
 
 FILE_GOLDEN = {
@@ -100,6 +107,7 @@ FILE_GOLDEN = {
     "cone {cycle5_bary} pp 3": "f74d6b56b364de19b50531a125adb523a49f5b25efb01c9acfc875d2c1d81477",
     "cone {three_parts} pp 0": "8784004402a45784ce7ff3fc5494cb1d491f5b1751d4898c4dfe12cdadca426a",
     "cone {three_parts} pp 1": "6170867251abdf1533e571ea1457d4b0cc9f3986896d2925a7affdab0d6de300",
+    "cone {triangle_z3_bary} star 15": "c301187d9743253cd430701a6696e6c1090f564d5159e91b5dd7b072ae01dc2f",
 }
 
 

@@ -1,5 +1,6 @@
 """Stable graphs: construction, canonical forms, automorphisms, enumeration."""
 
+import functools
 import itertools
 import json
 import random
@@ -361,6 +362,24 @@ def test_pairing_questions_search_as_before(monkeypatch, g, n, searches):
     assert len(calls) == searches
     assert stable_graphs._contraction_form.cache_info().hits > 0
     _assert_only_canonical_entries()
+
+
+def test_contraction_memo_holds_only_labelled_graphs(monkeypatch):
+    """From cleared memos, `div-membership 3 1 3` memoizes 401 labelled
+    contractions and no graph of the canonical table: a contraction that
+    is a recorded canonical graph is read from the table (84 of the
+    memo's 485 keys were canonical graphs when they went through it)."""
+    keys = []
+
+    def recording(contracted):
+        keys.append(contracted)
+        return canonical_form_with_map(contracted)
+
+    _clear_every_memo(_cached_functions())
+    monkeypatch.setattr(stable_graphs, "_contraction_form", functools.cache(recording))
+    div_membership(lambda_top(3, 1))
+    assert len(keys) == 401
+    assert not any(graph in stable_graphs._CANONICAL for graph in keys)
 
 
 def _counted(calls, function):

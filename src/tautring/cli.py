@@ -218,8 +218,10 @@ def _serialize_pp(function):
 
 def _cmd_cone(args):
     complex = _load_complex(args.complex)
-    op = list(args.op)
-    if not op or op == ["faces"]:
+    name, *rest = args.op or ["faces"]
+    if name in ("faces", "barycentric") and rest:
+        raise DomainError("%s takes no argument" % name)
+    if name == "faces":
         _emit(
             {
                 "command": "cone",
@@ -228,9 +230,7 @@ def _cmd_cone(args):
                 "maximal_cones": len(complex.cones),
             }
         )
-        return
-    name, rest = op[0], op[1:]
-    if name == "barycentric":
+    elif name == "barycentric":
         fine, _ = cc.barycentric(complex)
         _emit(
             {

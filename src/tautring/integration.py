@@ -14,8 +14,8 @@ used by `integrate`, and the set-partition formula behind
 In the pushforward convention a term (graph, dec, c) integrates to
 c times the product over vertices of the vertex integrals; no automorphism
 factor appears.  `term_integral` places each psi exponent on its vertex
-through the cached `taut_classes.vertex_data` of the graph and hands
-sorted, dimension-checked arguments to the cached vertex integral.
+through the cached `taut_classes.vertex_data` of the graph; the vertex
+integrals are multiplied by `vertex_product`, as in the top pairing.
 `kappa_to_psi` builds the signed set partitions of each kappa monomial
 and each virtual graph once and reuses them for every term that needs
 them.
@@ -303,34 +303,36 @@ def kappa_to_psi(cls: TautClass) -> TautClass:
 # integration of classes
 
 
+def vertex_product(genera, dims, at, kappas) -> tuple:
+    """(numerator, denominator) of the product of one term's vertex
+    integrals: vertex v has genus genera[v], dimension dims[v], the psi
+    exponents of list at[v], padded here with zeros to its valence
+    dims[v] - 3 g_v + 3, and the sorted kappa indices kappas[v].  A vertex
+    whose degree is not its dimension makes it (0, 1); the others read
+    the cached `_vertex_integral` on sorted exponents."""
+    num = den = 1
+    for gv, dim, exps, ks in zip(genera, dims, at, kappas):
+        if sum(exps) + sum(ks) != dim:
+            return 0, 1
+        exps += [0] * (dim - 3 * gv + 3 - len(exps))
+        exps.sort()
+        value = _vertex_integral(gv, tuple(exps), ks)
+        num *= value.numerator
+        den *= value.denominator
+    return num, den
+
+
 @cache
 def term_integral(graph: StableGraph, dec: Decoration) -> object:
-    """Integral of xi_*(dec): the product of the vertex integrals.
-
-    Each psi exponent goes to its vertex, read from the cached
-    `vertex_data` of the graph (a leg's vertex from `home`; a half-edge key
-    names its own vertex), and each vertex's exponents are padded with
-    zeros to its valence, dims[v] - 3 g_v + 3.  A vertex whose degree is
-    not its dimension makes the term zero; otherwise the cached
-    `_vertex_integral` gets the sorted exponents directly, and the vertex
-    values are multiplied as integer numerators and denominators.
-    """
+    """Integral of xi_*(dec), the `vertex_product` of its vertices: each
+    psi exponent goes to its vertex, read from the cached `vertex_data`
+    of the graph (a leg's vertex from `home`; a half-edge key names its
+    own vertex)."""
     home, dims = vertex_data(graph)
     at = [[] for _ in dims]
     for key, e in dec.psi:
         at[home[key[1]] if key[0] == PSI_LEG else key[1]].append(e)
-    num = den = 1
-    for gv, dim, exps, kappas in zip(graph.genera, dims, at, dec.kappa):
-        if sum(exps) + sum(kappas) != dim:
-            return ZERO
-        exps += [0] * (dim - 3 * gv + 3 - len(exps))
-        exps.sort()
-        value = _vertex_integral(gv, tuple(exps), kappas)
-        if not value:
-            return ZERO
-        num *= value.numerator
-        den *= value.denominator
-    return QQ(num, den)
+    return QQ(*vertex_product(graph.genera, dims, at, dec.kappa))
 
 
 def integrate(cls: TautClass) -> object:

@@ -26,7 +26,7 @@ from operator import add, le, sub
 
 from . import stable_graphs as sg
 from .errors import DomainError
-from .integration import vertex_integral
+from .integration import vertex_product
 from .rationals import QQ, ZERO
 from .taut_classes import (
     PSI_HE,
@@ -55,14 +55,14 @@ def _aut_orbit_sum(graph, dec):
 
 @cache
 def _layout(graph):
-    """(slot, owner, dims, values): slot numbers the psi keys as positions
-    of an exponent vector, owner[i] is the vertex of position i, dims the
-    vertex dimensions; values memoizes term integrals over |Aut|."""
+    """(slot, owner, dims): slot numbers the psi keys as positions of an
+    exponent vector, owner[i] is the vertex of position i, dims the
+    vertex dimensions."""
     keys = [(v, (PSI_LEG, m)) for v, legs in enumerate(graph.legs) for m in legs]
     keys += [(v, (PSI_HE, v, s)) for edge in graph.edges for v, s in edge]
     slot = {key: i for i, (_, key) in enumerate(keys)}
     owner = [v for v, _ in keys]
-    return slot, owner, vertex_data(graph)[1], {}
+    return slot, owner, vertex_data(graph)[1]
 
 
 def _plan(layout, vmap, he_inv):
@@ -95,7 +95,7 @@ def _pull(layout, plan, orbit):
     per-vertex sorted tuples.  A kappa class pulls back to the sum over
     the preimages; a choice is dropped if a vertex exceeds its dimension.
     """
-    _, owner, dims, _ = layout
+    _, owner, dims = layout
     position, preimages = plan
     out: dict = {}
     for dec, mult in orbit:
@@ -213,16 +213,16 @@ def multiply(a: TautClass, b: TautClass) -> TautClass:
 # the top pairing, one degeneration graph at a time
 
 
-def _term_value(graph, owner, psi, kappa):
-    """A term integral over |Aut(graph)| as (numerator, denominator)."""
-    exps = [[] for _ in graph.genera]
+@cache
+def _term_value(graph, psi, kappa):
+    """The integral of a pulled-back term (exponent vector psi, kappa None
+    or per vertex) over |Aut(graph)|, as reduced (numerator, denominator)."""
+    _, owner, dims = _layout(graph)
+    at = [[] for _ in dims]
     for v, e in zip(owner, psi):
-        exps[v].append(e)
-    num, den = 1, sg.automorphism_count(graph)
-    for v, gv in enumerate(graph.genera):
-        value = vertex_integral(gv, exps[v], kappa[v] if kappa else ())
-        num *= value.numerator
-        den *= value.denominator
+        at[v].append(e)
+    num, den = vertex_product(graph.genera, dims, at, kappa or ((),) * len(dims))
+    den *= sg.automorphism_count(graph)
     common = gcd(num, den)
     return num // common, den // common
 
@@ -287,15 +287,11 @@ def _term_sums(row_terms, col_terms, g, n):
     """[denominator, numerators over col_terms] of each row term."""
     sums = [[1, [0] * len(col_terms)] for _ in row_terms]
     for graph, pulled_rows, pulled_cols, picks in _common(row_terms, col_terms, g, n):
-        _, owner, _, values = _layout(graph)
         for t, monos_a in pulled_rows:
             total, nums = slot = sums[t]
             for c, monos_b in pulled_cols:
                 for psi, kappa, count in _terms(monos_a, monos_b, picks):
-                    value = values.get((psi, kappa))
-                    if value is None:
-                        value = values[psi, kappa] = _term_value(graph, owner, psi, kappa)
-                    num, den = value
+                    num, den = _term_value(graph, psi, kappa)
                     if num and total % den:
                         scale = den // gcd(total, den)
                         total *= scale

@@ -109,8 +109,7 @@ class Decoration:
 
     def transport(self, vmap, hemap) -> "Decoration":
         """Relabel along a graph isomorphism (vmap, hemap) by `_moved`."""
-        keymap = {key: (PSI_HE, *hemap[key[1:]]) for key, _ in self.psi if key[0] == PSI_HE}
-        return Decoration._unchecked(*_moved(self.psi, self.kappa, keymap, vmap))
+        return Decoration._unchecked(*_moved(self.psi, self.kappa, vmap, hemap))
 
     def sort_key(self):
         return (self.psi, self.kappa)
@@ -162,15 +161,16 @@ def decoration(graph: StableGraph, psi=None, kappa=None) -> Decoration:
     return dec
 
 
-def _moved(psi, kappa, keymap, vmap):
-    """Normal-form fields (psi, kappa) moved along a graph isomorphism:
-    each psi key to keymap.get(key, key) (legs stay), the kappa of vertex
-    v to vmap[v].  Only psi needs sorting again."""
+def _moved(psi, kappa, vmap, hemap):
+    """Normal-form fields (psi, kappa) moved along a graph isomorphism
+    (vmap, hemap): a half-edge key (PSI_HE, v, s) to (PSI_HE, *hemap[v, s])
+    (legs stay), the kappa of vertex v to vmap[v].  Only psi needs sorting
+    again."""
     moved = [()] * len(kappa)
     for new, ks in zip(vmap, kappa):
         moved[new] = ks
-    get = keymap.get
-    return tuple(sorted([(get(key, key), e) for key, e in psi])), tuple(moved)
+    psi = [(key if key[0] == PSI_LEG else (PSI_HE, *hemap[key[1:]]), e) for key, e in psi]
+    return tuple(sorted(psi)), tuple(moved)
 
 
 def trivial_decoration(graph: StableGraph) -> Decoration:
@@ -485,11 +485,11 @@ def _decorated_strata(g: int, n: int, d: int, min_genus: int):
     a decoration's orbit is its moves along `automorphisms(graph)` and
     its least member is the `canonical_term` decoration.  On a graph
     whose only automorphism is the identity every decoration is its own
-    orbit.  Otherwise each automorphism's psi-key map is built once per
-    graph, and the first member met of an orbit gives the whole orbit by
-    `_moved`; the others are skipped.  The enumeration yields the graphs
-    in `StableGraph.sort_key` order, so sorting the pairs of each graph
-    sorts the terms.  Each kept pair becomes one trusted `Decoration`."""
+    orbit.  Otherwise the first member met of an orbit gives the whole
+    orbit by `_moved` along each automorphism; the others are skipped.
+    The enumeration yields the graphs in `StableGraph.sort_key` order, so
+    sorting the pairs of each graph sorts the terms.  Each kept pair
+    becomes one trusted `Decoration`."""
     check_stable_type(g, n)
     if d < 0 or d > dim_moduli(g, n):
         raise DomainError("degree outside 0..3g-3+n")
@@ -498,15 +498,12 @@ def _decorated_strata(g: int, n: int, d: int, min_genus: int):
         if graph.n_edges <= d:
             decs = _decorations_of_degree(graph, d - graph.n_edges, min_genus)
             if automorphism_count(graph) > 1:
-                moves = [
-                    ({(PSI_HE, *h): (PSI_HE, *image) for h, image in hemap.items()}, vmap)
-                    for vmap, hemap in automorphisms(graph)[1:]
-                ]
+                moves = automorphisms(graph)[1:]
                 met = set()
                 least = []
                 for dec in decs:
                     if dec not in met:
-                        orbit = {dec, *(_moved(*dec, keymap, vmap) for keymap, vmap in moves)}
+                        orbit = {dec, *(_moved(*dec, *move) for move in moves)}
                         met |= orbit
                         least.append(min(orbit))
                 decs = least

@@ -8,9 +8,13 @@ call, and each kept orbit becomes a class through `class_of_graph`, which
 re-validates the graph and runs the zero test and `canonical_term` again.
 The orbit representative comes from `oracle_canonical_term`, which
 transports every decoration to the canonical graph and then along every
-automorphism of it, the identity maps included.  It is slow but follows
+automorphism of it, the identity maps included.  Its transports are
+`oracle_transport`, the move that `Decoration.transport` replaces: it
+builds a psi-key map from the half-edge map on every call and rebuilds
+the decoration through the sorting constructor.  It is slow but follows
 the definition as written, so `generators`, `canonical_term`,
-`vertex_degrees` and `term_is_zero_class` are checked against it.
+`Decoration.transport`, `vertex_degrees` and `term_is_zero_class` are
+checked against it.
 """
 
 import itertools
@@ -77,12 +81,30 @@ def oracle_term_is_zero_class(graph, dec):
     return False
 
 
+def _moved(psi, kappa, keymap, vmap):
+    """Normal-form fields (psi, kappa) moved along a graph isomorphism:
+    each psi key to keymap.get(key, key) (legs stay), the kappa of vertex
+    v to vmap[v]."""
+    moved = [()] * len(kappa)
+    for new, ks in zip(vmap, kappa):
+        moved[new] = ks
+    get = keymap.get
+    return tuple(sorted([(get(key, key), e) for key, e in psi])), tuple(moved)
+
+
+def oracle_transport(dec, vmap, hemap):
+    """dec relabelled along a graph isomorphism (vmap, hemap) through a
+    map from each of its half-edge psi keys to its image."""
+    keymap = {key: (PSI_HE, *hemap[key[1:]]) for key, _ in dec.psi if key[0] == PSI_HE}
+    return Decoration(*_moved(dec.psi, dec.kappa, keymap, vmap))
+
+
 def oracle_canonical_term(graph, dec):
     """Canonical (graph, decoration) representative of a decorated stratum."""
     canon, vmap, hemap = canonical_form_with_map(graph)
-    moved = dec.transport(vmap, hemap)
+    moved = oracle_transport(dec, vmap, hemap)
     best = min(
-        (moved.transport(av, ah) for av, ah in automorphisms(canon)),
+        (oracle_transport(moved, av, ah) for av, ah in automorphisms(canon)),
         key=Decoration.sort_key,
     )
     return canon, best

@@ -6,9 +6,12 @@ time, pulls every column orbit back again for each row term with the
 same row graph, keeps the last basis in one slot with the blocks of
 every row term paired against it, and in the self-dual degree reuses the
 values of (b, a) for (a, b).  Each row is checked against it.  `_excess`,
-`_products` and `_pull` are the helpers it was written against, kept
-here as they were.  Its degeneration records come from the scan of
-`product_oracle`, not from the library walk it checks.
+`_products`, `_pull` and `_term_value` are the helpers it was written
+against, kept here as they were: `_term_value` multiplies the public
+`vertex_integral` of each vertex and keeps its values per graph in this
+module's own table, not through the library's `vertex_product` kernel.
+Its orbit sums and degeneration records come from `product_oracle`,
+not from the library code it checks.
 
 `pairing_rank`, `subalgebra_span` and `div_membership` are the
 membership ranks as `tautring.membership` computed them before they
@@ -21,17 +24,12 @@ import itertools
 from math import gcd, lcm
 from operator import add, le, sub
 
-from product_oracle import oracle_degeneration_base_pairs
+from product_oracle import _aut_orbit_sum, oracle_degeneration_base_pairs
+from tautring import stable_graphs as sg
 from tautring.exact_linalg import QMatrix
+from tautring.integration import vertex_integral
 from tautring.membership import MembershipReport, SpanReport, _degree_monomials
-from tautring.product import (
-    _aut_orbit_sum,
-    _check_product,
-    _ends,
-    _layout,
-    _term_value,
-    pairing_matrix,
-)
+from tautring.product import _check_product, _ends, _layout, pairing_matrix
 from tautring.rationals import QQ
 from tautring.taut_classes import (
     PSI_HE,
@@ -53,7 +51,7 @@ def _pull(layout, vmap, he_inv, orbit):
     per-vertex sorted tuples.  A kappa class pulls back to the sum over
     the preimages; a choice is dropped if a vertex exceeds its dimension.
     """
-    slot, owner, dims, _ = layout
+    slot, owner, dims = layout
     preimages: dict = {}
     for v, w in enumerate(vmap):
         preimages.setdefault(w, []).append(v)
@@ -132,6 +130,24 @@ def _products(dims, ends, pulled_a, pulled_b, fits):
                         yield tuple(psi), kappa, ka * kb
 
 
+# graph -> {(psi, kappa): _term_value of the term}
+_VALUES: dict = {}
+
+
+def _term_value(graph, owner, psi, kappa):
+    """A term integral over |Aut(graph)| as (numerator, denominator)."""
+    exps = [[] for _ in graph.genera]
+    for v, e in zip(owner, psi):
+        exps[v].append(e)
+    num, den = 1, sg.automorphism_count(graph)
+    for v, gv in enumerate(graph.genera):
+        value = vertex_integral(gv, exps[v], kappa[v] if kappa else ())
+        num *= value.numerator
+        den *= value.denominator
+    common = gcd(num, den)
+    return num // common, den // common
+
+
 def _block(orbit_a, graph_a, graph_b, orbits, known):
     """(denominator, numerators) of a row orbit on graph_a paired with the
     orbits of decorations on graph_b, (decoration, multiplicity, vertex
@@ -143,7 +159,8 @@ def _block(orbit_a, graph_a, graph_b, orbits, known):
     """
     total, acc = 1, [0] * len(orbits)
     for graph, va, ia, vb, ib, shared in oracle_degeneration_base_pairs(graph_a, graph_b):
-        _, owner, dims, values = layout = _layout(graph)
+        _, owner, dims = layout = _layout(graph)
+        values = _VALUES.setdefault(graph, {})
         pulled_a = _pull(layout, va, ia, orbit_a)
         ends = _ends(layout, graph, shared)
         fibers = [[] for _ in graph_b.genera]

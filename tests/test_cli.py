@@ -127,6 +127,16 @@ def test_cone_operations(capsys):
     assert payload["maximal_cones"] == 2
 
 
+@pytest.mark.parametrize("operation", ["faces", "barycentric"])
+def test_cone_operations_without_arguments_refuse_one(capsys, operation):
+    """An extra argument after `faces` or `barycentric` exits 2 with an
+    error naming the operation, rather than being ignored or reported as
+    an unknown operation."""
+    code, out, err = _run(capsys, ["cone", "simplex3", operation, "x"])
+    assert (code, out) == (2, "")
+    assert err == "error: %s takes no argument\n" % operation
+
+
 def test_explosion_works_on_the_orthant_whatever_the_complex(capsys):
     """`cone COMPLEX explosion S K` validates COMPLEX but works on
     barycentric(R^S_{>=0}), as the help of `op` says."""

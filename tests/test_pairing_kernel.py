@@ -19,7 +19,8 @@ import pytest
 
 import pairing_oracle
 from product_oracle import product_integral
-from tautring import stable_graphs
+from test_golden_cli import _cached_functions, _clear_every_memo
+from tautring import integration, product, stable_graphs
 from tautring.errors import DomainError
 from tautring.membership import (
     _degree_monomials,
@@ -27,6 +28,7 @@ from tautring.membership import (
     pair_integral,
     pairing_rank,
     pairing_vector,
+    theta_solve,
 )
 from tautring.pixton import lambda_top
 from tautring.product import pairing_matrix
@@ -148,3 +150,25 @@ def test_a_zero_row_builds_no_contraction_index():
     cols = generators(3, 0, 3)
     assert pairing_matrix([TautClass(3, 0, 3)] * 2, cols) == [[0] * len(cols)] * 2
     assert stable_graphs._degeneration_index.cache_info().misses == 0
+
+
+@pytest.mark.parametrize(
+    "question, term_values, vertex_integrals",
+    [
+        (lambda: div_membership(lambda_top(2, 2)), 693, 172),
+        (lambda: div_membership(lambda_top(1, 4)), 334, 7),
+        (lambda: div_membership(lambda_top(3, 0)), 763, 215),
+        (theta_solve, 14, 10),
+    ],
+    ids=["div-membership 2 2 2", "div-membership 1 4 1", "div-membership 3 0 3", "theta-genus2"],
+)
+def test_pairing_integrates_each_term_once(question, term_values, vertex_integrals):
+    """From cleared memos, the library calls behind four pairing commands
+    integrate each distinct pulled-back term once and each sorted vertex
+    argument once: as many `_term_value` and `_vertex_integral` misses as
+    when the term values were memoized per graph in its layout and each
+    vertex went through the public `vertex_integral`."""
+    _clear_every_memo(_cached_functions())
+    question()
+    assert product._term_value.cache_info().misses == term_values
+    assert integration._vertex_integral.cache_info().misses == vertex_integrals

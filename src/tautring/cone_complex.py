@@ -12,9 +12,13 @@ correspondence keeps identifying the subdivided faces.  The constructor
 checks that every gluing identifies faces and stores its ray map; every
 later use of a gluing reads the stored map.  The two subdivisions build
 their fine complexes through the trusted `ConeComplex._unchecked`
-instead: each fine ray is the barycenter of a face they cut, so they
-derive its image under a gluing, and its coordinates in the coarse
-cone, from that face, and skip the checks that hold by construction.
+instead, skipping the checks that hold by construction.
+
+Every coordinate question (does a cone hold a vector, and with which
+coordinates; where does a gluing send a ray; which coarse cone holds a
+fine cone) is answered through the chart of a cone: the integer inverse
+of a square block of its rays, made by one exact elimination the first
+time the cone is asked about and cached from then on (`_chart`).
 
 Piecewise polynomials are per-maximal-cone polynomials in that cone's
 ray coordinates, agreeing on shared faces and invariant under all
@@ -22,6 +26,7 @@ gluings.  The space of them in each degree has a basis of indicator
 functions of the classes of ray multisets that the gluings identify.
 """
 
+import functools
 import itertools
 import json
 import math
@@ -29,7 +34,7 @@ import operator
 
 from .combinatorics import union_find
 from .errors import DomainError, json_field, json_ints, json_loads
-from .exact_linalg import in_span, pivot_columns, rank_of_rows
+from .exact_linalg import QMatrix, pivot_columns, rank_of_rows
 from .rationals import QQ, ZERO, ONE, rat
 
 # ---------------------------------------------------------------------------
@@ -51,20 +56,53 @@ def _vector_sum(vectors):
     return tuple(sum(col) for col in zip(*vectors))
 
 
+@functools.cache
+def _chart(rays):
+    """(pivots, inverse, scale): the chart of a cone with independent rays.
+
+    pivots are lattice coordinates on which the square block B, with
+    B[i][k] = rays[i][pivots[k]], is invertible, and inverse[i][k] is the
+    integer scale * B^-1[k][i], so that the coordinates of a vector v in
+    the span of the rays are sum_k inverse[i][k] * v[pivots[k]] / scale.
+    One exact elimination of the rays, recording its row operations,
+    gives both: the recorded transform is B^-1.
+    """
+    _, pivots, transform = QMatrix(rays).rref(record=True)
+    scale = math.lcm(1, *(x.denominator for row in transform.rows for x in row))
+    inverse = tuple(
+        tuple(x.numerator * (scale // x.denominator) for x in column)
+        for column in zip(*transform.rows)
+    )
+    return tuple(pivots), inverse, scale
+
+
 def _cone_coords(rays, vector):
-    """Coordinates of vector in the rays if it lies in their closed cone, or None."""
-    coords = in_span(rays, vector)
-    if coords is None or any(c < 0 for c in coords):
+    """Coordinates of vector in the rays if it lies in their closed cone,
+    or None: rationals read through the chart of the rays, as a list.
+    The entries of vector are read by `rat`; the span is checked only
+    when the rays span less than the lattice."""
+    if rays and len(vector) != len(rays[0]):
+        raise DomainError("vector length does not match row count")
+    values = [rat(x) for x in vector]
+    den = math.lcm(*(x.denominator for x in values))
+    point = [x.numerator * (den // x.denominator) for x in values]
+    pivots, inverse, scale = _chart(rays)
+    coords = [sum(point[p] * a for p, a in zip(pivots, column)) for column in inverse]
+    if any(c < 0 for c in coords):
         return None
-    return coords
+    if len(pivots) < len(point) and any(
+        sum(c * ray[k] for c, ray in zip(coords, rays)) != scale * x
+        for k, x in enumerate(point)
+    ):
+        return None
+    return [QQ(c, scale * den) for c in coords]
 
 
 def _barycenter(face):
-    """(b, g): the primitive vector b on the sum of the rays of face, and
-    g the gcd of that sum, so that b = sum(face) / g."""
+    """The primitive vector on the sum of the rays of face."""
     total = _vector_sum(face)
     g = math.gcd(*total)
-    return tuple(x // g for x in total), g
+    return tuple(x // g for x in total)
 
 
 def _faces(cones):
@@ -76,51 +114,30 @@ def _faces(cones):
     return faces
 
 
-def _gluing_ray_map(src, dst, rays, faces, coarse_map=None, cut=None):
+def _gluing_ray_map(src, dst, rays, faces):
     """The image of every complex ray inside cone(src) under the linear
     map taking src[i] to dst[i], keys in sorted ray order, checked to
     identify faces: the images are exactly the complex rays inside
     cone(dst), and the map takes the faces inside cone(src) onto the
     faces inside cone(dst).
-
-    A subdivision passes coarse_map, the ray map of the same gluing on
-    the complex it subdivides, and cut, which maps each fine ray that is
-    not a coarse ray to (F, g): a coarse face F with the ray equal to
-    sum(F) / g.  Then no coarse ray is solved, because coarse_map holds
-    exactly the coarse rays inside cone(src) and its images are exactly
-    those inside cone(dst).  A cut ray with F inside coarse_map has the
-    image sum(coarse_map(F)) / g, by linearity, checked to be integral and
-    a ray like a solved image.  Every other ray is solved.
     """
     out = {}
     for ray in sorted(rays):
-        if coarse_map is not None and ray not in cut:
-            image = coarse_map.get(ray)
-            if image is None:
-                continue
-        elif coarse_map is not None and all(r in coarse_map for r in cut[ray][0]):
-            face, g = cut[ray]
-            total = _vector_sum([coarse_map[r] for r in face])
-            if any(x % g for x in total):
-                raise DomainError("gluing does not preserve the lattice")
-            image = tuple(x // g for x in total)
-        else:
-            coords = _cone_coords(src, ray)
-            if coords is None:
-                continue
-            image = [sum(c * t[k] for c, t in zip(coords, dst)) for k in range(len(ray))]
-            if any(x.denominator != 1 for x in image):
-                raise DomainError("gluing does not preserve the lattice")
-            image = tuple(int(x) for x in image)
+        coords = _cone_coords(src, ray)
+        if coords is None:
+            continue
+        den = math.lcm(*(c.denominator for c in coords))
+        scaled = [c.numerator * (den // c.denominator) for c in coords]
+        total = _vector_sum([[a * x for x in t] for a, t in zip(scaled, dst)])
+        if any(x % den for x in total):
+            raise DomainError("gluing does not preserve the lattice")
+        image = tuple(x // den for x in total)
         if image not in rays:
             raise DomainError("gluing maps ray %r outside the complex" % (ray,))
         out[ray] = image
     images = set(out.values())
-    # the images lie in cone(dst); no other ray may (nor, by coarse_map,
-    # does any coarse ray)
+    # the images lie in cone(dst); no other ray may
     for ray in sorted(rays - images):
-        if coarse_map is not None and ray not in cut:
-            continue
         if _cone_coords(dst, ray) is not None:
             raise DomainError("gluing misses the ray %r of its target" % (ray,))
     sources = {f for f in faces if all(r in out for r in f)}
@@ -171,7 +188,7 @@ class ConeComplex:
             for ray in cone:
                 if len(ray) != self.lattice_rank:
                     raise DomainError("ray does not match the lattice rank")
-                if not all(isinstance(x, int) for x in ray):
+                if not all(type(x) is int for x in ray):
                     raise DomainError("rays must be integer vectors")
                 if _primitive_ray(ray) != ray:
                     raise DomainError("ray %r is not primitive" % (ray,))
@@ -183,7 +200,7 @@ class ConeComplex:
             # After a subdivision the glued face is a union of cones, so
             # only require the spanning rays to sit inside the support.
             for rays in (src, dst):
-                if not all(isinstance(x, int) for ray in rays for x in ray):
+                if not all(type(x) is int for ray in rays for x in ray):
                     raise DomainError("rays must be integer vectors")
                 if len(pivot_columns(rays)) != len(rays):
                     raise DomainError("gluing face rays are dependent")
@@ -220,8 +237,8 @@ class ConeComplex:
           subdivides, so the gluing rays still lie in it.
         The checks that are not proven stay with the callers:
         `_fine_cones` refuses a repeated fine cone, and
-        `_gluing_ray_map` checks every image, derived or solved, and that
-        each gluing maps faces onto faces.
+        `_gluing_ray_map` reads every image through a chart and checks
+        it, and that each gluing maps faces onto faces.
         """
         self = object.__new__(cls)
         self.lattice_rank = lattice_rank
@@ -348,9 +365,8 @@ class SubdivisionMap:
 
     cone_targets[i] is the first coarse cone that contains every ray of
     fine cone i, and ray_coords[i][r] holds the coordinates of ray r of
-    fine cone i in its rays, each a list of rationals as
-    `exact_linalg.in_span` gives them (the subdivisions read most of them
-    off the faces they cut; see `_subdivision_map`).  The same coordinates are
+    fine cone i in its rays, each a list of rationals read through the
+    chart of the coarse cone (see `_chart`).  The same coordinates are
     kept once more as integer linear forms, computed here so that every
     pullback reuses them: scales[i] is the least common denominator of
     the coordinates of fine cone i, and forms[i][k][r] is the integer
@@ -384,43 +400,31 @@ class SubdivisionMap:
         )
 
 
-def _fine_cones(complex, pieces, cut):
-    """({fine cone: j} in sorted order, one ray map per gluing).
-
-    pieces maps each fine maximal cone, as the subdivision made it, to
-    the least index j of a coarse cone it was cut from; cut maps (j, b),
-    for each ray b of such a fine cone that is not a ray of coarse cone j,
-    to (F, g) with F a face of the coarse complex and b = sum(F) / g.  F
-    lies in coarse cone j, unless a star cut a face that holds the
-    barycenter of another face of its orbit (possible only where cones
-    overlap).  Two pieces with one set of rays are refused, as
-    `ConeComplex.validate` refuses them.
+def _fine_cones(complex, pieces):
+    """(fine cones, one ray map per gluing) for the fine maximal cones
+    pieces, as a subdivision of complex made them: each piece sorted, the
+    pieces in sorted order.  Two pieces with one set of rays are refused,
+    as `ConeComplex.validate` refuses them.
     """
-    cones = {}
-    for piece, j in pieces.items():
+    cones = set()
+    for piece in pieces:
         cone = tuple(sorted(piece))
         if cone in cones:
             raise DomainError("duplicate maximal cone")
-        cones[cone] = j
-    cones = dict(sorted(cones.items()))
+        cones.add(cone)
+    cones = sorted(cones)
     ray_maps = ()
     if complex.gluings:
         rays = set().union(*cones)
         faces = _faces(cones)
-        cut_by_ray = {b: face_gcd for (_, b), face_gcd in cut.items()}
-        ray_maps = [
-            _gluing_ray_map(src, dst, rays, faces, coarse_map, cut_by_ray)
-            for (src, dst), coarse_map in zip(complex.gluings, complex._ray_maps)
-        ]
+        ray_maps = [_gluing_ray_map(src, dst, rays, faces) for src, dst in complex.gluings]
     return cones, ray_maps
 
 
-def _subdivision_map(fine, coarse, cones, cut):
-    """The SubdivisionMap of fine over coarse, from the cones and cut of
-    `_fine_cones`: the first coarse cone holding every ray of a fine cone
-    is one of the cones before the one it was cut from, found by solves,
-    or that one, with coordinates read off cut (a ray of F has coordinate
-    1/g, any other 0).  A ray whose F is not in that cone is solved."""
+def _subdivision_map(fine, coarse):
+    """The SubdivisionMap of fine over coarse: each fine cone goes to the
+    first coarse cone holding all its rays, with their coordinates there,
+    each read once per call through the chart of the coarse cone."""
     coords_in = {}  # (coarse cone index, ray) -> coordinates or None
 
     def coords(j, ray):
@@ -429,20 +433,11 @@ def _subdivision_map(fine, coarse, cones, cut):
             coords_in[key] = _cone_coords(coarse.cones[j], ray)
         return coords_in[key]
 
-    targets, ray_coords = [], []
-    for cone, cut_from in cones.items():
-        for j in range(cut_from):
-            if all(coords(j, ray) is not None for ray in cone):
-                break
-        else:
-            j = cut_from
-            rays = coarse.cones[j]
-            for ray in cone:
-                face, g = cut.get((j, ray), ((ray,), 1))
-                if (j, ray) not in coords_in and all(r in rays for r in face):
-                    coords_in[j, ray] = [QQ(1, g) if r in face else ZERO for r in rays]
-        targets.append(j)
-        ray_coords.append(tuple(coords(j, ray) for ray in cone))
+    targets = [
+        next(j for j in range(len(coarse.cones)) if all(coords(j, r) is not None for r in cone))
+        for cone in fine.cones
+    ]
+    ray_coords = [tuple(coords(j, ray) for ray in cone) for j, cone in zip(targets, fine.cones)]
     return SubdivisionMap(fine, coarse, targets, ray_coords)
 
 
@@ -483,24 +478,19 @@ def star_subdivision(complex, rays):
                 "the face is identified with a face that shares a ray and a cone "
                 "with it; star refused"
             )
-    pieces = {cone: j for j, cone in enumerate(complex.cones)}
-    cut = {}
+    pieces = set(complex.cones)
     for member in orbit:
-        barycenter, g = _barycenter(member)
-        subdivided = {}
-        for cone, j in pieces.items():
+        barycenter = _barycenter(member)
+        subdivided = set()
+        for cone in pieces:
             if set(member) <= set(cone):
-                if len(member) > 1:
-                    cut[j, barycenter] = (member, g)
-                for f in member:
-                    piece = tuple(barycenter if r == f else r for r in cone)
-                    subdivided[piece] = min(j, subdivided.get(piece, j))
+                subdivided.update(tuple(barycenter if r == f else r for r in cone) for f in member)
             else:
-                subdivided[cone] = min(j, subdivided.get(cone, j))
+                subdivided.add(cone)
         pieces = subdivided
-    cones, ray_maps = _fine_cones(complex, pieces, cut)
+    cones, ray_maps = _fine_cones(complex, pieces)
     fine = ConeComplex._unchecked(complex.lattice_rank, cones, complex.gluings, ray_maps)
-    return fine, _subdivision_map(fine, complex, cones, cut)
+    return fine, _subdivision_map(fine, complex)
 
 
 def barycentric(complex):
@@ -510,26 +500,23 @@ def barycentric(complex):
     the barycenters of a full flag of its faces.  The construction is
     canonical, so it descends through every identification.
     """
-    pieces, cut = {}, {}
-    for j, cone in enumerate(complex.cones):
+    pieces = set()
+    for cone in complex.cones:
         # the barycenter of each face, by the bit mask of its positions
         centers = {}
         for size in range(1, len(cone) + 1):
             for positions in itertools.combinations(range(len(cone)), size):
                 face = tuple(cone[k] for k in positions)
-                barycenter, g = _barycenter(face)
-                centers[sum(1 << k for k in positions)] = barycenter
-                if size > 1:
-                    cut[j, barycenter] = (face, g)
+                centers[sum(1 << k for k in positions)] = _barycenter(face)
         for perm in itertools.permutations(range(len(cone))):
             mask, flag = 0, []
             for k in perm:
                 mask |= 1 << k
                 flag.append(centers[mask])
-            pieces.setdefault(tuple(flag), j)
-    cones, ray_maps = _fine_cones(complex, pieces, cut)
+            pieces.add(tuple(flag))
+    cones, ray_maps = _fine_cones(complex, pieces)
     fine = ConeComplex._unchecked(complex.lattice_rank, cones, complex.gluings, ray_maps)
-    return fine, _subdivision_map(fine, complex, cones, cut)
+    return fine, _subdivision_map(fine, complex)
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,13 @@ gluing in both directions, that the library's one-way union-find classes
 replaced.
 
 `barycentric` and `star_subdivision` are the subdivisions as they were
-before they derived their ray maps and subdivision maps from the faces
-they cut: they hand the fine cones to the public `ConeComplex(...)`,
-which checks them and solves every ray map, and `subdivision_map` solves
-the coordinates of every fine ray in the coarse cones, one cone after
-another, until one cone holds every ray of the fine cone.
+before they built their fine complexes themselves: they hand the fine
+cones to the public `ConeComplex(...)`, which checks them, and
+`subdivision_map` solves the coordinates of every fine ray in the coarse
+cones by `exact_linalg.in_span`, one cone after another, until one cone
+holds every ray of the fine cone.  The ray maps to compare with are
+`ray_maps` of the result, solved by the dense elimination, so no chart of
+the library is read on this side.
 """
 
 import itertools
@@ -43,13 +45,12 @@ from tautring.cone_complex import (
     ConeComplex,
     PPFunction,
     SubdivisionMap,
-    _cone_coords,
     _primitive_ray,
     _ray_multisets,
     _vector_sum,
 )
 from tautring.errors import DomainError
-from tautring.exact_linalg import QMatrix
+from tautring.exact_linalg import QMatrix, in_span
 from tautring.rationals import QQ, ZERO, ONE
 
 
@@ -164,6 +165,14 @@ def gluing_orbit(maps, face):
                     orbit.add(image)
                     queue.append(image)
     return sorted(orbit)
+
+
+def _cone_coords(rays, vector):
+    """Coordinates of vector in the rays if it lies in their closed cone, or None."""
+    coords = in_span(rays, vector)
+    if coords is None or any(c < 0 for c in coords):
+        return None
+    return coords
 
 
 def subdivision_map(fine, coarse):

@@ -1,10 +1,11 @@
 """The subdivisions' trusted complex builder against the solve path.
 
 `barycentric` and `star_subdivision` build their fine complexes through
-`ConeComplex._unchecked`, with ray maps and a `SubdivisionMap` derived
-from the faces they cut.  `tests/pp_oracle.py` keeps the subdivisions as
-they were: the public `ConeComplex(...)` checks the fine cones and solves
-every ray map, and `subdivision_map` solves every coordinate.  Each
+`ConeComplex._unchecked`, with ray maps and a `SubdivisionMap` whose
+coordinates are read through one chart per cone.  `tests/pp_oracle.py`
+keeps the subdivisions as they were: the public `ConeComplex(...)` checks
+the fine cones, `subdivision_map` solves every coordinate by `in_span`,
+and `ray_maps` solves every ray map by the dense elimination.  Each
 subdivision must give the oracle's complex (cones, gluings, and each ray
 map key for key, in order) and the oracle's map (targets, coordinates
 with their types, forms and scales), or the oracle's error.
@@ -45,7 +46,7 @@ def _assert_same_subdivision(got, want):
     assert hash(fine) == hash(fine_want)
     assert type(fine._ray_maps) is tuple
     assert [list(m.items()) for m in fine._ray_maps] == [
-        list(m.items()) for m in fine_want._ray_maps
+        list(m.items()) for m in pp_oracle.ray_maps(fine_want)
     ]
     assert sub_map.source is fine
     assert sub_map.cone_targets == sub_want.cone_targets
@@ -103,9 +104,9 @@ EDGE_CASES = {
 }
 
 CASES = {**FIXTURES, **NON_UNIMODULAR, **ORBIT_CASES, **EDGE_CASES}
-# barycentric(barycentric-cycle5) has 14,400 cones, and each star of its
-# 120 cones solves against every earlier cone (over 0.1 s a star): three
-# of its stars, at a ray, a 3-face and a 5-face
+# barycentric(barycentric-cycle5) has 14,400 cones, and the oracle solves
+# each star of its 120 cones against every earlier cone (over 0.1 s a
+# star): three of its stars, at a ray, a 3-face and a 5-face
 LARGE = {"barycentric-cycle5"}
 
 
@@ -147,7 +148,7 @@ def _counted_solves(monkeypatch):
 def test_the_edge_cases_take_the_solve_paths(monkeypatch):
     """The image of (1, 2) and the target of the flag cone (1,3),(2,3)
     of the overlapping cones, and the images under the inner-ray gluing,
-    are decided by solves; they match the oracle above."""
+    are read through charts; they match the oracle above."""
     fine, sub_map = barycentric(_overlapping_cones())
     assert fine._ray_maps[0][(1, 2)] == (1, 2)
     assert sub_map.cone_targets[fine.cones.index(((1, 3), (2, 3)))] == 0
@@ -161,29 +162,39 @@ def test_the_edge_cases_take_the_solve_paths(monkeypatch):
     assert (1, 1, 0) in calls
 
 
-def test_subdivisions_of_one_glued_cone_solve_nothing(monkeypatch):
-    """Every fine ray of these is a coarse ray or the barycenter of a face
-    inside the gluing's domain, and there is one coarse cone."""
+def _chart_builds(run):
+    """The charts that run builds from an empty chart cache, each one
+    exact elimination; a chart is keyed by its ray tuple, in order."""
+    cone_complex._chart.cache_clear()
+    run()
+    return cone_complex._chart.cache_info().misses
+
+
+def test_subdivisions_of_one_glued_cone_build_one_chart_per_cone():
+    """A subdivision of one glued cone reads coordinates in two ray
+    tuples: the gluing's source, as given, and the sorted coarse cone.
+    The cycle-glued orthants of rank 5, 3 and 1 build 2, 2 and 1 charts;
+    simplex5 reuses the sorted 5-orthant's."""
     coarse = [_glued_orthant(sigma) for sigma in [(2, 4, 1, 0, 3), (1, 0, 2), (0,)]]
     coarse.append(FIXTURES["simplex5"]())
+    assert _chart_builds(lambda: [barycentric(complex) for complex in coarse]) == 5
     triangle = FIXTURES["triangle-z3"]()
-    calls = _counted_solves(monkeypatch)
-    for complex in coarse:
-        barycentric(complex)
-    for face in triangle.all_faces():
-        _outcome(star_subdivision, triangle, face)
-    assert calls == []
+    stars = [_outcome(star_subdivision, triangle, face) for face in triangle.all_faces()]
+    assert sum(isinstance(star, str) for star in stars) == 3
+    assert _chart_builds(
+        lambda: [_outcome(star_subdivision, triangle, face) for face in triangle.all_faces()]
+    ) == 2
 
 
-def test_stars_of_the_barycentric_triangle_solve_only_in_the_scan(monkeypatch):
-    """The 25 stars of barycentric(triangle-z3) derive every ray map; the
-    solves left look for an earlier coarse cone holding a fine cone (339;
-    1,087 with the ray maps and the whole scan solved)."""
+def test_stars_of_the_barycentric_triangle_build_one_chart_per_cone():
+    """The 25 stars of barycentric(triangle-z3) read coordinates in its 6
+    cones and in the rotation's source: 7 charts, where solving each
+    coordinate made 339 exact solves (1,087 before the subdivisions
+    derived their ray maps)."""
     coarse = FIXTURES["barycentric-triangle-z3"]()
-    calls = _counted_solves(monkeypatch)
-    for face in coarse.all_faces():
-        _outcome(star_subdivision, coarse, face)
-    assert len(calls) == 339
+    faces = coarse.all_faces()
+    assert len(faces) == 25
+    assert _chart_builds(lambda: [_outcome(star_subdivision, coarse, f) for f in faces]) == 7
 
 
 def _callers(attribute, owner):

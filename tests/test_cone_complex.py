@@ -3,10 +3,12 @@
 import itertools
 import json
 import random
+from fractions import Fraction
 from math import comb, factorial
 
 import pytest
 
+from tautring import cli
 from tautring.cone_complex import (
     ConeComplex,
     PPFunction,
@@ -168,6 +170,74 @@ def test_validate_checks_shared_and_glued_faces():
     e1, e2, e3, diagonal = (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)
     with pytest.raises(DomainError, match="gluing does not map faces onto faces"):
         ConeComplex(3, [(e1, e2), (e3,), (diagonal,)], [((e1, e2), (e3, diagonal))])
+
+
+@pytest.mark.parametrize("point", [(1,), (1, 2, 3)])
+def test_a_point_of_the_wrong_length_is_refused(point):
+    complex = simplex_cone_complex(2)
+    f = PPFunction.constant(complex, 1)
+    for ask in (complex.find_cone, complex.contains, f.evaluate):
+        with pytest.raises(DomainError, match="^vector length does not match row count$"):
+            ask(point)
+
+
+def test_evaluate_reads_point_entries_as_rationals():
+    """Floats, strings and fractions, on a cone that is not unimodular:
+    (x, y) has the coordinates ((x - y) / 2, (x + y) / 2)."""
+    f = PPFunction(ConeComplex(2, [((1, -1), (1, 1))]), 2, [{(2, 0): 1}])
+    for point, value in [
+        ((0.5, 0.25), Fraction(1, 64)),
+        (("1", "0"), Fraction(1, 4)),
+        ((Fraction(1, 2), Fraction(1, 3)), Fraction(1, 144)),
+    ]:
+        got = f.evaluate(point)
+        assert (got, type(got)) == (value, Fraction)
+
+
+@pytest.mark.parametrize(
+    "cones, gluings, message",
+    [
+        # (1, 1) is half of (1, 0) + (1, 2), so its image is (1/2, 1/2)
+        (
+            [((1, 0), (1, 1)), ((1, 1), (1, 2)), ((0, 1), (1, 2))],
+            [(((1, 0), (1, 2)), ((1, 0), (0, 1)))],
+            "gluing does not preserve the lattice",
+        ),
+        (
+            [((1, 0), (0, 1))],
+            [(((1, 0), (0, 1)), ((1, 0), (1, 1)))],
+            "gluing maps ray (0, 1) outside the complex",
+        ),
+    ],
+)
+def test_gluing_errors_in_the_library_and_the_cli(capsys, tmp_path, cones, gluings, message):
+    with pytest.raises(DomainError) as error:
+        ConeComplex(2, cones, gluings)
+    assert str(error.value) == message
+    path = tmp_path / "complex.json"
+    path.write_text(
+        json.dumps(
+            {
+                "lattice_rank": 2,
+                "cones": [{"rays": cone} for cone in cones],
+                "gluings": [{"source": src, "target": dst} for src, dst in gluings],
+            }
+        )
+    )
+    assert cli.main(["cone", str(path), "faces"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: %s\n" % message)
+
+
+def test_bool_ray_entries_are_refused():
+    """A bool equals 0 or 1 but is written as false or true, which the
+    JSON reader refuses, so the constructor refuses it too."""
+    with pytest.raises(DomainError, match="^rays must be integer vectors$"):
+        ConeComplex(2, [((True, False), (0, 1))])
+    with pytest.raises(DomainError, match="^rays must be integer vectors$"):
+        ConeComplex(2, [((1, 0), (0, 1))], [(((True, 0),), ((0, 1),))])
+    with pytest.raises(DomainError):
+        ConeComplex.from_json('{"lattice_rank": 2, "cones": [{"rays": [[true, false]]}]}')
 
 
 def test_json_round_trip():

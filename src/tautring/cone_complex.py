@@ -24,6 +24,8 @@ Piecewise polynomials are per-maximal-cone polynomials in that cone's
 ray coordinates, agreeing on shared faces and invariant under all
 gluings.  The space of them in each degree has a basis of indicator
 functions of the classes of ray multisets that the gluings identify.
+A function that vanishes on a cone holds there the one read-only empty
+mapping `_ZERO_POLY`, so a zero cone costs one pointer.
 """
 
 import functools
@@ -31,6 +33,7 @@ import itertools
 import json
 import math
 import operator
+import types
 
 from .combinatorics import union_find
 from .errors import DomainError, json_field, json_ints, json_loads
@@ -278,6 +281,9 @@ class ConeComplex:
     def __hash__(self):
         return hash((self.lattice_rank, self.cones, self.gluings))
 
+    def __reduce__(self):
+        return ConeComplex, (self.lattice_rank, self.cones, self.gluings)
+
     def __repr__(self):
         return "ConeComplex(rank=%d, %d maximal cones, %d gluings)" % (
             self.lattice_rank,
@@ -522,6 +528,12 @@ def barycentric(complex):
 # ---------------------------------------------------------------------------
 # polynomial dictionaries: {exponent tuple: coefficient}, homogeneous
 
+# The zero polynomial of every cone of every function: read-only, since
+# all of them share it.  `_clean_poly`, `pp_space`, `pullback_pp` and the
+# arithmetic below return it for an empty result, so a cone polynomial
+# is either nonempty or is _ZERO_POLY.
+_ZERO_POLY = types.MappingProxyType({})
+
 
 def _poly_add(p, q):
     out = dict(p)
@@ -531,13 +543,13 @@ def _poly_add(p, q):
             out[exps] = c
         else:
             out.pop(exps, None)
-    return out
+    return out or _ZERO_POLY
 
 
 def _poly_scale(p, factor):
     factor = rat(factor)
-    if not factor:
-        return {}
+    if not factor or not p:
+        return _ZERO_POLY
     return {exps: c * factor for exps, c in p.items()}
 
 
@@ -547,7 +559,7 @@ def _poly_mul(p, q):
     _substitute).  A numerator is zero exactly when its rational sum is,
     so the terms come out in the order of the loop on rationals."""
     if not p or not q:
-        return {}
+        return _ZERO_POLY
     base = max(map(sum, p)) + max(map(sum, q)) + 1
     weights = [base**t for t in range(len(next(iter(p))))]
     factors = []
@@ -681,7 +693,8 @@ def _substitute(poly, forms, scale, memo=None):
 
 
 def _clean_poly(poly, n_vars, degree=None):
-    """poly as {exponent tuple: rational}, zero terms dropped.
+    """poly as {exponent tuple: rational}, zero terms dropped, or
+    _ZERO_POLY if none is left.
 
     Every exponent tuple must hold n_vars nonnegative integers, summing to
     degree unless that is None, and every coefficient must be readable by
@@ -703,15 +716,18 @@ def _clean_poly(poly, n_vars, degree=None):
         c = rat(c)
         if c:
             clean[exps] = c
-    return clean
+    return clean or _ZERO_POLY
 
 
 class PPFunction:
     """A polynomial per maximal cone, in that cone's ray coordinates.
 
-    Compatibility (agreement on shared faces, invariance under gluings)
-    is a property checked by is_compatible / validate, not enforced on
-    construction, so intermediate arithmetic results are representable.
+    polys holds one mapping per cone: a nonempty dict, or `_ZERO_POLY`
+    where the function vanishes, shared by every such cone and refusing
+    writes (TypeError).  Compatibility (agreement on shared faces,
+    invariance under gluings) is a property checked by is_compatible /
+    validate, not enforced on construction, so intermediate arithmetic
+    results are representable.
     """
 
     __slots__ = ("complex", "degree", "polys")
@@ -728,7 +744,8 @@ class PPFunction:
     @classmethod
     def _unchecked(cls, complex, degree, polys):
         """A function from polynomials already in the form __init__ makes:
-        exponent tuples that pass its checks, nonzero rational values.
+        exponent tuples that pass its checks, nonzero rational values,
+        `_ZERO_POLY` for every zero cone.
         pp_space, pullback_pp and the arithmetic of functions build their
         results through it, so that the terms they make are not checked
         again one by one."""
@@ -766,6 +783,11 @@ class PPFunction:
             degree,
             [_substitute(poly, tuple(zip(*cone)), 1, memo) for cone in complex.cones],
         )
+
+    def __reduce__(self):
+        # _ZERO_POLY does not pickle: send plain dicts, and let __init__
+        # put the shared zero back
+        return PPFunction, (self.complex, self.degree, [dict(p) for p in self.polys])
 
     def __add__(self, other):
         self._check_other(other)
@@ -928,7 +950,9 @@ def pp_space(complex, d):
     their largest member in the sorted list of multisets, the free
     column of the reduced gluing system, so the basis is the one its
     exact nullspace gives.  In degree 0 the classes are the connected
-    components of the complex, ordered by their union-find roots.
+    components of the complex, ordered by their union-find roots.  A
+    basis function makes a dict only on a cone where it has a monomial
+    and holds `_ZERO_POLY` on every other cone.
     """
     if d < 0:
         raise DomainError("degree must be nonnegative")
@@ -942,11 +966,15 @@ def pp_space(complex, d):
         largest = {root: k for k, root in enumerate(labels.values())}
         roots = sorted(largest, key=largest.get)
     position = {root: p for p, root in enumerate(roots)}
-    polys = [[{} for _ in cones] for _ in roots]
+    polys = [[_ZERO_POLY] * len(cones) for _ in roots]
     for i, monomials in enumerate(_monomials(cones, d)):
         for multiset, exps in monomials:
             label = labels[multiset] if d else labels[i]
-            polys[position[label]][i][exps] = ONE
+            row = polys[position[label]]
+            poly = row[i]
+            if poly is _ZERO_POLY:
+                poly = row[i] = {}
+            poly[exps] = ONE
     return [PPFunction._unchecked(complex, d, p) for p in polys]
 
 
@@ -974,15 +1002,19 @@ def pullback_pp(sub_map, f):
     made for this call and dropped when it returns: the fine cones of a
     barycentric subdivision use a few linear forms in permuted roles, so
     each product of their powers is expanded once per call, not once per
-    cone, and equal output coefficients are one rational.
+    cone, and equal output coefficients are one rational.  A fine cone in
+    a coarse cone where f vanishes gets `_ZERO_POLY` with no substitution.
     """
     if f.complex != sub_map.target:
         raise DomainError("function does not live on the coarse complex")
     # f passed the checks of PPFunction, and substituting linear forms
-    # keeps its polynomials homogeneous of the same degree
+    # keeps its polynomials homogeneous of the same degree, and nonzero:
+    # the forms of a fine cone are independent
     memo = {}
     polys = [
-        _substitute(f.polys[j], forms, scale, memo)
+        _ZERO_POLY
+        if f.polys[j] is _ZERO_POLY
+        else _substitute(f.polys[j], forms, scale, memo)
         for j, forms, scale in zip(sub_map.cone_targets, sub_map.forms, sub_map.scales)
     ]
     return PPFunction._unchecked(sub_map.source, f.degree, polys)

@@ -16,9 +16,13 @@ before `pp_space` replaced its nullspace by union-find components and
 (`cone triangle-z3 barycentric`, `cone simplex5 explosion 5 3` and the
 star of face 15 of the barycentric triangle-z3 complex) before
 `barycentric` and `star_subdivision` derived their ray maps and
-subdivision maps from the faces they cut.  Any change in the bytes these
-commands print shows up here, including one that a memo causes: a few of
-them also run cold, warm and after every memo is cleared.
+subdivision maps from the faces they cut; `gen1 2` on the barycentric
+cycle-glued 5-orthant, whose products multiply functions vanishing on
+most cones, and `pp 2` on the barycentric triangle-z3 complex before
+every zero cone of a piecewise polynomial became one shared read-only
+mapping.  Any change in the bytes these commands print shows up here,
+including one that a memo causes: a few of them also run cold, warm and
+after every memo is cleared.
 """
 
 import hashlib
@@ -105,8 +109,10 @@ FILE_GOLDEN = {
     "cone {cycle5_bary} pp 1": "7d6d8abaf221d8513df5ddc0e5838c60d7910c0a71a605685035e2a9cadc2116",
     "cone {cycle5_bary} pp 2": "58647d2aa5adb52eab4fd1ce0ad1797a5be5e15db6bab64884f8c4a2254ddd1b",
     "cone {cycle5_bary} pp 3": "f74d6b56b364de19b50531a125adb523a49f5b25efb01c9acfc875d2c1d81477",
+    "cone {cycle5_bary} gen1 2": "863a7cea9fd843a5a1cd71ac908473d8ea72b09f3921a9343dc64f66ef109813",
     "cone {three_parts} pp 0": "8784004402a45784ce7ff3fc5494cb1d491f5b1751d4898c4dfe12cdadca426a",
     "cone {three_parts} pp 1": "6170867251abdf1533e571ea1457d4b0cc9f3986896d2925a7affdab0d6de300",
+    "cone {triangle_z3_bary} pp 2": "cb96817993020991729a7bfe7399170c6c2e3e84f6c622da8d8cd28597e75dde",
     "cone {triangle_z3_bary} star 15": "c301187d9743253cd430701a6696e6c1090f564d5159e91b5dd7b072ae01dc2f",
 }
 

@@ -1,16 +1,28 @@
-"""The value types: stable graphs, decorations and the membership reports.
+"""The value types: stable graphs, decorations, cone complexes, piecewise
+polynomials and the membership reports.
 
 `StableGraph` and `Decoration` are slotted classes that refuse assignment,
 so `pickle`, `copy` and `deepcopy` work only through their `__reduce__`;
-the reports are named tuples.  Every `repr` text below is the one the
-earlier dataclass versions printed.
+`ConeComplex` and `PPFunction` are slotted too, and a piecewise polynomial
+holds the unpicklable `_ZERO_POLY` on its zero cones, so they also round
+trip through a `__reduce__`.  The reports are named tuples.  Every `repr`
+text below is the one the earlier dataclass versions printed.
 """
 
 import copy
+import functools
 import pickle
 
 import pytest
 
+from tautring.cone_complex import (
+    _ZERO_POLY,
+    ConeComplex,
+    barycentric,
+    pp_space,
+    pullback_pp,
+    star_subdivision,
+)
 from tautring.integration import kappa_to_psi
 from tautring.membership import MembershipReport, SpanReport, ThetaReport
 from tautring.stable_graphs import StableGraph, smooth_graph
@@ -36,7 +48,12 @@ DEC_REPR = "Decoration(psi=((('he', 0, 1), 2), (('leg', 1), 1)), kappa=((2,), ()
 
 ROUND_TRIPS = {
     "pickle": lambda x: pickle.loads(pickle.dumps(x)),
-    "pickle-protocol-0": lambda x: pickle.loads(pickle.dumps(x, protocol=0)),
+    **{
+        "pickle-protocol-%d" % protocol: lambda x, p=protocol: pickle.loads(
+            pickle.dumps(x, protocol=p)
+        )
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    },
     "copy": copy.copy,
     "deepcopy": copy.deepcopy,
 }
@@ -142,6 +159,50 @@ def test_a_naive_slotted_class_fails_the_round_trips(how):
     """What the round trips above guard against."""
     with pytest.raises((AttributeError, TypeError)):
         ROUND_TRIPS[how](_NaiveGraph(*_fields(GRAPH)))
+
+
+# ---------------------------------------------------------------------------
+# cone complexes and piecewise polynomials
+
+@functools.cache
+def _cone_values():
+    """The 120-cone barycentric subdivision of R^5_{>=0} glued by a
+    5-cycle, a degree-2 `pp_space` basis function on it that vanishes on
+    90 cones, and its pullback along the star of an edge."""
+    sigma = (2, 4, 1, 0, 3)
+    basis = [tuple(int(i == j) for j in range(5)) for i in range(5)]
+    image = [basis[sigma[i]] for i in range(5)]
+    glued = ConeComplex(5, [tuple(basis)], [(tuple(basis), tuple(image))])
+    fine, _ = barycentric(glued)
+    f = pp_space(fine, 2)[1]
+    edge = next(face for face in fine.all_faces() if len(face) == 2)
+    _, sub_map = star_subdivision(fine, edge)
+    return fine, f, pullback_pp(sub_map, f)
+
+
+def _zero_cones(f):
+    return [i for i, poly in enumerate(f.polys) if poly is _ZERO_POLY]
+
+
+@pytest.mark.parametrize("how", ROUND_TRIPS)
+def test_a_cone_complex_round_trips(how):
+    fine, _, _ = _cone_values()
+    assert len(fine.cones) == 120
+    out = ROUND_TRIPS[how](fine)
+    assert type(out) is ConeComplex and out == fine and hash(out) == hash(fine)
+    assert out._ray_maps == fine._ray_maps
+
+
+@pytest.mark.parametrize("how", ROUND_TRIPS)
+@pytest.mark.parametrize("which", [1, 2], ids=["basis-function", "pullback"])
+def test_a_piecewise_polynomial_round_trips_with_its_zeros(which, how):
+    f = _cone_values()[which]
+    assert 0 < len(_zero_cones(f)) < len(f.polys)
+    out = ROUND_TRIPS[how](f)
+    assert type(out) is type(f) and out == f and hash(out) == hash(f)
+    assert _zero_cones(out) == _zero_cones(f)
+    assert all(poly or poly is _ZERO_POLY for poly in out.polys)
+    assert out.is_compatible()
 
 
 # ---------------------------------------------------------------------------

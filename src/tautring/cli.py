@@ -19,6 +19,10 @@ the process ends.  Skipping both relies on three conditions: no `atexit`
 handlers, no threads, and no open files other than stdout and stderr when
 `main()` returns.  Output that has to appear at exit, such as a trace
 line, must be written inside `main()` or `run()` before `os._exit`.
+
+Each `_cmd_*` returns its payload (theta-genus2's text report prints
+itself) and `main()` prints it inside its error handling, so a failure
+while the output is built exits 2 or 3 like any other.
 """
 
 import argparse
@@ -63,15 +67,12 @@ def _parse_int(text, what):
 
 def _cmd_graphs(args):
     graphs = enumerate_stable_graphs(args.g, args.n)
-    _emit(
-        {
-            "command": "graphs",
-            "g": args.g,
-            "n": args.n,
-            "count": len(graphs),
-            "graphs": [graph.to_json_dict() for graph in graphs],
-        }
-    )
+    return {
+        "g": args.g,
+        "n": args.n,
+        "count": len(graphs),
+        "graphs": [graph.to_json_dict() for graph in graphs],
+    }
 
 
 def _cmd_dr(args):
@@ -82,21 +83,17 @@ def _cmd_dr(args):
         degree = args.g
     else:
         cls = QQ(1, 2**args.g) * pixton_class(args.g, weights, degree)
-    _emit(
-        {
-            "command": "dr",
-            "g": args.g,
-            "weights": list(weights),
-            "degree": degree,
-            "class": cls.to_json_dict(),
-        }
-    )
+    return {
+        "g": args.g,
+        "weights": list(weights),
+        "degree": degree,
+        "class": cls.to_json_dict(),
+    }
 
 
 def _cmd_lambda(args):
     cls = lambda_top(args.g, args.n)
     payload = {
-        "command": "lambda",
         "g": args.g,
         "n": args.n,
         "class": cls.to_json_dict(),
@@ -117,7 +114,7 @@ def _cmd_lambda(args):
             "matches_reference": all(not x for x in vector),
             "difference_pairing": [format_rat(x) for x in vector],
         }
-    _emit(payload)
+    return payload
 
 
 def _cmd_div_membership(args):
@@ -136,21 +133,18 @@ def _cmd_div_membership(args):
         max_gen_degree=args.max_gen_degree,
         unverified_extended=args.unverified_extended,
     )
-    _emit(
-        {
-            "command": "div-membership",
-            "g": args.g,
-            "n": args.n,
-            "degree": args.d,
-            "max_gen_degree": args.max_gen_degree,
-            "member": report.in_span,
-            "certified": report.certified,
-            "rank": report.rank,
-            "rank_with_class": report.rank_with_class,
-            "ambient": report.ambient_rank,
-            "verdict": report.verdict,
-        }
-    )
+    return {
+        "g": args.g,
+        "n": args.n,
+        "degree": args.d,
+        "max_gen_degree": args.max_gen_degree,
+        "member": report.in_span,
+        "certified": report.certified,
+        "rank": report.rank,
+        "rank_with_class": report.rank_with_class,
+        "ambient": report.ambient_rank,
+        "verdict": report.verdict,
+    }
 
 
 def _cmd_theta(args):
@@ -158,17 +152,13 @@ def _cmd_theta(args):
     particular = [format_rat(x) for x in report.solutions.particular]
     basis = [[format_rat(x) for x in vec] for vec in report.solutions.basis]
     if args.json:
-        _emit(
-            {
-                "command": "theta-genus2",
-                "unknowns": ["x", "y", "z"],
-                "particular": particular,
-                "basis": basis,
-                "solution_dimension": report.solutions.dim,
-                "x_nonneg_z_nonpos_feasible": report.sign_constrained_feasible,
-            }
-        )
-        return
+        return {
+            "unknowns": ["x", "y", "z"],
+            "particular": particular,
+            "basis": basis,
+            "solution_dimension": report.solutions.dim,
+            "x_nonneg_z_nonpos_feasible": report.sign_constrained_feasible,
+        }
     print("tautring %s theta-genus2" % VERSION)
     print("2*lambda_2 = x*D0^2 + y*[double loop] + z*[loop plus edge]")
     print(
@@ -181,6 +171,7 @@ def _cmd_theta(args):
     )
     verdict = "feasible" if report.sign_constrained_feasible else "infeasible"
     print("x >= 0 and z <= 0: %s" % verdict)
+    return None
 
 
 def _load_complex(source):
@@ -207,97 +198,67 @@ def _load_complex(source):
     )
 
 
-def _serialize_pp(function):
-    out = []
-    for poly in function.polys:
-        out.append(
-            [[list(exps), format_rat(c)] for exps, c in sorted(poly.items())]
-        )
-    return out
+def _complex_payload(complex):
+    return {"complex": complex.to_json_dict(), "maximal_cones": len(complex.cones)}
+
+
+def _barycentric_payload(complex):
+    return _complex_payload(cc.barycentric(complex)[0])
+
+
+def _star_payload(complex, index):
+    faces = complex.all_faces()
+    if not 0 <= index < len(faces):
+        raise DomainError("cone id out of range (0..%d)" % (len(faces) - 1))
+    fine, _ = cc.star_subdivision(complex, faces[index])
+    return {"cone_id": index, **_complex_payload(fine)}
+
+
+def _pp_payload(complex, degree):
+    basis = cc.pp_space(complex, degree)
+    return {
+        "degree": degree,
+        "dimension": len(basis),
+        "basis": [
+            [[[list(e), format_rat(c)] for e, c in sorted(poly.items())] for poly in f.polys]
+            for f in basis
+        ],
+    }
+
+
+def _gen1_payload(complex, degree):
+    return {"degree": degree, "generated": cc.generated_by_degree_one(complex, degree)}
+
+
+def _explosion_payload(complex, s, k):
+    return {"s": s, "k": k, "holds": cc.explosion_chern_identity(s, k)}
+
+
+# The `cone` operations: name, the names of its integer operands, the
+# error for a wrong operand count, and its payload from the complex and
+# the operands.  The help of `op` in `build_parser` lists them.
+_CONE_OPERATIONS = (
+    ("faces", (), "faces takes no argument", _complex_payload),
+    ("barycentric", (), "barycentric takes no argument", _barycentric_payload),
+    ("star", ("cone id",), "star needs a cone id", _star_payload),
+    ("pp", ("degree",), "pp needs a degree", _pp_payload),
+    ("gen1", ("degree",), "gen1 needs a degree", _gen1_payload),
+    ("explosion", ("s", "k"), "explosion needs s and k", _explosion_payload),
+)
 
 
 def _cmd_cone(args):
     complex = _load_complex(args.complex)
     name, *rest = args.op or ["faces"]
-    if name in ("faces", "barycentric") and rest:
-        raise DomainError("%s takes no argument" % name)
-    if name == "faces":
-        _emit(
-            {
-                "command": "cone",
-                "operation": "faces",
-                "complex": complex.to_json_dict(),
-                "maximal_cones": len(complex.cones),
-            }
-        )
-    elif name == "barycentric":
-        fine, _ = cc.barycentric(complex)
-        _emit(
-            {
-                "command": "cone",
-                "operation": "barycentric",
-                "complex": fine.to_json_dict(),
-                "maximal_cones": len(fine.cones),
-            }
-        )
-    elif name == "star":
-        if len(rest) != 1:
-            raise DomainError("star needs a cone id")
-        faces = complex.all_faces()
-        index = _parse_int(rest[0], "cone id")
-        if not 0 <= index < len(faces):
-            raise DomainError("cone id out of range (0..%d)" % (len(faces) - 1))
-        fine, _ = cc.star_subdivision(complex, faces[index])
-        _emit(
-            {
-                "command": "cone",
-                "operation": "star",
-                "cone_id": index,
-                "complex": fine.to_json_dict(),
-                "maximal_cones": len(fine.cones),
-            }
-        )
-    elif name == "pp":
-        if len(rest) != 1:
-            raise DomainError("pp needs a degree")
-        degree = _parse_int(rest[0], "degree")
-        basis = cc.pp_space(complex, degree)
-        _emit(
-            {
-                "command": "cone",
-                "operation": "pp",
-                "degree": degree,
-                "dimension": len(basis),
-                "basis": [_serialize_pp(f) for f in basis],
-            }
-        )
-    elif name == "gen1":
-        if len(rest) != 1:
-            raise DomainError("gen1 needs a degree")
-        degree = _parse_int(rest[0], "degree")
-        _emit(
-            {
-                "command": "cone",
-                "operation": "gen1",
-                "degree": degree,
-                "generated": cc.generated_by_degree_one(complex, degree),
-            }
-        )
-    elif name == "explosion":
-        if len(rest) != 2:
-            raise DomainError("explosion needs s and k")
-        s, k = _parse_int(rest[0], "s"), _parse_int(rest[1], "k")
-        _emit(
-            {
-                "command": "cone",
-                "operation": "explosion",
-                "s": s,
-                "k": k,
-                "holds": cc.explosion_chern_identity(s, k),
-            }
-        )
+    for operation, operands, wrong_count, payload in _CONE_OPERATIONS:
+        if operation == name:
+            break
     else:
         raise DomainError("unknown cone operation %r" % name)
+    if len(rest) != len(operands):
+        raise DomainError(wrong_count)
+    values = [_parse_int(text, what) for text, what in zip(rest, operands)]
+    return {"operation": name, **payload(complex, *values)}
 
 
 def build_parser():
@@ -357,7 +318,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.func(args)
+        payload = args.func(args)
+        if payload is not None:
+            _emit({"command": args.command, **payload})
     except DomainError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -746,9 +746,9 @@ class PPFunction:
         """A function from polynomials already in the form __init__ makes:
         exponent tuples that pass its checks, nonzero rational values,
         `_ZERO_POLY` for every zero cone.
-        pp_space, pullback_pp and the arithmetic of functions build their
-        results through it, so that the terms they make are not checked
-        again one by one."""
+        pp_space, pullback_pp, from_global and the arithmetic of functions
+        build their results through it, so that the terms they make are
+        not checked again one by one."""
         self = object.__new__(cls)
         self.complex = complex
         self.degree = degree
@@ -774,15 +774,21 @@ class PPFunction:
         The substitutions of all the cones share one memo (see
         _substitute), made for this call and dropped when it returns:
         cones whose rays give the same linear forms expand each product
-        of their powers once.
+        of their powers once.  poly is cleaned once, here: substituting
+        keeps the degree of every term, so the restrictions are checked
+        for degree only if poly has a term of another one, and then, as
+        by the constructor, on each cone where such a term survives.
         """
         poly = _clean_poly(poly, complex.lattice_rank)
+        mixed = any(sum(exps) != degree for exps in poly)
         memo = {}
-        return cls(
-            complex,
-            degree,
-            [_substitute(poly, tuple(zip(*cone)), 1, memo) for cone in complex.cones],
-        )
+        polys = []
+        for cone in complex.cones:
+            restricted = _substitute(poly, tuple(zip(*cone)), 1, memo)
+            if mixed:
+                restricted = _clean_poly(restricted, len(cone), degree)
+            polys.append(restricted or _ZERO_POLY)
+        return cls._unchecked(complex, degree, polys)
 
     def __reduce__(self):
         # _ZERO_POLY does not pickle: send plain dicts, and let __init__
@@ -1033,29 +1039,41 @@ def _multiset_coefficients(f):
     return values
 
 
-def _multiset_vector(f):
-    """Coefficients of a compatible f in the order of _ray_multisets."""
-    values = _multiset_coefficients(f)
-    return [values[m] for m in sorted(values)]
+def _multiset_vector(f, multisets):
+    """Coefficients of a compatible f at the given sorted ray multisets.
+
+    They are read from the nonzero monomials of f alone: the monomial
+    with exponents e on the (sorted) rays r of a cone is the multiset
+    holding r_k e_k times.  Compatibility, which this does not check, makes
+    every cone holding a multiset give it the same coefficient."""
+    values = {}
+    for cone, poly in zip(f.complex.cones, f.polys):
+        for exps, c in poly.items():
+            values[tuple(r for r, e in zip(cone, exps) for _ in range(e))] = c
+    return [values.get(m, ZERO) for m in multisets]
 
 
 def generated_by_degree_one(complex, d):
-    """Do products of degree-1 piecewise polynomials span degree d?"""
+    """Do products of degree-1 piecewise polynomials span degree d?
+
+    Products of compatible functions are compatible, so each product is
+    read as its vector of multiset coefficients without a check."""
     if d < 2:
         raise DomainError("the question starts at degree 2")
     target = len(pp_space(complex, d))
     if target == 0:
         return True
     ones = pp_space(complex, 1)
+    multisets = _ray_multisets(complex, d)
     vectors = []
     for combo in itertools.combinations_with_replacement(ones, d):
         product = combo[0]
         for f in combo[1:]:
             product = product * f
-        vectors.append(_multiset_vector(product))
+        vectors.append(_multiset_vector(product, multisets))
     if not vectors:
         return False
-    return rank_of_rows(vectors, len(_ray_multisets(complex, d))) == target
+    return rank_of_rows(vectors, len(multisets)) == target
 
 
 # ---------------------------------------------------------------------------

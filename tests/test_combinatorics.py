@@ -107,6 +107,7 @@ def test_pp_space_monomials_follow_the_oracle_order(m):
         basis = cone_complex.pp_space(complex, d)
         monomials = oracle.cone_monomials(m, d)
         assert [list(f.polys[0].items()) for f in basis] == [[(e, 1)] for e in monomials]
+        multisets = cone_complex._ray_multisets(complex, d)
         for k, f in enumerate(basis):
-            vector = cone_complex._multiset_vector(f)
+            vector = cone_complex._multiset_vector(f, multisets)
             assert vector == [int(i == k) for i in range(len(monomials))]

@@ -20,9 +20,11 @@ subdivision maps from the faces they cut; `gen1 2` on the barycentric
 cycle-glued 5-orthant, whose products multiply functions vanishing on
 most cones, and `pp 2` on the barycentric triangle-z3 complex before
 every zero cone of a piecewise polynomial became one shared read-only
-mapping.  Any change in the bytes these commands print shows up here,
-including one that a memo causes: a few of them also run cold, warm and
-after every memo is cleared.
+mapping; `cone simplex3` (the default operation, `faces`) and the text
+report of `theta-genus2` before every command returned its payload to one
+`_emit` in `main`.  Any change in the bytes these commands print shows
+up here, including one that a memo causes: a few of them also run cold,
+warm and after every memo is cleared.
 """
 
 import hashlib
@@ -67,6 +69,8 @@ GOLDEN = {
     "cone simplex3 explosion 3 2": "f8a18e1eb515d635be27658ab4935ce98c2d7b6c338db6cda3377bd06f918cfd",
     "cone triangle-z3 barycentric": "2d44e7e68c4c8bec461eda3312cd26a3ef76106e450f3ad86a5e26a44168e5f5",
     "cone simplex5 explosion 5 3": "d5b4fe4a110ca9a4acc0bdc08a53d1760b6e88c04f426ec3e1b7b559e2c224ba",
+    "cone simplex3": "4d97120756599ed159f8deb30838ad11118180cf6e9e97628442ccdffafb9c6f",
+    "theta-genus2": "7633a048010953b83bd7193591555002f1eec69fa34246bdc04b8b1f3409306e",
 }
 
 

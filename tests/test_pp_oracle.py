@@ -21,9 +21,13 @@ from hypothesis import strategies as st
 import pp_oracle
 from tautring.cone_complex import (
     ConeComplex,
+    _ZERO_POLY,
     PPFunction,
     _gluing_classes,
+    _multiset_coefficients,
+    _multiset_vector,
     _poly_mul,
+    _ray_multisets,
     _substitute,
     barycentric,
     pp_space,
@@ -131,6 +135,21 @@ def test_pp_space_matches_the_oracle(name, d):
         assert not isinstance(_assert_same_space(complex, d), str)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_product_vectors_match_the_checked_coefficients(name, d):
+    """`generated_by_degree_one` reads each product of degree-1 functions
+    from its nonzero monomials without checking it; the checked reading of
+    every monomial of every cone must give the same vector."""
+    complex = FIXTURES[name]()
+    multisets = _ray_multisets(complex, d)
+    for combo in itertools.combinations_with_replacement(pp_space(complex, 1), d):
+        product = math.prod(combo[1:], start=combo[0])
+        values = _multiset_coefficients(product)
+        assert sorted(values) == multisets
+        assert _multiset_vector(product, multisets) == [values[m] for m in multisets]
+
+
 def _glued_quadrants():
     """Two quadrants sharing the ray (0, 1), the first glued onto the second."""
     x, y, w = (1, 0), (0, 1), (-1, 0)
@@ -234,6 +253,44 @@ def test_pullback_and_from_global_match_the_oracle(name):
                 assert PPFunction.from_global(complex, poly, d) == pp_oracle.from_global(
                     complex, poly, d
                 )
+
+
+# (complex, global polynomial, degree, the error it raises or None),
+# each outcome captured before `from_global` built its result unchecked
+FROM_GLOBAL_CASES = [
+    ("simplex2", {(1, 0): 0, (1, 1): 1}, 2, None),  # the zero term is dropped
+    ("simplex2", {(1, 0): 1}, 2, "polynomial is not homogeneous"),
+    ("simplex2", {(2, 0): 1, (0, 1): 1}, 2, "polynomial is not homogeneous"),
+    ("simplex2", {}, 2, None),
+    ("simplex2", {(1, 1): 0}, 5, None),
+    ("simplex2", {(2, 0, 0): 1}, 2, "exponent tuple (2, 0, 0) does not have 2 entries"),
+    ("simplex2", {(1.0, 1): 1}, 2, "exponents must be nonnegative integers"),
+    # x2 vanishes on the one cone of "flat", so its terms of any degree do
+    ("flat", {(0, 0, 2): 1, (1, 1, 0): 1}, 2, None),
+    ("flat", {(0, 0, 1): 1}, 2, None),
+    ("flat", {(0, 0, 1): 1, (1, 1, 0): 1}, 2, None),
+    ("flat", {(0, 0, 1): 1, (1, 0, 0): 1}, 2, "polynomial is not homogeneous"),
+    ("wide2", {(1, 1): QQ(1, 3)}, 2, None),
+    ("triangle-z3", {(1, 1, 1): 1, (3, 0, 0): 2}, 3, None),
+    ("triangle-z3", {(1, 1, 1): 1, (1, 0, 0): 2}, 3, "polynomial is not homogeneous"),
+]
+
+
+@pytest.mark.parametrize("name, poly, degree, error", FROM_GLOBAL_CASES)
+def test_from_global_accepts_and_refuses_what_it_did(name, poly, degree, error):
+    """An accepted polynomial restricts as the oracle's does, with
+    `_ZERO_POLY` on every cone where it vanishes; a refused one names the
+    same fault as before."""
+    builds = {**FIXTURES, **NON_UNIMODULAR, "flat": lambda: ConeComplex(3, [((1, 0, 0), (0, 1, 0))])}
+    complex = builds[name]()
+    if error is not None:
+        with pytest.raises(DomainError) as exc:
+            PPFunction.from_global(complex, poly, degree)
+        assert str(exc.value) == error
+        return
+    f = PPFunction.from_global(complex, poly, degree)
+    assert f == pp_oracle.from_global(complex, poly, degree)
+    assert all(p is _ZERO_POLY or p for p in f.polys)
 
 
 def test_fractional_ray_coordinates_are_pulled_back_exactly():

@@ -1,13 +1,19 @@
-"""The README's Quick start block runs and prints what its comments say.
+"""The README's Quick start and Command line blocks run and print what
+their comments say.
 
-The block is read from README.md and run one statement at a time; every
-statement with a trailing comment is checked against the value that
-comment names, so a changed result or a changed comment fails here.
+The Quick start block is read from README.md and run one statement at a
+time, and each `tautring ...` line of the Command line block is run
+through `cli.main`; every statement or command with a trailing comment is
+checked against what that comment names, so a changed result or a changed
+comment fails here.
 """
 
 import ast
+import json
 from pathlib import Path
 
+from tautring import cli
+from tautring.cone_complex import simplex_cone_complex
 from tautring.rationals import QQ
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -51,3 +57,47 @@ def test_quick_start_values_match_their_comments():
             assert EXPECTED[comment](value, namespace), (comment, value)
             checked[comment] = value
     assert set(checked) == set(EXPECTED)
+
+
+def _command_line():
+    """The `sh` block of the Command line section and the plain block after
+    it, which shows the text report of `theta-genus2`."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1]
+    commands, rest = section.split("```sh\n", 1)[1].split("```", 1)
+    return commands, rest.split("```\n", 1)[1].split("```", 1)[0]
+
+
+# trailing comment -> check of (stdout of the command, the theta report)
+CLI_EXPECTED = {
+    "7 stable graphs, listed canonically": lambda out, theta: json.loads(out)["count"] == 7,
+    "DR cycle; coefficients 9/2, 9/2, -1/24": lambda out, theta: (
+        sorted(term["coeff"] for term in json.loads(out)["class"]["terms"])
+        == ["-1/24", "9/2", "9/2"]
+    ),
+    '{"member": false, "rank": 9, "ambient": 10, ...}': lambda out, theta: (
+        json.loads(out).items() >= {"member": False, "rank": 9, "ambient": 10}.items()
+    ),
+    "solution line + infeasibility verdict": lambda out, theta: out == theta,
+    "6 maximal cones": lambda out, theta: json.loads(out)["maximal_cones"] == 6,
+    "piecewise-linear functions: dimension 1": lambda out, theta: (
+        json.loads(out)["dimension"] == 1
+    ),
+}
+
+
+def test_command_line_outputs_match_their_comments(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "mycomplex.json").write_text(simplex_cone_complex(3).to_json())
+    commands, theta = _command_line()
+    checked = set()
+    for line in commands.splitlines():
+        command, _, comment = line.partition("#")
+        program, *argv = command.split()
+        assert program == "tautring"
+        assert cli.main(argv) == 0, line
+        out = capsys.readouterr().out
+        if comment:
+            assert CLI_EXPECTED[comment.strip()](out, theta), line
+            checked.add(comment.strip())
+    assert checked == set(CLI_EXPECTED)
